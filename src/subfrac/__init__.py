@@ -67,8 +67,6 @@ from .extension import (
     boundary_limit,
     extension_constant,
     extension_constant_quadrature,
-    extension_dt,
-    extension_dtt,
     extension_multiplier_values,
     extension_solve,
     extension_solve_tau_grid,

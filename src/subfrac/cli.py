@@ -340,6 +340,7 @@ def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=No
             rows.append(f"{t:.17g},{d / max(lp_norm(result.reference, 2), 1e-300):.17g}")
         atomic_write_text(out_dir / f"limit_sweep_s{s!r}.csv", "\n".join(rows) + "\n")
         report.add_upper(f"boundary_limit_rel_error_s={s}", result.rel_error, tol)
+        report.add_upper(f"boundary_limit_fallback_s={s}", float(result.used_fallback), 0.0)
 
 
 def run_verify_all(config: ExperimentConfig, report: RunReport, out_dir: Path) -> None:
@@ -449,9 +450,12 @@ def run(config: ExperimentConfig) -> RunReport:
 
 def _parse_floats(text: str) -> tuple:
     try:
-        return tuple(float(x) for x in text.split(",") if x)
+        values = tuple(float(x) for x in text.split(",") if x)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
+    if not all(np.isfinite(values)):
+        raise ConfigError(f"float list {text!r} has a non-finite value")
+    return values
 
 
 def _read_config_file(path: str) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .group import GridFunction, GridSpec, homogeneous_norm, lp_norm
-from .spectral import SpectralDecomposition, delta_function, heat_kernel_column
+from .spectral import SpectralDecomposition, delta_function, heat_kernel_column, positive_power
 from .stencils import apply_multi_index
 
 
@@ -95,8 +95,7 @@ def kernel_norm_decay(dec: SpectralDecomposition, s: float, p: int,
     check_t_window(dec.spec, t_values)
     delta = delta_function(dec.spec)
     lam = dec.eigenvalues
-    svals = np.where(lam > 0, lam, 1.0) ** s
-    svals[lam <= 0] = 0.0
+    svals = positive_power(lam, s)
     norms = []
     for t in t_values:
         col = dec.apply_values(svals * np.exp(-t * lam), delta)
@@ -304,10 +303,9 @@ def kernel_reconstruction_gap(dec: SpectralDecomposition, s: float, t: float,
     spec = dec.spec
     lam = dec.eigenvalues
     delta = delta_function(spec)
-    svals = np.where(lam > 0, lam, 1.0) ** s
-    svals[lam <= 0] = 0.0
+    svals = positive_power(lam, s)
     direct = dec.apply_values(svals * np.exp(-t * lam), delta)
-    m_vals = np.where(lam > 0, ((t / 2.0) * np.where(lam > 0, lam, 1.0)) ** s, 0.0)
+    m_vals = positive_power((t / 2.0) * lam, s)
     M = dec.apply_values(m_vals * np.exp(-(t / 2.0) * lam), delta)
     ht2 = dec.apply_values(np.exp(-(t / 2.0) * lam), delta)
     recon = group_convolve(M, ht2)

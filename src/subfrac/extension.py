@@ -8,12 +8,15 @@ For one spectral point lambda >= 0 the solution multiplier is
 so u(t) = F_s(t, J) phi.  The exact change of variables rho = lambda*tau turns
 F_s and its t-derivatives into the one-parameter family
 
-    G_k(s, q) = (1/Gamma(s)) int_0^inf e^{-rho} rho^{s-1-k} e^{-q/rho} drho,
+    G_k(s, q) = (1/Gamma(s)) int_0^inf e^{-rho} rho^{s-1-k} e^{-q/rho} drho
+              = 2 q^{(s-k)/2} K_{s-k}(2 sqrt(q)) / Gamma(s),
     q = lambda t^2 / 4,
 
 with F = G_0, dF/dt = -(lambda t/2) G_1 and
-d2F/dt2 = (lambda^2 t^2/4) G_2 - (lambda/2) G_1.  Each G_k is evaluated by the
-trapezoid rule on the log axis rho = e^sigma, where the integrand decays
+d2F/dt2 = (lambda^2 t^2/4) G_2 - (lambda/2) G_1.  PATH A evaluates these in
+closed form with the modified Bessel function K (Caffarelli-Silvestre 2007,
+Stinga-Torrea 2010).  The validation routes evaluate the integrals instead, by
+the trapezoid rule on the log axis rho = e^sigma, where the integrand decays
 exponentially at both ends and the rule converges geometrically; the grid is
 cut where the integrand falls `tail` log-units below its peak and the node
 count doubles until successive values agree to `rtol`.
@@ -26,20 +29,21 @@ of the defining integral (1/Gamma(s)) int_0^inf e^{-1/(4u)} / (2 u^{2-s}) du.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from scipy.special import gamma as _gamma
+from scipy.special import kve
 
 from .errors import AccuracyError, ConfigError
 from .group import GridFunction, lp_norm
-from .spectral import SpectralDecomposition
+from .spectral import SpectralDecomposition, positive_power
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Log-axis trapezoid controls for the subordination integrals."""
+    """Log-axis trapezoid controls for the quadrature validation routes."""
 
     initial_nodes: int = 400
     rtol: float = 1e-10
@@ -62,97 +66,56 @@ class ExtensionParams:
         if not 0.0 < self.s < 1.0:
             raise ConfigError(f"s must lie strictly in (0, 1), got {self.s}")
         ts = tuple(float(t) for t in self.t_values)
-        if any(t <= 0 for t in ts):
-            raise ConfigError("all t values must be > 0")
+        if not all(0.0 < t < np.inf for t in ts):
+            raise ConfigError(f"all t values must be finite and > 0, got {ts}")
         if any(b >= a for a, b in zip(ts, ts[1:])):
             raise ConfigError("t values must be strictly descending")
         object.__setattr__(self, "t_values", ts)
 
 
-# ---------------------------------------------------------------------------
-# scalar subordination quadrature
-# ---------------------------------------------------------------------------
-
-def _log_integrand_range(a: float, q: float, tail: float) -> tuple[float, float]:
-    """sigma-range where exp(a*sigma - e^sigma - q e^{-sigma}) is above peak*e^-tail."""
-    if q > 0:
-        peak = (a + np.sqrt(a * a + 4.0 * q)) / 2.0
-        log_q = np.log(q)
-    elif a > 0:
-        peak = a
-        log_q = None
-    else:
-        raise ConfigError("subordination integrand needs q > 0 when s - k <= 0")
-    s0 = np.log(peak)
-
-    def g(sig):
-        # the q-term in log form: exp(log q - sigma) cannot overflow while the
-        # march is still above the cutoff
-        qterm = np.exp(log_q - sig) if log_q is not None else 0.0
-        return a * sig - np.exp(sig) - qterm
-
-    g0 = g(s0)
-    lo = s0
-    while g(lo) > g0 - tail:
-        lo -= 1.0
-    hi = s0
-    while g(hi) > g0 - tail:
-        hi += 1.0
-    return lo, hi
-
-
-def subordination_integral(s: float, q, k: int = 0,
-                           quad: QuadratureSpec = DEFAULT_QUADRATURE) -> tuple[np.ndarray, float]:
-    """G_k(s, q) for an array of q >= 0; returns (values, last refinement delta).
-
-    q = 0 is allowed only for k = 0 (where G_0 = 1 exactly by the Gamma
-    normalization and is returned without quadrature).
-    """
+def _check_s(s: float) -> None:
     if not 0.0 < s < 1.0:
         raise ConfigError(f"s must lie in (0, 1), got {s}")
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if (q < 0).any():
-        raise ConfigError("q must be >= 0")
-    out = np.empty_like(q)
-    zero = q == 0.0
-    if zero.any():
-        if k != 0:
-            raise ConfigError("G_k at q=0 is only defined for k=0")
-        out[zero] = 1.0
-    pos = ~zero
-    if not pos.any():
-        return out, 0.0
-    a = s - k
-    qp = q[pos]
-    lo0, _ = _log_integrand_range(a, qp.min(), quad.tail)
-    lo1, hi1 = _log_integrand_range(a, qp.max(), quad.tail)
-    lo, hi = min(lo0, lo1) - 0.5, hi1 + 0.5
-
-    n = quad.initial_nodes
-    prev = None
-    delta = np.inf
-    log_qp = np.log(qp)
-    for _ in range(quad.max_doublings + 1):
-        sig = np.linspace(lo, hi, n)
-        expo = a * sig[None, :] - np.exp(sig)[None, :] - np.exp(log_qp[:, None] - sig[None, :])
-        peak = expo.max(axis=1, keepdims=True)
-        vals = np.exp(peak[:, 0]) * np.trapezoid(np.exp(expo - peak), sig, axis=1)
-        if prev is not None:
-            delta = float(np.max(np.abs(vals - prev) / np.maximum(np.abs(vals), 1e-300)))
-            prev = vals
-            if delta <= quad.rtol:
-                break
-        else:
-            prev = vals
-        n *= 2
-    else:
-        raise AccuracyError("subordination quadrature did not converge", delta)
-    out[pos] = prev / _gamma(s)
-    return out, (float(delta) if np.isfinite(delta) else 0.0)
 
 
-def scalar_extension_multiplier(s: float, t: float, lam: float,
-                                quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+# ---------------------------------------------------------------------------
+# closed-form multipliers (PATH A)
+# ---------------------------------------------------------------------------
+
+def extension_multiplier_values(s: float, t: float,
+                                lam: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, dF/dt, d2F/dt2) at time t > 0 over a spectrum lam >= 0.
+
+    Each G_k enters multiplied by the power of q that keeps it bounded as
+    q -> 0, so nothing overflows: q G_1 = 2 q^{(1+s)/2} K_{1-s}(2 sqrt q) /
+    Gamma(s) and q G_2 = 2 q^{s/2} K_{2-s}(2 sqrt q) / Gamma(s).  The
+    lambda = 0 kernel mode passes through: F = 1 and both derivatives 0, so
+    u(t) -> phi as t -> 0 holds including the mean on a torus.  Modes whose
+    q = lam t^2/4 lies below the normal double range, where K_{2-s} can
+    overflow, pass through the same way; their F differs from 1 by O(q^s).
+    F is clamped into [0, 1].
+    """
+    _check_s(s)
+    if not 0.0 < t < np.inf:
+        raise ConfigError(f"multipliers need a finite t > 0, got {t}")
+    lam = np.asarray(lam, dtype=float)
+    F, dF, ddF = np.ones_like(lam), np.zeros_like(lam), np.zeros_like(lam)
+    q = lam * t * t / 4.0
+    pos = q >= np.finfo(float).tiny
+    q, lam = q[pos], lam[pos]
+    z = 2.0 * np.sqrt(q)
+    # kve(nu, z) = K_nu(z) e^z; the factor e^{-z} underflows to 0 harmlessly
+    c = 2.0 / _gamma(s) * np.exp(-z)
+    g0 = c * q ** (s / 2.0) * kve(s, z)
+    qg1 = c * q ** ((1.0 + s) / 2.0) * kve(1.0 - s, z)
+    qg2 = c * q ** (s / 2.0) * kve(2.0 - s, z)
+    F[pos] = np.clip(g0, 0.0, 1.0)
+    dF[pos] = -(2.0 / t) * qg1  # -(lam t/2) G_1
+    ddF[pos] = lam * qg2 - (2.0 / (t * t)) * qg1  # (lam^2 t^2/4) G_2 - (lam/2) G_1
+    return F, dF, ddF
+
+
+def scalar_extension_multiplier(s: float, t: float, lam: float) -> float:
     """F_s(t, lambda) for one spectral point.
 
     F_s(0, .) = 1 (Gamma normalization); at lambda = 0 with t > 0 the lambda^s
@@ -165,64 +128,95 @@ def scalar_extension_multiplier(s: float, t: float, lam: float,
         return 1.0
     if lam == 0.0:
         return 0.0
-    vals, _ = subordination_integral(s, np.array([lam * t * t / 4.0]), 0, quad)
-    return float(np.clip(vals[0], 0.0, 1.0))
+    F, _, _ = extension_multiplier_values(s, t, np.array([lam]))
+    return float(F[0])
 
 
-def extension_multiplier_values(s: float, t: float, lam: np.ndarray, order: int = 0,
-                                quad: QuadratureSpec = DEFAULT_QUADRATURE) -> tuple[np.ndarray, float]:
-    """Multiplier arrays for u, d_t u, d_t^2 u over a spectrum lam >= 0.
-
-    The lambda = 0 kernel mode passes through: F = 1 and both derivatives 0,
-    so u(t) -> phi as t -> 0 holds including the mean on a torus.  Order-0
-    values are clamped into [0, 1].
-    """
-    if order not in (0, 1, 2):
-        raise ConfigError(f"order must be 0, 1 or 2, got {order}")
-    if t < 0 or (order > 0 and t == 0):
-        raise ConfigError("derivative multipliers need t > 0")
-    lam = np.asarray(lam, dtype=float)
-    out = np.zeros_like(lam)
-    if t == 0.0:
-        return np.ones_like(lam), 0.0
-    # modes whose q = lam t^2/4 underflows behave as kernel modes to double
-    # precision: F = 1 and derivatives 0
-    pos = lam * t * t / 4.0 > 0.0
-    if not pos.any():
-        if order == 0:
-            out[~pos] = 1.0
-        return out, 0.0
-    q = lam[pos] * t * t / 4.0
-    if order == 0:
-        g0, err = subordination_integral(s, q, 0, quad)
-        out[pos] = np.clip(g0, 0.0, 1.0)
-        out[~pos] = 1.0
-    elif order == 1:
-        g1, err = subordination_integral(s, q, 1, quad)
-        out[pos] = -(lam[pos] * t / 2.0) * g1
-    else:
-        g1, e1 = subordination_integral(s, q, 1, quad)
-        g2, e2 = subordination_integral(s, q, 2, quad)
-        out[pos] = (lam[pos] ** 2 * t * t / 4.0) * g2 - (lam[pos] / 2.0) * g1
-        err = max(e1, e2)
-    return out, err
-
-
-def scalar_ode_residual(s: float, lam: float, t: float,
-                        quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def scalar_ode_residual(s: float, lam: float, t: float) -> float:
     """Relative residual of F'' + ((1-2s)/t) F' - lambda F = 0 at one point."""
     if lam <= 0 or t <= 0:
         raise ConfigError("scalar ODE residual needs lambda > 0 and t > 0")
-    q = np.array([lam * t * t / 4.0])
-    g0, _ = subordination_integral(s, q, 0, quad)
-    g1, _ = subordination_integral(s, q, 1, quad)
-    g2, _ = subordination_integral(s, q, 2, quad)
-    F = g0[0]
-    dF = -(lam * t / 2.0) * g1[0]
-    ddF = (lam ** 2 * t * t / 4.0) * g2[0] - (lam / 2.0) * g1[0]
+    F, dF, ddF = (v[0] for v in extension_multiplier_values(s, t, np.array([lam])))
     res = ddF + (1.0 - 2.0 * s) / t * dF - lam * F
     scale = abs(lam * F) + abs(ddF) + abs((1.0 - 2.0 * s) / t * dF)
     return abs(res) / scale if scale > 0 else abs(res)
+
+
+# ---------------------------------------------------------------------------
+# log-axis quadrature (the validation routes)
+# ---------------------------------------------------------------------------
+
+def _log_axis_quadrature(a: float, q: np.ndarray,
+                         quad: QuadratureSpec) -> tuple[np.ndarray, float]:
+    """int exp(a sigma - e^sigma - q e^{-sigma}) dsigma over the real line, per q.
+
+    All q >= 0 share one grid, cut where the integrands of the smallest and
+    the largest q fall `quad.tail` below their peaks; q = 0 needs a > 0.
+    Returns the values and the last relative refinement delta.
+    """
+    with np.errstate(divide="ignore"):
+        log_q = np.log(q)  # -inf at q = 0 drops the q-term
+
+    def g(sig, lq):
+        # the q-term in log form: exp(log q - sigma) cannot overflow while the
+        # march is still above the cutoff
+        return a * sig - np.exp(sig) - np.exp(lq - sig)
+
+    edges = []
+    for qe, lq in ((q.min(), log_q.min()), (q.max(), log_q.max())):
+        # the peak e^sigma solves x^2 - a x - q = 0; for a < 0 the textbook
+        # root cancels to 0 when q is tiny, so take its rationalized form
+        root = np.sqrt(a * a + 4.0 * qe)
+        s0 = np.log((a + root) / 2.0 if a >= 0 else 2.0 * qe / (root - a))
+        floor = g(s0, lq) - quad.tail
+        lo = hi = s0
+        while g(lo, lq) > floor:
+            lo -= 1.0
+        while g(hi, lq) > floor:
+            hi += 1.0
+        edges += [lo, hi]
+    lo, hi = min(edges) - 0.5, max(edges) + 0.5
+
+    n = quad.initial_nodes
+    prev = None
+    delta = np.inf
+    for _ in range(quad.max_doublings + 1):
+        sig = np.linspace(lo, hi, n)
+        expo = g(sig[None, :], log_q[:, None])
+        peak = expo.max(axis=1, keepdims=True)
+        vals = np.exp(peak[:, 0]) * np.trapezoid(np.exp(expo - peak), sig, axis=1)
+        if prev is not None:
+            delta = float(np.max(np.abs(vals - prev) / np.maximum(np.abs(vals), 1e-300)))
+            if delta <= quad.rtol:
+                return vals, delta
+        prev = vals
+        n *= 2
+    raise AccuracyError("log-axis quadrature did not converge", delta)
+
+
+def subordination_integral(s: float, q, k: int = 0,
+                           quad: QuadratureSpec = DEFAULT_QUADRATURE) -> tuple[np.ndarray, float]:
+    """G_k(s, q) for an array of q >= 0 by quadrature; returns (values, last refinement delta).
+
+    q = 0 is allowed only for k = 0 (where G_0 = 1 exactly by the Gamma
+    normalization and is returned without quadrature).
+    """
+    _check_s(s)
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    if (q < 0).any():
+        raise ConfigError("q must be >= 0")
+    out = np.empty_like(q)
+    zero = q == 0.0
+    if zero.any():
+        if k != 0:
+            raise ConfigError("G_k at q=0 is only defined for k=0")
+        out[zero] = 1.0
+    pos = ~zero
+    if not pos.any():
+        return out, 0.0
+    vals, delta = _log_axis_quadrature(s - k, q[pos], quad)
+    out[pos] = vals / _gamma(s)
+    return out, delta
 
 
 # ---------------------------------------------------------------------------
@@ -231,46 +225,20 @@ def scalar_ode_residual(s: float, lam: float, t: float,
 
 def extension_constant(s: float) -> float:
     """C(s) = 4^{1-s} Gamma(1-s) / (2 Gamma(s)); C(1/2) = 1."""
-    if not 0.0 < s < 1.0:
-        raise ConfigError(f"s must lie in (0, 1), got {s}")
+    _check_s(s)
     return float(4.0 ** (1.0 - s) * _gamma(1.0 - s) / (2.0 * _gamma(s)))
 
 
 def extension_constant_quadrature(s: float,
                                   quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
-    """C(s) by direct quadrature of (1/Gamma(s)) int e^{-1/(4u)}/(2 u^{2-s}) du."""
-    if not 0.0 < s < 1.0:
-        raise ConfigError(f"s must lie in (0, 1), got {s}")
+    """C(s) by direct quadrature of (1/Gamma(s)) int e^{-1/(4u)}/(2 u^{2-s}) du.
 
-    def g(sig):
-        # u = e^sigma: integrand e^{(s-1) sigma - e^{-sigma}/4} / 2
-        return (s - 1.0) * sig - np.exp(-sig) / 4.0
-
-    s0 = -np.log(4.0 * (1.0 - s))
-    g0 = g(s0)
-    lo = s0
-    while g(lo) > g0 - quad.tail:
-        lo -= 1.0
-    hi = s0
-    while g(hi) > g0 - quad.tail:
-        hi += 1.0
-    n = quad.initial_nodes
-    prev = None
-    delta = np.inf
-    for _ in range(quad.max_doublings + 1):
-        sig = np.linspace(lo - 0.5, hi + 0.5, n)
-        val = 0.5 * np.trapezoid(np.exp(g(sig)), sig)
-        if prev is not None:
-            delta = abs(val - prev) / max(abs(val), 1e-300)
-            prev = val
-            if delta <= quad.rtol:
-                break
-        else:
-            prev = val
-        n *= 2
-    else:
-        raise AccuracyError("C(s) quadrature did not converge", delta)
-    return float(prev / _gamma(s))
+    With rho = 1/(4u) the integral is (4^{1-s}/2) int rho^{-s} e^{-rho} drho,
+    the log-axis integral with a = 1 - s and q = 0.
+    """
+    _check_s(s)
+    vals, _ = _log_axis_quadrature(1.0 - s, np.zeros(1), quad)
+    return float(4.0 ** (1.0 - s) / 2.0 * vals[0] / _gamma(s))
 
 
 # ---------------------------------------------------------------------------
@@ -279,86 +247,39 @@ def extension_constant_quadrature(s: float,
 
 @dataclass
 class ExtensionProfile:
-    """u(t_j, .) and d_t u(t_j, .) over the sweep, with quadrature estimates."""
+    """u(t_j, .) and d_t u(t_j, .) over the sweep."""
 
     params: ExtensionParams
     u: list
     du_dt: list
-    quadrature_error_estimate: list = field(default_factory=list)
 
 
 def extension_solve(dec: SpectralDecomposition, params: ExtensionParams,
                     phi: GridFunction) -> ExtensionProfile:
-    """PATH A: per-eigenvalue scalar quadrature of the subordination formula."""
-    u, du, errs = [], [], []
+    """PATH A: the closed-form Bessel-K multipliers, one per eigenvalue."""
+    u, du = [], []
     for t in params.t_values:
-        vals0, e0 = extension_multiplier_values(params.s, t, dec.eigenvalues, 0, params.quadrature)
-        vals1, e1 = extension_multiplier_values(params.s, t, dec.eigenvalues, 1, params.quadrature)
-        u.append(dec.apply_values(vals0, phi))
-        du.append(dec.apply_values(vals1, phi))
-        errs.append(max(e0, e1))
-    return ExtensionProfile(params=params, u=u, du_dt=du, quadrature_error_estimate=errs)
+        F, dF, _ = extension_multiplier_values(params.s, t, dec.eigenvalues)
+        u.append(dec.apply_values(F, phi))
+        du.append(dec.apply_values(dF, phi))
+    return ExtensionProfile(params=params, u=u, du_dt=du)
 
 
 def extension_solve_tau_grid(dec: SpectralDecomposition, params: ExtensionParams,
                              phi: GridFunction) -> list:
-    """PATH B: one shared tau-grid quadrature of H_tau J^s phi (validation route).
+    """PATH B: G_0 by quadrature on one log-axis grid shared by all eigenvalues.
 
     The lambda = 0 mode integral diverges and J^s kills it, so PATH B yields
     the mean-zero part of u on a torus; compare against PATH A on Dirichlet
     grids or with mean-zero data.
     """
-    s = params.s
-    quad = params.quadrature
     lam = dec.eigenvalues
     pos = lam > 0
-    lam_pos = lam[pos]
-    coeff = dec.project(phi)
     out = []
     for t in params.t_values:
-        ranges = []
-        for lam_edge in (lam_pos.min(), lam_pos.max()):
-            # g(sigma) = s sigma - lam e^sigma - (t^2/4) e^{-sigma}
-            w_peak = (s + np.sqrt(s * s + lam_edge * t * t)) / (2.0 * lam_edge)
-            s0 = np.log(w_peak)
-
-            def g(sig, lam_e=lam_edge):
-                return s * sig - lam_e * np.exp(sig) - (t * t / 4.0) * np.exp(-sig)
-
-            g0 = g(s0)
-            lo = s0
-            while g(lo) > g0 - quad.tail:
-                lo -= 1.0
-            hi = s0
-            while g(hi) > g0 - quad.tail:
-                hi += 1.0
-            ranges.append((lo, hi))
-        lo = min(r[0] for r in ranges) - 0.5
-        hi = max(r[1] for r in ranges) + 0.5
-        n = quad.initial_nodes
-        prev = None
-        delta = np.inf
-        for _ in range(quad.max_doublings + 1):
-            sig = np.linspace(lo, hi, n)
-            expo = (s * sig[None, :]
-                    - lam_pos[:, None] * np.exp(sig)[None, :]
-                    - (t * t / 4.0) * np.exp(-sig)[None, :])
-            peak = expo.max(axis=1, keepdims=True)
-            integ = np.exp(peak[:, 0]) * np.trapezoid(np.exp(expo - peak), sig, axis=1)
-            vals = lam_pos ** s * integ / _gamma(s)
-            if prev is not None:
-                delta = float(np.max(np.abs(vals - prev)
-                                     / np.maximum(np.abs(vals), 1e-300)))
-                prev = vals
-                if delta <= quad.rtol:
-                    break
-            else:
-                prev = vals
-            n *= 2
-        else:
-            raise AccuracyError("tau-grid quadrature did not converge", delta)
+        g0, _ = subordination_integral(params.s, lam[pos] * t * t / 4.0, 0, params.quadrature)
         full = np.zeros_like(lam)
-        full[pos] = prev
+        full[pos] = g0
         out.append(dec.apply_values(full, phi))
     return out
 
@@ -375,44 +296,19 @@ def path_agreement(dec: SpectralDecomposition, params: ExtensionParams,
     return worst
 
 
-def extension_dt(dec: SpectralDecomposition, params: ExtensionParams,
-                 phi: GridFunction) -> list:
-    """d_t u per sweep point via the analytic derivative multiplier."""
-    out = []
-    for t in params.t_values:
-        vals, _ = extension_multiplier_values(params.s, t, dec.eigenvalues, 1, params.quadrature)
-        out.append(dec.apply_values(vals, phi))
-    return out
-
-
-def extension_dtt(dec: SpectralDecomposition, params: ExtensionParams,
-                  phi: GridFunction) -> list:
-    """d_t^2 u per sweep point via the analytic second-derivative multiplier."""
-    out = []
-    for t in params.t_values:
-        vals, _ = extension_multiplier_values(params.s, t, dec.eigenvalues, 2, params.quadrature)
-        out.append(dec.apply_values(vals, phi))
-    return out
-
-
 def pde_residual(dec: SpectralDecomposition, params: ExtensionParams,
                  phi: GridFunction, t: float) -> float:
     """Relative residual of d_t^2 u + ((1-2s)/t) d_t u - J u = 0 at time t.
 
-    All three terms come from analytic multipliers, so the residual isolates
-    quadrature error.
+    The three terms come from Bessel functions of three different orders, so
+    the residual checks the closed forms against the equation.
     """
-    if t <= 0:
-        raise ConfigError("t must be > 0")
     s = params.s
-    quad = params.quadrature
     lam = dec.eigenvalues
-    v0, _ = extension_multiplier_values(s, t, lam, 0, quad)
-    v1, _ = extension_multiplier_values(s, t, lam, 1, quad)
-    v2, _ = extension_multiplier_values(s, t, lam, 2, quad)
-    ju = dec.apply_values(lam * v0, phi).values
-    du = dec.apply_values(v1, phi).values
-    ddu = dec.apply_values(v2, phi).values
+    F, dF, ddF = extension_multiplier_values(s, t, lam)
+    ju = dec.apply_values(lam * F, phi).values
+    du = dec.apply_values(dF, phi).values
+    ddu = dec.apply_values(ddF, phi).values
     num = np.linalg.norm(ddu + (1.0 - 2.0 * s) / t * du - ju)
     den = np.linalg.norm(ju) + np.linalg.norm(ddu)
     return float(num / den) if den > 0 else float(num)
@@ -433,38 +329,49 @@ class BoundaryLimitResult:
     used_fallback: bool
 
 
-def _extrapolate_three(ts: Sequence[float], ws: Sequence[np.ndarray], s: float) -> np.ndarray:
-    """Eliminate the t^{2-2s} and t^2 corrections from three sweep values."""
-    p1, p2 = 2.0 - 2.0 * s, 2.0
-    M = np.array([[1.0, t ** p1, t ** p2] for t in ts])
-    weights = np.linalg.solve(M.T, np.array([1.0, 0.0, 0.0]))
-    return weights[0] * ws[0] + weights[1] * ws[1] + weights[2] * ws[2]
+def _extrapolate_three(ts: Sequence[float], ws: Sequence[np.ndarray],
+                       dws: Sequence[np.ndarray], s: float) -> np.ndarray:
+    """w(0) from values w and t-derivatives dw at three points (Hermite).
+
+    Fits w(t) = sum_p c_p t^p over the first six powers of the small-t
+    expansion, p in (0, 2-2s, 2, 4-2s, 4, 6-2s).  The derivative rows are
+    multiplied by t and t is scaled by its largest value, which keeps the
+    system well conditioned and leaves c_0 unchanged.
+    """
+    p = np.array([0.0, 2.0 - 2.0 * s, 2.0, 4.0 - 2.0 * s, 4.0, 6.0 - 2.0 * s])
+    powers = (np.asarray(ts) / max(ts))[:, None] ** p
+    M = np.vstack([powers, p * powers])
+    weights = np.linalg.solve(M.T, np.eye(6)[0])
+    data = [*ws, *(t * dw for t, dw in zip(ts, dws))]
+    return sum(wt * d for wt, d in zip(weights, data))
 
 
 def boundary_limit(dec: SpectralDecomposition, params: ExtensionParams,
                    phi: GridFunction) -> BoundaryLimitResult:
     """Extrapolate t^{1-2s} d_t u to t = 0 and compare with -C(s) J^s phi.
 
-    Uses the three smallest sweep points for the extrapolant.  If the sweep
-    does not approach it monotonically the extrapolation assumption failed;
-    a warning is raised and the smallest-t raw value is returned instead.
+    Uses the values and exact t-derivatives at the three smallest sweep points
+    for the extrapolant.  If the sweep does not approach it monotonically the
+    extrapolation assumption failed; a warning is raised and the smallest-t
+    raw value is returned instead.
     """
     if len(params.t_values) < 3:
         raise ConfigError("boundary limit needs at least 3 sweep points")
     s = params.s
     lam = dec.eigenvalues
-    sweep = []
+    sweep, slopes = [], []
     for t in params.t_values:
-        vals, _ = extension_multiplier_values(s, t, lam, 1, params.quadrature)
-        sweep.append(dec.apply_values(t ** (1.0 - 2.0 * s) * vals, phi))
+        _, dF, ddF = extension_multiplier_values(s, t, lam)
+        sweep.append(dec.apply_values(t ** (1.0 - 2.0 * s) * dF, phi))
+        slopes.append((1.0 - 2.0 * s) * t ** (-2.0 * s) * dF + t ** (1.0 - 2.0 * s) * ddF)
 
-    ts3 = params.t_values[-3:]
-    ws3 = [w.values for w in sweep[-3:]]
-    ext_vals = _extrapolate_three(ts3, ws3, s)
-
-    svals = np.where(lam > 0, lam, 1.0) ** s
-    svals[lam <= 0] = 0.0
-    reference = dec.apply_values(-extension_constant(s) * svals, phi)
+    ext_vals = _extrapolate_three(
+        params.t_values[-3:],
+        [w.values for w in sweep[-3:]],
+        [dec.apply_values(m, phi).values for m in slopes[-3:]],
+        s,
+    )
+    reference = dec.apply_values(-extension_constant(s) * positive_power(lam, s), phi)
 
     dists = [np.linalg.norm(w.values - ext_vals) for w in sweep]
     monotone = all(d1 > d2 for d1, d2 in zip(dists, dists[1:]))
@@ -519,7 +426,7 @@ def l2_wellposedness_check(dec: SpectralDecomposition, params: ExtensionParams,
     phinorm = lp_norm(phi, 2)
     ratios, junorms, bounds = [], [], []
     for t in params.t_values:
-        vals, _ = extension_multiplier_values(params.s, t, lam, 0, params.quadrature)
+        vals, _, _ = extension_multiplier_values(params.s, t, lam)
         u = dec.apply_values(vals, phi)
         ratios.append(lp_norm(u, 2) / max(phinorm, 1e-300))
         ju = dec.apply_values(lam * vals, phi)

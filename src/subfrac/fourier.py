@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatchError
 from .group import GridFunction, GridSpec
-from .spectral import SpectralDecomposition
+from .spectral import SpectralDecomposition, positive_power
 
 
 @dataclass
@@ -57,10 +57,7 @@ def fourier_fractional(phi: GridFunction, s: float) -> GridFunction:
     if s <= 0:
         raise ConfigError(f"fractional power needs s > 0, got {s}")
     diag = FourierDiagonal.for_spec(phi.spec)
-    sym = diag.symbol
-    vals = np.where(sym > 0, sym, 1.0) ** s
-    vals[sym <= 0] = 0.0
-    return diag.apply_values(vals, phi)
+    return diag.apply_values(positive_power(diag.symbol, s), phi)
 
 
 def cross_validate(dec: SpectralDecomposition, s: float, phi: GridFunction) -> float:

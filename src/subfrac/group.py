@@ -98,8 +98,8 @@ class GridSpec:
             raise ConfigError(f"dims must be 1, 2 or 3, got {self.dims}")
         if self.mode == "heisenberg" and self.dims != 3:
             raise ConfigError("heisenberg mode requires dims=3")
-        if self.extent <= 0:
-            raise ConfigError(f"extent must be > 0, got {self.extent}")
+        if not 0.0 < self.extent < np.inf:
+            raise ConfigError(f"extent must be finite and > 0, got {self.extent}")
         if self.n_per_axis < 3:
             raise ConfigError(f"n_per_axis must be >= 3, got {self.n_per_axis}")
         if self.mode != "euclidean_torus" and self.n_per_axis % 2 == 0:

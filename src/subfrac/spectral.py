@@ -84,7 +84,7 @@ def spectral_decompose(op: DiscreteOperator, dense_limit: int = DENSE_LIMIT) -> 
     w, Q = scipy.linalg.eigh(op.matrix.toarray())
     scale = max(abs(w[0]), abs(w[-1]))
     if w[0] < -EIG_CLAMP * scale:
-        raise AssertionError(
+        raise ConfigError(
             f"operator is not PSD: min eigenvalue {w[0]:.3e} at scale {scale:.3e}"
         )
     # snap roundoff-scale eigenvalues (either sign) to exact zero so that
@@ -103,14 +103,18 @@ def apply_multiplier(dec: SpectralDecomposition, m: ScalarMultiplier | Callable,
     return dec.apply_values(m(dec.eigenvalues), f)
 
 
+def positive_power(lam: np.ndarray, s: float) -> np.ndarray:
+    """lambda^s on lambda > 0 and 0 elsewhere, so the kernel maps to 0 (s > 0)."""
+    vals = np.where(lam > 0, lam, 1.0) ** s
+    vals[lam <= 0] = 0.0
+    return vals
+
+
 def fractional_power(dec: SpectralDecomposition, s: float, f: GridFunction) -> GridFunction:
     """J^s f via the multiplier lambda^s (0^s = 0); requires s > 0."""
     if s <= 0:
         raise ConfigError(f"fractional power needs s > 0, got {s}")
-    lam = dec.eigenvalues
-    vals = np.where(lam > 0, lam, 1.0) ** s
-    vals[lam <= 0] = 0.0
-    return dec.apply_values(vals, f)
+    return dec.apply_values(positive_power(dec.eigenvalues, s), f)
 
 
 def heat_apply(dec: SpectralDecomposition, t: float, f: GridFunction) -> GridFunction:

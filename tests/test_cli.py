@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import subfrac
-from subfrac.cli import build_parser, config_from_args, main, report_json, run
+from subfrac.cli import _parse_floats, build_parser, config_from_args, main, report_json, run
+from subfrac.errors import ConfigError
 
 
 def run_cli(argv):
@@ -69,6 +70,44 @@ def test_failing_tolerance_exits_one(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert any(line.startswith("FAIL") for line in out.splitlines())
+
+
+def test_limit_heisenberg_s09_regression(tmp_path):
+    # the three-point elimination missed the 2e-2 tolerance on this seed
+    code = run_cli([
+        "limit", "--mode", "heisenberg", "--n", "9", "--L", "2", "--s", "0.9",
+        "--t", "0.2,0.1,0.05", "--seed", "11", "--out", str(tmp_path),
+    ])
+    assert code == 0
+
+
+def test_limit_fallback_is_reported(tmp_path, monkeypatch, capsys):
+    # a sweep that does not close in on the extrapolant falls back to the raw
+    # smallest-t value; the report must fail on it even when that value
+    # happens to meet the tolerance
+    import subfrac.extension as ext
+
+    monkeypatch.setattr(ext, "_extrapolate_three", lambda ts, ws, dws, s: np.array(ws[0]))
+    with pytest.warns(RuntimeWarning):
+        code = run_cli([
+            "limit", "--mode", "euclidean_torus", "--n", "32", "--L", "10",
+            "--s", "0.5", "--t", "0.2,0.1,0.05", "--tol", "1.0", "--out", str(tmp_path),
+        ])
+    assert code == 1
+    report = json.loads((tmp_path / "limit" / "results.json").read_text())["report"]
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["boundary_limit_rel_error_s=0.5"]["passed"]
+    assert not checks["boundary_limit_fallback_s=0.5"]["passed"]
+    assert not report["passed"]
+    assert "FAIL boundary_limit_fallback_s=0.5" in capsys.readouterr().out
+
+
+def test_parse_floats_rejects_non_finite(tmp_path):
+    with pytest.raises(ConfigError):
+        _parse_floats("nan,inf")
+    with pytest.raises(SystemExit) as exc:
+        main(["limit", "--s", "nan", "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_limit_spec_example_defaults(tmp_path):

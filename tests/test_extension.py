@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,8 +14,6 @@ from subfrac import (
     boundary_limit,
     extension_constant,
     extension_constant_quadrature,
-    extension_dt,
-    extension_dtt,
     extension_multiplier_values,
     extension_solve,
     extension_solve_tau_grid,
@@ -98,17 +98,16 @@ def test_multiplier_matches_bessel_oracle(rng):
 def test_multiplier_bounds_and_monotonicity():
     lams = np.array([0.0, 0.3, 1.0, 7.0, 50.0, 400.0])
     for s in (0.1, 0.3, 0.5, 0.7, 0.9):
-        prev = None
-        for t in np.linspace(0.0, 10.0, 21):
-            vals, _ = extension_multiplier_values(s, t, lams, 0)
+        prev = np.ones_like(lams)  # F(0, .) = 1
+        for t in np.linspace(0.0, 10.0, 21)[1:]:
+            vals, _, _ = extension_multiplier_values(s, t, lams)
             assert (vals >= 0.0).all() and (vals <= 1.0).all()
-            if prev is not None:
-                assert (vals <= prev + 1e-10).all()
+            assert (vals <= prev + 1e-10).all()
             prev = vals
 
 
 def test_derivative_multiplier_vanishes_at_kernel_mode():
-    vals, _ = extension_multiplier_values(0.5, 1.0, np.array([0.0, 1.0]), 1)
+    _, vals, _ = extension_multiplier_values(0.5, 1.0, np.array([0.0, 1.0]))
     assert vals[0] == 0.0
     assert vals[1] < 0.0
 
@@ -155,6 +154,49 @@ def test_subordination_integral_validation():
                                QuadratureSpec(initial_nodes=4, rtol=1e-12, max_doublings=0))
 
 
+def test_subordination_integral_tiny_q():
+    # s - k < 0 with a tiny q: the peak of the log-axis integrand must not
+    # cancel to zero
+    for k, q in ((1, 1e-300), (2, 1e-150)):
+        got, _ = subordination_integral(0.5, np.array([q]), k)
+        want = 2.0 / gamma(0.5) * q ** ((0.5 - k) / 2.0) * kv(0.5 - k, 2.0 * np.sqrt(q))
+        assert got[0] == pytest.approx(want, rel=1e-9)
+
+
+def test_closed_form_matches_quadrature():
+    # PATH A's Bessel-K triple against G_0, G_1, G_2 by quadrature
+    lam = np.geomspace(1e-3, 1e3, 25)
+    for s in (0.1, 0.5, 0.9):
+        for t in (0.05, 0.5, 2.0):
+            q = lam * t * t / 4.0
+            g0, _ = subordination_integral(s, q, 0)
+            g1, _ = subordination_integral(s, q, 1)
+            g2, _ = subordination_integral(s, q, 2)
+            F, dF, ddF = extension_multiplier_values(s, t, lam)
+            np.testing.assert_allclose(F, g0, rtol=1e-9, atol=1e-300)
+            np.testing.assert_allclose(dF, -(lam * t / 2.0) * g1, rtol=1e-9, atol=1e-300)
+            want = (lam ** 2 * t * t / 4.0) * g2 - (lam / 2.0) * g1
+            scale = (lam ** 2 * t * t / 4.0) * g2 + (lam / 2.0) * g1
+            assert (np.abs(ddF - want) <= 1e-9 * scale).all()
+
+
+def test_multipliers_raise_no_warning():
+    lam = np.geomspace(1e-296, 1e6, 600)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (0.05, 0.5, 0.95):
+            for t in (1e-3, 0.025, 0.2, 10.0):
+                F, dF, ddF = extension_multiplier_values(s, t, lam)
+                assert np.isfinite(ddF).all()
+                assert ((F >= 0.0) & (F <= 1.0)).all() and (dF <= 0.0).all()
+
+
+def test_multipliers_need_finite_positive_t():
+    for bad in (0.0, -0.1, np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            extension_multiplier_values(0.5, bad, np.array([1.0]))
+
+
 def test_scalar_ode_residual_random(rng):
     # the diagonalized extension equation F'' + ((1-2s)/t) F' = lam F
     for _ in range(20):
@@ -179,6 +221,12 @@ def test_extension_params_validation():
         ExtensionParams(s=0.5, t_values=(0.1, -0.05))
     p = ExtensionParams(s=0.5, t_values=(0.2, 0.1))
     assert p.t_values == (0.2, 0.1)
+
+
+def test_extension_params_reject_non_finite_t():
+    for ts in ((np.nan,), (0.2, np.nan), (np.inf, 0.1)):
+        with pytest.raises(ConfigError):
+            ExtensionParams(s=0.5, t_values=ts)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +297,7 @@ def test_dt_matches_finite_differences(torus64):
     params = ExtensionParams(s=0.35, t_values=(t0 + d, t0, t0 - d))
     prof = extension_solve(dec, params, phi)
     fd = (prof.u[0].values - prof.u[2].values) / (2 * d)
-    an = extension_dt(dec, ExtensionParams(s=0.35, t_values=(t0,)), phi)[0].values
+    an = extension_solve(dec, ExtensionParams(s=0.35, t_values=(t0,)), phi).du_dt[0].values
     assert np.abs(fd - an).max() <= 1e-6 * np.abs(an).max()
 
 
@@ -260,7 +308,8 @@ def test_dtt_matches_finite_differences(torus64):
     params = ExtensionParams(s=0.65, t_values=(t0 + d, t0, t0 - d))
     prof = extension_solve(dec, params, phi)
     fd = (prof.u[0].values - 2 * prof.u[1].values + prof.u[2].values) / d ** 2
-    an = extension_dtt(dec, ExtensionParams(s=0.65, t_values=(t0,)), phi)[0].values
+    _, _, ddF = extension_multiplier_values(0.65, t0, dec.eigenvalues)
+    an = dec.apply_values(ddF, phi).values
     assert np.abs(fd - an).max() <= 1e-5 * np.abs(an).max()
 
 
@@ -269,9 +318,9 @@ def test_dt_multiplier_fd_error_is_second_order():
     s, lam, t = 0.35, 2.7, 0.6
     errs = []
     for d in (1e-2, 5e-3, 2.5e-3):
-        hi, _ = extension_multiplier_values(s, t + d, np.array([lam]), 0)
-        lo, _ = extension_multiplier_values(s, t - d, np.array([lam]), 0)
-        an, _ = extension_multiplier_values(s, t, np.array([lam]), 1)
+        hi, _, _ = extension_multiplier_values(s, t + d, np.array([lam]))
+        lo, _, _ = extension_multiplier_values(s, t - d, np.array([lam]))
+        _, an, _ = extension_multiplier_values(s, t, np.array([lam]))
         errs.append(abs((hi[0] - lo[0]) / (2 * d) - an[0]))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.1)
@@ -282,15 +331,14 @@ def test_dt_negative_on_positive_modes(torus64):
     k = 7
     v = GridFunction(op.spec, dec.eigenvectors[:, k])
     for t in (0.1, 0.5, 2.0):
-        du = extension_dt(dec, ExtensionParams(s=0.5, t_values=(t,)), v)[0]
+        du = extension_solve(dec, ExtensionParams(s=0.5, t_values=(t,)), v).du_dt[0]
         coeff = dec.project(du)[k]
         assert coeff < 0.0
 
 
 def test_dtt_half_s_exponential():
     # s = 1/2, lam = 1: F(t) = e^{-t}, so the second derivative equals F
-    v0, _ = extension_multiplier_values(0.5, 0.8, np.array([1.0]), 0)
-    v2, _ = extension_multiplier_values(0.5, 0.8, np.array([1.0]), 2)
+    v0, _, v2 = extension_multiplier_values(0.5, 0.8, np.array([1.0]))
     assert v2[0] == pytest.approx(v0[0], rel=1e-9)
     assert v0[0] == pytest.approx(np.exp(-0.8), rel=1e-9)
 
@@ -331,7 +379,7 @@ def test_boundary_limit_single_mode_scalar():
     # s = 1/2: t^{1-2s} d_t F = -sqrt(lam) e^{-t sqrt(lam)} -> -C(1/2) lam^{1/2}
     lam = 3.7
     for t in (0.2, 0.1, 0.05):
-        vals, _ = extension_multiplier_values(0.5, t, np.array([lam]), 1)
+        _, vals, _ = extension_multiplier_values(0.5, t, np.array([lam]))
         want = -np.sqrt(lam) * np.exp(-t * np.sqrt(lam))
         assert vals[0] == pytest.approx(want, rel=1e-9)
     assert extension_constant(0.5) == 1.0
@@ -382,7 +430,7 @@ def test_boundary_limit_fallback_wiring(torus64, monkeypatch):
     op, dec = torus64
     phi = torus_bump(op.spec)
     params = ExtensionParams(s=0.5, t_values=(0.2, 0.1, 0.05))
-    monkeypatch.setattr(ext, "_extrapolate_three", lambda ts, ws, s: np.array(ws[0]))
+    monkeypatch.setattr(ext, "_extrapolate_three", lambda ts, ws, dws, s: np.array(ws[0]))
     with pytest.warns(RuntimeWarning):
         res = ext.boundary_limit(dec, params, phi)
     assert res.used_fallback and not res.monotone

@@ -143,6 +143,12 @@ def test_heisenberg_requires_3d():
         GridSpec(5, 1.0, dims=2, mode="heisenberg")
 
 
+def test_non_finite_extent_rejected():
+    for extent in (np.nan, np.inf):
+        with pytest.raises(ConfigError):
+            GridSpec(5, extent, dims=1, mode="euclidean_box")
+
+
 # ---------------------------------------------------------------------------
 # norms and integrals
 # ---------------------------------------------------------------------------

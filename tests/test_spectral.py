@@ -74,6 +74,14 @@ def test_capacity_error():
         spectral_decompose(op, dense_limit=5)
 
 
+def test_non_psd_operator_is_config_error():
+    spec = GridSpec(9, 1.0, 1, "euclidean_box")
+    op = assemble_operator("euclid", spec)
+    negated = DiscreteOperator(op.kind, -op.matrix, op.fields_used, spec)
+    with pytest.raises(ConfigError, match="not PSD"):
+        spectral_decompose(negated)
+
+
 # ---------------------------------------------------------------------------
 # multipliers
 # ---------------------------------------------------------------------------
