@@ -31,7 +31,6 @@ from .group import (
     inner_product,
     integral,
     lp_norm,
-    make_grid,
     random_bump,
     read_gf1,
     write_gf1,
@@ -44,13 +43,13 @@ from .stencils import (
     build_vector_field,
     check_homogeneity,
     export_matrix_market,
-    operator_apply,
 )
 from .spectral import (
     ScalarMultiplier,
     SpectralDecomposition,
     apply_multiplier,
     delta_function,
+    eigen_probe,
     export_spectrum_csv,
     fractional_power,
     heat_apply,

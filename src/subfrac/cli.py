@@ -50,6 +50,7 @@ from .group import (
     write_gf1,
 )
 from .spectral import (
+    eigen_probe,
     fractional_power,
     heat_apply,
     heat_kernel_column,
@@ -222,6 +223,9 @@ def run_spectrum(config: ExperimentConfig, report: RunReport, out_dir: Path):
     dec = spectral_decompose(op)
     export_spectrum_csv(dec, out_dir / "spectrum.csv")
     report.add_upper("min_eigenvalue_negativity", max(-dec.eigenvalues[0], 0.0), 0.0)
+    orthogonality, residual = eigen_probe(op, dec)
+    report.add_upper("eigen_orthogonality_probe", orthogonality, 1e-12)
+    report.add_upper("eigen_residual_probe", residual, 1e-12)
     trace_gap = abs(dec.eigenvalues.sum() - op.matrix.diagonal().sum())
     report.add_upper(
         "trace_identity_rel", float(trace_gap / max(abs(op.matrix.diagonal().sum()), 1e-300)),
@@ -452,15 +456,27 @@ def _parse_floats(text: str) -> tuple:
     try:
         values = tuple(float(x) for x in text.split(",") if x)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}") from exc
+        raise ConfigError(f"bad float list {text!r}") from exc
     if not all(np.isfinite(values)):
         raise ConfigError(f"float list {text!r} has a non-finite value")
     return values
 
 
+def _float_list_arg(text: str) -> tuple:
+    """_parse_floats for argparse, which reports a bad flag as a usage error."""
+    try:
+        return _parse_floats(text)
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _read_config_file(path: str) -> dict:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     values = {}
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -486,8 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int)
         p.add_argument("--L", type=float)
         p.add_argument("--dims", type=int, choices=(1, 2, 3))
-        p.add_argument("--s", type=_parse_floats, help="comma-separated s values in (0,1)")
-        p.add_argument("--t", type=_parse_floats, help="comma-separated descending t values")
+        p.add_argument("--s", type=_float_list_arg, help="comma-separated s values in (0,1)")
+        p.add_argument("--t", type=_float_list_arg, help="comma-separated descending t values")
         p.add_argument("--quad-nodes", type=int, dest="quad_nodes")
         p.add_argument("--tol", type=float)
         p.add_argument("--seed", type=int)
@@ -508,7 +524,10 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             if key in ("mode", "op", "out", "kind"):
                 base[key] = value
             elif key in casts:
-                base[key] = casts[key](value)
+                try:
+                    base[key] = casts[key](value)
+                except ValueError as exc:
+                    raise ConfigError(f"{args.config}: bad value for {key!r}: {exc}") from exc
             else:
                 raise ConfigError(f"unknown config key {key!r}")
     for key in ("mode", "op", "n", "L", "dims", "quad_nodes", "tol", "seed", "out"):

@@ -66,6 +66,8 @@ class ExtensionParams:
         if not 0.0 < self.s < 1.0:
             raise ConfigError(f"s must lie strictly in (0, 1), got {self.s}")
         ts = tuple(float(t) for t in self.t_values)
+        if not ts:
+            raise ConfigError("the t sweep is empty")
         if not all(0.0 < t < np.inf for t in ts):
             raise ConfigError(f"all t values must be finite and > 0, got {ts}")
         if any(b >= a for a, b in zip(ts, ts[1:])):

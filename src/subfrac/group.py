@@ -146,11 +146,6 @@ class GridSpec:
         return np.asarray(values).reshape((self.n_per_axis,) * self.dims)
 
 
-def make_grid(spec: GridSpec) -> np.ndarray:
-    """Node coordinate enumeration for a spec; see GridSpec for the ordering."""
-    return spec.node_coordinates()
-
-
 @dataclass
 class GridFunction:
     """Real samples on a grid, x3-fastest, treated as immutable once built."""

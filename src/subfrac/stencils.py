@@ -276,10 +276,6 @@ def assemble_operator(kind: str, spec: GridSpec) -> DiscreteOperator:
     return DiscreteOperator(kind=kind, matrix=A, fields_used=fields, spec=spec)
 
 
-def operator_apply(op: DiscreteOperator, f: GridFunction) -> GridFunction:
-    return op.apply(f)
-
-
 def export_matrix_market(op: DiscreteOperator, path) -> None:
     """Coordinate text export, 1-indexed lower triangle, symmetric convention."""
     coo = sp.tril(op.matrix).tocoo()

@@ -2,9 +2,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import subfrac
-from subfrac.cli import _parse_floats, build_parser, config_from_args, main, report_json, run
+from subfrac.cli import (
+    _parse_floats,
+    _read_config_file,
+    build_parser,
+    config_from_args,
+    main,
+    report_json,
+    run,
+)
 from subfrac.errors import ConfigError
 
 
@@ -110,6 +120,63 @@ def test_parse_floats_rejects_non_finite(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("line", ["s=abc", "t=0.2,x", "n=abc", "L=wide"])
+def test_config_file_unparsable_value_exits_two(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    assert run_cli(["limit", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"bad value for {line.split('=')[0]!r}" in err
+
+
+def test_flag_unparsable_float_list_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["limit", "--s", "abc", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "argument --s: bad float list 'abc'" in capsys.readouterr().err
+
+
+@given(st.text())
+def test_parse_floats_gives_finite_floats_or_config_error(text):
+    try:
+        values = _parse_floats(text)
+    except ConfigError:
+        return
+    assert isinstance(values, tuple)
+    assert all(type(v) is float and np.isfinite(v) for v in values)
+
+
+@given(st.text())
+def test_config_file_parser_gives_pairs_or_config_error(tmp_path_factory, text):
+    cfg = tmp_path_factory.mktemp("cfg") / "exp.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    try:
+        values = _read_config_file(str(cfg))
+    except ConfigError:
+        return
+    for key, value in values.items():
+        assert key == key.strip() and value == value.strip()
+        assert not key.startswith("#") and "=" not in key
+
+
+def test_empty_t_sweep_exits_two(tmp_path, capsys):
+    code = run_cli(["extend", "--mode", "euclidean_torus", "--n", "16", "--t", ",",
+                    "--out", str(tmp_path)])
+    assert code == 2
+    assert "error: the t sweep is empty" in capsys.readouterr().err
+
+
+def test_spectrum_reports_eigen_probes(tmp_path):
+    code = run_cli(["spectrum", "--mode", "euclidean_torus", "--n", "16",
+                    "--out", str(tmp_path)])
+    assert code == 0
+    report = json.loads((tmp_path / "spectrum" / "results.json").read_text())["report"]
+    checks = {c["name"]: c for c in report["checks"]}
+    for name in ("eigen_orthogonality_probe", "eigen_residual_probe"):
+        assert checks[name]["passed"]
+        assert checks[name]["tolerance"] == 1e-12
+
+
 def test_limit_spec_example_defaults(tmp_path):
     # the documented one-liner, with no --L: defaults must make it pass
     code = run_cli([
@@ -206,6 +273,14 @@ def test_config_file_bad_key(tmp_path, capsys):
     code = run_cli(["frac", "--config", str(cfg), "--out", str(tmp_path)])
     assert code == 2
     assert "frobnicate" in capsys.readouterr().err
+
+
+def test_unreadable_config_file_exits_two(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"mode=heisenberg\n# caf\xe9\n")
+    for cfg in (tmp_path / "missing.cfg", latin1):
+        assert run_cli(["frac", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert "error: cannot read config file" in capsys.readouterr().err
 
 
 def test_config_hash_stability():

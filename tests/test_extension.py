@@ -229,6 +229,23 @@ def test_extension_params_reject_non_finite_t():
             ExtensionParams(s=0.5, t_values=ts)
 
 
+@given(st.one_of(
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=4),
+    st.sets(st.floats(min_value=1e-300, max_value=1e300), max_size=4).map(
+        lambda ts: sorted(ts, reverse=True)),
+))
+def test_extension_params_accepts_exactly_valid_sweeps(ts):
+    valid = (len(ts) > 0 and all(0.0 < t < np.inf for t in ts)
+             and all(b < a for a, b in zip(ts, ts[1:])))
+    try:
+        params = ExtensionParams(s=0.5, t_values=tuple(ts))
+    except ConfigError:
+        assert not valid
+    else:
+        assert valid
+        assert params.t_values == tuple(ts)
+
+
 # ---------------------------------------------------------------------------
 # grid-level solution
 # ---------------------------------------------------------------------------

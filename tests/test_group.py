@@ -15,7 +15,6 @@ from subfrac import (
     homogeneous_norm,
     integral,
     lp_norm,
-    make_grid,
 )
 from subfrac.errors import ConfigError, GridMismatchError
 
@@ -108,21 +107,21 @@ def test_distance_left_invariance(x, y, z):
 
 def test_make_grid_1d():
     spec = GridSpec(3, 1.0, dims=1, mode="euclidean_box")
-    assert np.array_equal(make_grid(spec).ravel(), [-1.0, 0.0, 1.0])
+    assert np.array_equal(spec.node_coordinates().ravel(), [-1.0, 0.0, 1.0])
 
 
 def test_make_grid_spacing_and_center():
     spec = GridSpec(5, 2.0, dims=1, mode="euclidean_box")
     assert spec.spacing == 1.0
     assert spec.center_index() == 2
-    assert make_grid(spec)[spec.center_index(), 0] == 0.0
+    assert spec.node_coordinates()[spec.center_index(), 0] == 0.0
 
 
 def test_make_grid_3d_counts():
     spec = GridSpec(17, 4.0, dims=3, mode="heisenberg")
     assert spec.spacing == 0.5
     assert spec.n_nodes == 17 ** 3 == 4913
-    coords = make_grid(spec)
+    coords = spec.node_coordinates()
     assert coords.shape == (4913, 3)
     # x3-fastest: consecutive flat indices advance the last coordinate
     assert np.array_equal(coords[1] - coords[0], [0.0, 0.0, 0.5])
@@ -135,7 +134,7 @@ def test_even_n_rejected_on_box_modes():
         GridSpec(10, 1.0, dims=3, mode="heisenberg")
     # torus admits even n; the origin is then a node
     spec = GridSpec(8, 1.0, dims=1, mode="euclidean_torus")
-    assert make_grid(spec)[spec.center_index(), 0] == 0.0
+    assert spec.node_coordinates()[spec.center_index(), 0] == 0.0
 
 
 def test_heisenberg_requires_3d():
@@ -242,7 +241,7 @@ def test_convolution_matches_brute_force_heisenberg(rng):
         v1 = g3[i1, i2, k + 1] if 0 <= k + 1 < n else 0.0
         return (1 - w) * v0 + w * v1
 
-    coords = make_grid(spec)
+    coords = spec.node_coordinates()
     fv = f.values
     want = np.empty(spec.n_nodes)
     for a, x in enumerate(coords):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +11,7 @@ from subfrac import (
     ScalarMultiplier,
     apply_multiplier,
     assemble_operator,
+    eigen_probe,
     fractional_power,
     heat_apply,
     heat_kernel_column,
@@ -61,6 +64,24 @@ def test_orthonormality_and_reconstruction(heis9):
     assert np.abs(recon - A).max() <= 1e-8 * np.abs(A).max()
 
 
+def test_eigenbasis_orthogonal_to_roundoff(heis9):
+    # the divide-and-conquer driver; the MRRR driver (evr) gives 4.5e-13 here
+    _, dec = heis9
+    Q = dec.eigenvectors
+    assert np.abs(Q.T @ Q - np.eye(dec.n)).max() <= 1e-13
+
+
+def test_eigen_probe_passes_and_flags_broken_bases(heis9):
+    op, dec = heis9
+    orthogonality, residual = eigen_probe(op, dec)
+    assert orthogonality <= 1e-12 and residual <= 1e-12
+    scaled = np.r_[1.001, np.ones(dec.n - 1)]
+    skewed = dataclasses.replace(dec, eigenvectors=dec.eigenvectors * scaled)
+    assert eigen_probe(op, skewed)[0] >= 1e-6
+    shifted = dataclasses.replace(dec, eigenvalues=dec.eigenvalues * (1.0 + 1e-6))
+    assert eigen_probe(op, shifted)[1] >= 1e-8
+
+
 def test_trace_preserved(heis9):
     op, dec = heis9
     tr = op.matrix.diagonal().sum()
@@ -80,6 +101,16 @@ def test_non_psd_operator_is_config_error():
     negated = DiscreteOperator(op.kind, -op.matrix, op.fields_used, spec)
     with pytest.raises(ConfigError, match="not PSD"):
         spectral_decompose(negated)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_operator_is_config_error(bad):
+    spec = GridSpec(9, 1.0, 1, "euclidean_box")
+    op = assemble_operator("euclid", spec)
+    matrix = op.matrix.copy()
+    matrix.data[3] = bad
+    with pytest.raises(ConfigError, match="non-finite"):
+        spectral_decompose(DiscreteOperator(op.kind, matrix, op.fields_used, spec))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from subfrac import (
     build_vector_field,
     check_homogeneity,
     group_convolve,
-    make_grid,
 )
 from subfrac.errors import ConfigError
 
@@ -42,7 +41,7 @@ def test_x1_kills_constants():
 
 def test_x1_on_x3_gives_minus_half_x2():
     spec = heis()
-    coords = make_grid(spec)
+    coords = spec.node_coordinates()
     X1 = build_vector_field("X1", "centered", spec)
     out = X1.apply(GridFunction(spec, coords[:, 2])).values
     mask = interior_mask(spec)
@@ -51,7 +50,7 @@ def test_x1_on_x3_gives_minus_half_x2():
 
 def test_t_on_x3_is_one():
     spec = heis()
-    coords = make_grid(spec)
+    coords = spec.node_coordinates()
     T = build_vector_field("T", "centered", spec)
     out = T.apply(GridFunction(spec, coords[:, 2])).values
     mask = interior_mask(spec)
@@ -93,7 +92,7 @@ def test_empty_index_is_identity(rng):
 
 def test_commutator_on_x3_equals_one():
     spec = heis()
-    coords = make_grid(spec)
+    coords = spec.node_coordinates()
     f = GridFunction(spec, coords[:, 2])
     ab = apply_multi_index(["X1", "X2"], f).values
     ba = apply_multi_index(["X2", "X1"], f).values
@@ -103,7 +102,7 @@ def test_commutator_on_x3_equals_one():
 
 def test_double_x1_on_x1_squared():
     spec = heis()
-    coords = make_grid(spec)
+    coords = spec.node_coordinates()
     f = GridFunction(spec, coords[:, 0] ** 2)
     out = apply_multi_index(["X1", "X1"], f).values
     mask = interior_mask(spec, margin=2)
@@ -113,7 +112,7 @@ def test_double_x1_on_x1_squared():
 def test_commutator_equals_t_on_all_quadratics():
     # machine precision on every monomial of total degree <= 2
     spec = heis()
-    coords = make_grid(spec)
+    coords = spec.node_coordinates()
     x1, x2, x3 = coords.T
     monomials = [
         np.ones_like(x1), x1, x2, x3,
@@ -195,7 +194,7 @@ def test_j1_on_horizontal_quadratic():
     # J1 (x1^2 + x2^2) = -(X1^2 + X2^2)(x1^2 + x2^2) = -4; the forward-scheme
     # cross terms vanish for x3-independent data, so interior rows are exact
     spec = heis()
-    coords = make_grid(spec)
+    coords = spec.node_coordinates()
     f = GridFunction(spec, coords[:, 0] ** 2 + coords[:, 1] ** 2)
     out = assemble_operator("j1", spec).apply(f).values
     inner = (np.abs(coords) <= spec.extent / 2).all(axis=1)
@@ -292,7 +291,7 @@ def test_heisenberg_consistency_order(kind, min_order):
     hs = []
     for n in (9, 17, 33):
         spec = GridSpec(n, 4.0, 3, "heisenberg")
-        coords = make_grid(spec)
+        coords = spec.node_coordinates()
         f = GridFunction(spec, f_np(*coords.T))
         out = assemble_operator(kind, spec).apply(f).values
         errs.append(np.abs(out - Jf_np(*coords.T)).max())
@@ -306,7 +305,7 @@ def test_euclid_consistency_order_two():
     errs, hs = [], []
     for n in (33, 65, 129, 257):
         spec = GridSpec(n, 4.0, 1, "euclidean_box")
-        x = make_grid(spec).ravel()
+        x = spec.node_coordinates().ravel()
         f = GridFunction(spec, np.exp(-a * x ** 2))
         exact = -(4 * a * a * x * x - 2 * a) * np.exp(-a * x ** 2)  # -f''
         out = assemble_operator("euclid", spec).apply(f).values
@@ -328,7 +327,7 @@ def test_field_commutes_with_convolution():
     errs = {}
     for n in (9, 13):
         spec = GridSpec(n, 2.0, 3, "heisenberg")
-        coords = make_grid(spec)
+        coords = spec.node_coordinates()
         w = 0.4
         f = GridFunction(spec, np.exp(-((coords - np.array([0.3, -0.2, 0.1])) ** 2).sum(1) / (2 * w * w)))
         g = GridFunction(spec, np.exp(-((coords - np.array([-0.2, 0.1, 0.25])) ** 2).sum(1) / (2 * w * w)))
