@@ -45,8 +45,8 @@ from .stencils import (
     export_matrix_market,
 )
 from .spectral import (
-    ScalarMultiplier,
     SpectralDecomposition,
+    Spectrum,
     apply_multiplier,
     delta_function,
     eigen_probe,
@@ -62,7 +62,6 @@ from .extension import (
     BoundaryLimitResult,
     ExtensionParams,
     ExtensionProfile,
-    QuadratureSpec,
     boundary_limit,
     extension_constant,
     extension_constant_quadrature,
@@ -76,7 +75,7 @@ from .extension import (
     scalar_ode_residual,
     subordination_integral,
 )
-from .fourier import FourierDiagonal, cross_validate, fourier_fractional
+from .fourier import FourierDiagonal, cross_validate
 from .estimates import (
     DecayFit,
     GaussianBoundResult,

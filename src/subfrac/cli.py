@@ -24,8 +24,10 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, SubfracError
 from .extension import (
+    QUAD_NODES,
+    QUAD_RTOL,
+    QUAD_TAIL,
     ExtensionParams,
-    QuadratureSpec,
     boundary_limit,
     extension_constant,
     extension_constant_quadrature,
@@ -72,10 +74,15 @@ class ExperimentConfig:
     dims: int = 3
     s_values: tuple = (0.5,)
     t_values: tuple = (0.2, 0.1, 0.05)
-    quad_nodes: int = 400
     tol: float = 0.0  # 0 means per-experiment default
     seed: int = 1234
     out: str = "runs"
+
+    def __post_init__(self):
+        if not self.s_values:
+            raise ConfigError("the s sweep is empty")
+        if not 0.0 <= self.tol < np.inf:
+            raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
 
     def flat(self) -> dict:
         return {
@@ -87,7 +94,6 @@ class ExperimentConfig:
             "dims": str(self.dims),
             "s": ",".join(repr(float(s)) for s in self.s_values),
             "t": ",".join(repr(float(t)) for t in self.t_values),
-            "quad_nodes": str(self.quad_nodes),
             "tol": repr(float(self.tol)),
             "seed": str(self.seed),
         }
@@ -102,9 +108,6 @@ class ExperimentConfig:
 
     def operator_kind(self) -> str:
         return "euclid" if self.mode != "heisenberg" else self.op
-
-    def quadrature(self) -> QuadratureSpec:
-        return QuadratureSpec(initial_nodes=self.quad_nodes)
 
 
 @dataclass
@@ -288,8 +291,7 @@ def run_extend(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=N
     phi = _phi(config, spec, zero_mean=spec.mode == "euclidean_torus")
     res_tol = config.tol or (1e-5 if spec.mode == "heisenberg" else 1e-6)
     for s in config.s_values:
-        params = ExtensionParams(s=s, t_values=config.t_values,
-                                 quadrature=config.quadrature())
+        params = ExtensionParams(s=s, t_values=config.t_values)
         profile = extension_solve(dec, params, phi)
         for t, u, du in zip(params.t_values, profile.u, profile.du_dt):
             write_gf1(out_dir / f"extend_u_s{s!r}_t{t!r}.gf1", u)
@@ -306,9 +308,9 @@ def run_extend(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=N
             "s": s,
             "t_values": list(params.t_values),
             "quadrature": {
-                "initial_nodes": params.quadrature.initial_nodes,
-                "rtol": params.quadrature.rtol,
-                "tail": params.quadrature.tail,
+                "initial_nodes": QUAD_NODES,
+                "rtol": QUAD_RTOL,
+                "tail": QUAD_TAIL,
             },
             "path_agreement": agreement,
             "C_s_used": extension_constant(s),
@@ -333,8 +335,7 @@ def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=No
             / extension_constant(s),
             1e-10,
         )
-        params = ExtensionParams(s=s, t_values=config.t_values,
-                                 quadrature=config.quadrature())
+        params = ExtensionParams(s=s, t_values=config.t_values)
         result = boundary_limit(dec, params, phi)
         write_gf1(out_dir / f"limit_extrapolated_s{s!r}.gf1", result.extrapolated)
         write_gf1(out_dir / f"limit_reference_s{s!r}.gf1", result.reference)
@@ -504,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dims", type=int, choices=(1, 2, 3))
         p.add_argument("--s", type=_float_list_arg, help="comma-separated s values in (0,1)")
         p.add_argument("--t", type=_float_list_arg, help="comma-separated descending t values")
-        p.add_argument("--quad-nodes", type=int, dest="quad_nodes")
         p.add_argument("--tol", type=float)
         p.add_argument("--seed", type=int)
         p.add_argument("--out")
@@ -516,7 +516,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.config:
         raw = _read_config_file(args.config)
         casts = {
-            "n": int, "dims": int, "quad_nodes": int, "seed": int,
+            "n": int, "dims": int, "seed": int,
             "L": float, "tol": float,
             "s": _parse_floats, "t": _parse_floats,
         }
@@ -530,7 +530,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                     raise ConfigError(f"{args.config}: bad value for {key!r}: {exc}") from exc
             else:
                 raise ConfigError(f"unknown config key {key!r}")
-    for key in ("mode", "op", "n", "L", "dims", "quad_nodes", "tol", "seed", "out"):
+    for key in ("mode", "op", "n", "L", "dims", "tol", "seed", "out"):
         val = getattr(args, key, None)
         if val is not None:
             base[key] = val
@@ -554,7 +554,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         dims=dims,
         s_values=base.get("s", defaults.s_values),
         t_values=base.get("t", defaults.t_values),
-        quad_nodes=base.get("quad_nodes", defaults.quad_nodes),
         tol=base.get("tol", 0.0),
         seed=base.get("seed", defaults.seed),
         out=base.get("out", defaults.out),

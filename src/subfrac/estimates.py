@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .group import GridFunction, GridSpec, homogeneous_norm, lp_norm
-from .spectral import SpectralDecomposition, delta_function, heat_kernel_column, positive_power
+from .spectral import Spectrum, delta_function, heat_kernel_column, positive_power
 from .stencils import apply_multi_index
 
 
@@ -82,7 +82,7 @@ def check_t_window(spec: GridSpec, t_values: Sequence[float]) -> None:
         )
 
 
-def kernel_norm_decay(dec: SpectralDecomposition, s: float, p: int,
+def kernel_norm_decay(dec: Spectrum, s: float, p: int,
                       t_values: Sequence[float]) -> DecayFit:
     """Fit ||J^s h_t||_p over t; predicted slopes -s (p=1), -s - N/4 (p=2).
 
@@ -161,7 +161,7 @@ def heisenberg_unit_ball_volume(lattice_h: float = 0.02) -> float:
     return _UNIT_BALL_CACHE[key]
 
 
-def gaussian_bound_check(dec: SpectralDecomposition, t_values: Sequence[float],
+def gaussian_bound_check(dec: Spectrum, t_values: Sequence[float],
                          epsilon: float, stability_window: float = 2.0) -> GaussianBoundResult:
     """Log-gap statistic for h_t(x) <= C [V(sqrt t)]^{-1} exp(-|x|^2/(4(1+eps)t)).
 
@@ -254,7 +254,7 @@ def volume_growth_fit(r_values: Sequence[float], lattice_h: float,
 # weighted kernel norms
 # ---------------------------------------------------------------------------
 
-def weighted_kernel_norm(dec: SpectralDecomposition, t: float, alpha: int,
+def weighted_kernel_norm(dec: Spectrum, t: float, alpha: int,
                          index: Sequence[str], p: int) -> float:
     """||(1 + |x|)^alpha X^I h_t||_p with |I| <= 1, p in {1, 2}, alpha in {0, 1, 2}."""
     if len(index) > 1:
@@ -271,7 +271,7 @@ def weighted_kernel_norm(dec: SpectralDecomposition, t: float, alpha: int,
     return lp_norm(weighted, p)
 
 
-def weighted_norm_decay(dec: SpectralDecomposition, alpha: int, index: Sequence[str],
+def weighted_norm_decay(dec: Spectrum, alpha: int, index: Sequence[str],
                         p: int, t_values: Sequence[float]) -> DecayFit:
     """Fit the weighted kernel norm over t; small-t slope -|I|/2 - N/(2p')."""
     check_t_window(dec.spec, t_values)
@@ -289,7 +289,7 @@ def weighted_norm_target_slope(spec: GridSpec, index: Sequence[str], p: int) -> 
 # multiplier-kernel reconstruction, exercised through m(lambda) = lambda^s e^{-lambda}
 # ---------------------------------------------------------------------------
 
-def kernel_reconstruction_gap(dec: SpectralDecomposition, s: float, t: float,
+def kernel_reconstruction_gap(dec: Spectrum, s: float, t: float,
                               window_fraction: float = 0.5) -> float:
     """Relative gap between ||J^s h_t||_1 and its convolution reconstruction.
 

@@ -18,8 +18,9 @@ closed form with the modified Bessel function K (Caffarelli-Silvestre 2007,
 Stinga-Torrea 2010).  The validation routes evaluate the integrals instead, by
 the trapezoid rule on the log axis rho = e^sigma, where the integrand decays
 exponentially at both ends and the rule converges geometrically; the grid is
-cut where the integrand falls `tail` log-units below its peak and the node
-count doubles until successive values agree to `rtol`.
+cut where the integrand falls QUAD_TAIL log-units below its peak and the
+node count, from QUAD_NODES, doubles until successive values agree to
+QUAD_RTOL.
 
 The boundary limit t^{1-2s} d_t u -> -C(s) J^s phi carries the constant
 C(s) = 4^{1-s} Gamma(1-s) / (2 Gamma(s)), validated against direct quadrature
@@ -38,29 +39,21 @@ from scipy.special import kve
 
 from .errors import AccuracyError, ConfigError
 from .group import GridFunction, lp_norm
-from .spectral import SpectralDecomposition, positive_power
+from .spectral import Spectrum, positive_power
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Log-axis trapezoid controls for the quadrature validation routes."""
-
-    initial_nodes: int = 400
-    rtol: float = 1e-10
-    tail: float = 40.0
-    max_doublings: int = 6
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+# log-axis trapezoid controls of the quadrature validation routes
+QUAD_NODES = 400
+QUAD_RTOL = 1e-10
+QUAD_TAIL = 40.0
+QUAD_DOUBLINGS = 6
 
 
 @dataclass(frozen=True)
 class ExtensionParams:
-    """s in (0,1), a descending positive t-sweep, and quadrature controls."""
+    """s in (0,1) and a descending positive t-sweep."""
 
     s: float
     t_values: tuple
-    quadrature: QuadratureSpec = DEFAULT_QUADRATURE
 
     def __post_init__(self):
         if not 0.0 < self.s < 1.0:
@@ -148,12 +141,11 @@ def scalar_ode_residual(s: float, lam: float, t: float) -> float:
 # log-axis quadrature (the validation routes)
 # ---------------------------------------------------------------------------
 
-def _log_axis_quadrature(a: float, q: np.ndarray,
-                         quad: QuadratureSpec) -> tuple[np.ndarray, float]:
+def _log_axis_quadrature(a: float, q: np.ndarray) -> tuple[np.ndarray, float]:
     """int exp(a sigma - e^sigma - q e^{-sigma}) dsigma over the real line, per q.
 
     All q >= 0 share one grid, cut where the integrands of the smallest and
-    the largest q fall `quad.tail` below their peaks; q = 0 needs a > 0.
+    the largest q fall QUAD_TAIL below their peaks; q = 0 needs a > 0.
     Returns the values and the last relative refinement delta.
     """
     with np.errstate(divide="ignore"):
@@ -170,7 +162,7 @@ def _log_axis_quadrature(a: float, q: np.ndarray,
         # root cancels to 0 when q is tiny, so take its rationalized form
         root = np.sqrt(a * a + 4.0 * qe)
         s0 = np.log((a + root) / 2.0 if a >= 0 else 2.0 * qe / (root - a))
-        floor = g(s0, lq) - quad.tail
+        floor = g(s0, lq) - QUAD_TAIL
         lo = hi = s0
         while g(lo, lq) > floor:
             lo -= 1.0
@@ -179,25 +171,24 @@ def _log_axis_quadrature(a: float, q: np.ndarray,
         edges += [lo, hi]
     lo, hi = min(edges) - 0.5, max(edges) + 0.5
 
-    n = quad.initial_nodes
+    n = QUAD_NODES
     prev = None
     delta = np.inf
-    for _ in range(quad.max_doublings + 1):
+    for _ in range(QUAD_DOUBLINGS + 1):
         sig = np.linspace(lo, hi, n)
         expo = g(sig[None, :], log_q[:, None])
         peak = expo.max(axis=1, keepdims=True)
         vals = np.exp(peak[:, 0]) * np.trapezoid(np.exp(expo - peak), sig, axis=1)
         if prev is not None:
             delta = float(np.max(np.abs(vals - prev) / np.maximum(np.abs(vals), 1e-300)))
-            if delta <= quad.rtol:
+            if delta <= QUAD_RTOL:
                 return vals, delta
         prev = vals
         n *= 2
     raise AccuracyError("log-axis quadrature did not converge", delta)
 
 
-def subordination_integral(s: float, q, k: int = 0,
-                           quad: QuadratureSpec = DEFAULT_QUADRATURE) -> tuple[np.ndarray, float]:
+def subordination_integral(s: float, q, k: int = 0) -> tuple[np.ndarray, float]:
     """G_k(s, q) for an array of q >= 0 by quadrature; returns (values, last refinement delta).
 
     q = 0 is allowed only for k = 0 (where G_0 = 1 exactly by the Gamma
@@ -216,7 +207,7 @@ def subordination_integral(s: float, q, k: int = 0,
     pos = ~zero
     if not pos.any():
         return out, 0.0
-    vals, delta = _log_axis_quadrature(s - k, q[pos], quad)
+    vals, delta = _log_axis_quadrature(s - k, q[pos])
     out[pos] = vals / _gamma(s)
     return out, delta
 
@@ -231,15 +222,14 @@ def extension_constant(s: float) -> float:
     return float(4.0 ** (1.0 - s) * _gamma(1.0 - s) / (2.0 * _gamma(s)))
 
 
-def extension_constant_quadrature(s: float,
-                                  quad: QuadratureSpec = DEFAULT_QUADRATURE) -> float:
+def extension_constant_quadrature(s: float) -> float:
     """C(s) by direct quadrature of (1/Gamma(s)) int e^{-1/(4u)}/(2 u^{2-s}) du.
 
     With rho = 1/(4u) the integral is (4^{1-s}/2) int rho^{-s} e^{-rho} drho,
     the log-axis integral with a = 1 - s and q = 0.
     """
     _check_s(s)
-    vals, _ = _log_axis_quadrature(1.0 - s, np.zeros(1), quad)
+    vals, _ = _log_axis_quadrature(1.0 - s, np.zeros(1))
     return float(4.0 ** (1.0 - s) / 2.0 * vals[0] / _gamma(s))
 
 
@@ -256,7 +246,7 @@ class ExtensionProfile:
     du_dt: list
 
 
-def extension_solve(dec: SpectralDecomposition, params: ExtensionParams,
+def extension_solve(dec: Spectrum, params: ExtensionParams,
                     phi: GridFunction) -> ExtensionProfile:
     """PATH A: the closed-form Bessel-K multipliers, one per eigenvalue."""
     u, du = [], []
@@ -267,7 +257,7 @@ def extension_solve(dec: SpectralDecomposition, params: ExtensionParams,
     return ExtensionProfile(params=params, u=u, du_dt=du)
 
 
-def extension_solve_tau_grid(dec: SpectralDecomposition, params: ExtensionParams,
+def extension_solve_tau_grid(dec: Spectrum, params: ExtensionParams,
                              phi: GridFunction) -> list:
     """PATH B: G_0 by quadrature on one log-axis grid shared by all eigenvalues.
 
@@ -279,14 +269,14 @@ def extension_solve_tau_grid(dec: SpectralDecomposition, params: ExtensionParams
     pos = lam > 0
     out = []
     for t in params.t_values:
-        g0, _ = subordination_integral(params.s, lam[pos] * t * t / 4.0, 0, params.quadrature)
+        g0, _ = subordination_integral(params.s, lam[pos] * t * t / 4.0, 0)
         full = np.zeros_like(lam)
         full[pos] = g0
         out.append(dec.apply_values(full, phi))
     return out
 
 
-def path_agreement(dec: SpectralDecomposition, params: ExtensionParams,
+def path_agreement(dec: Spectrum, params: ExtensionParams,
                    phi: GridFunction) -> float:
     """Max over the sweep of the relative L2 gap between PATH A and PATH B."""
     a = extension_solve(dec, params, phi)
@@ -298,7 +288,7 @@ def path_agreement(dec: SpectralDecomposition, params: ExtensionParams,
     return worst
 
 
-def pde_residual(dec: SpectralDecomposition, params: ExtensionParams,
+def pde_residual(dec: Spectrum, params: ExtensionParams,
                  phi: GridFunction, t: float) -> float:
     """Relative residual of d_t^2 u + ((1-2s)/t) d_t u - J u = 0 at time t.
 
@@ -348,7 +338,7 @@ def _extrapolate_three(ts: Sequence[float], ws: Sequence[np.ndarray],
     return sum(wt * d for wt, d in zip(weights, data))
 
 
-def boundary_limit(dec: SpectralDecomposition, params: ExtensionParams,
+def boundary_limit(dec: Spectrum, params: ExtensionParams,
                    phi: GridFunction) -> BoundaryLimitResult:
     """Extrapolate t^{1-2s} d_t u to t = 0 and compare with -C(s) J^s phi.
 
@@ -421,7 +411,7 @@ class WellposednessReport:
     in_domain: bool
 
 
-def l2_wellposedness_check(dec: SpectralDecomposition, params: ExtensionParams,
+def l2_wellposedness_check(dec: Spectrum, params: ExtensionParams,
                            phi: GridFunction) -> WellposednessReport:
     """||u(t)||_2 <= ||phi||_2 and J u(t) in L^2 with the sharp spectral bound."""
     lam = dec.eigenvalues

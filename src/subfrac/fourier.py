@@ -9,21 +9,24 @@ eigendecomposition to roundoff: same operator, two diagonalizations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError
+from .errors import ConfigError
 from .group import GridFunction, GridSpec
-from .spectral import SpectralDecomposition, positive_power
+from .spectral import Spectrum, _checked_values, fractional_power
 
 
 @dataclass
 class FourierDiagonal:
-    """Discrete-Laplacian symbol on a euclidean torus, flattened x3-fastest."""
+    """Discrete-Laplacian symbol on a euclidean torus, flattened x3-fastest.
+
+    A `spectral.Spectrum`: eigenvalues[k] is the symbol at the flattened
+    frequency index k, in FFT order, not sorted.
+    """
 
     spec: GridSpec
-    symbol: np.ndarray = field(repr=False)
+    eigenvalues: np.ndarray = field(repr=False)
 
     @classmethod
     def for_spec(cls, spec: GridSpec) -> "FourierDiagonal":
@@ -33,38 +36,20 @@ class FourierDiagonal:
         h = spec.spacing
         axis = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)) / (h * h)
         mesh = np.meshgrid(*([axis] * spec.dims), indexing="ij")
-        return cls(spec=spec, symbol=sum(mesh).ravel())
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.symbol
+        return cls(spec=spec, eigenvalues=sum(mesh).ravel())
 
     def apply_values(self, values: np.ndarray, f: GridFunction) -> GridFunction:
         """Apply a per-mode multiplier: ifftn(values * fftn(f)), real part."""
-        if f.spec != self.spec:
-            raise GridMismatchError("function grid does not match the diagonalization")
+        values = _checked_values(self, values, f)
         shape = (self.spec.n_per_axis,) * self.spec.dims
         fh = np.fft.fftn(f.shaped())
-        out = np.fft.ifftn(np.asarray(values).reshape(shape) * fh)
+        out = np.fft.ifftn(values.reshape(shape) * fh)
         return GridFunction(self.spec, np.real(out).ravel())
 
-    def apply_multiplier(self, m: Callable, f: GridFunction) -> GridFunction:
-        return self.apply_values(np.asarray(m(self.symbol), dtype=float), f)
 
-
-def fourier_fractional(phi: GridFunction, s: float) -> GridFunction:
-    """(-Delta_h)^s phi through the FFT; the constant mode maps to 0."""
-    if s <= 0:
-        raise ConfigError(f"fractional power needs s > 0, got {s}")
-    diag = FourierDiagonal.for_spec(phi.spec)
-    return diag.apply_values(positive_power(diag.symbol, s), phi)
-
-
-def cross_validate(dec: SpectralDecomposition, s: float, phi: GridFunction) -> float:
-    """Max relative node deviation of dense-spectral J^s phi from the FFT path."""
-    from .spectral import fractional_power
-
+def cross_validate(dec: Spectrum, s: float, phi: GridFunction) -> float:
+    """Max relative node deviation of J^s phi on dec from the FFT path."""
     dense = fractional_power(dec, s, phi).values
-    fft = fourier_fractional(phi, s).values
+    fft = fractional_power(FourierDiagonal.for_spec(phi.spec), s, phi).values
     scale = max(np.abs(fft).max(initial=0.0), 1e-300)
     return float(np.abs(dense - fft).max(initial=0.0) / scale)

@@ -1,22 +1,22 @@
 """Dense eigendecomposition and the spectral functional calculus m(J).
 
-The decomposition is the computational stand-in for the spectral measure: a
-multiplier m acts as Q diag(m(lambda)) Q^T, applied as two dense products.
-Fractional powers, the heat semigroup and heat-kernel columns are specific
-multipliers; spectral_pairing exposes the Haar-weighted pairing
-sum_i m(lambda_i) (Q^T f)_i (Q^T g)_i.
+A multiplier m acts as m(J) = Q diag(m(lambda)) Q^T.  Everything here other
+than the decomposition itself goes through the three members of `Spectrum`,
+so fractional powers, the heat semigroup, heat-kernel columns and the pairing
+<m(J) f, g> run unchanged on the dense eigenbasis (`SpectralDecomposition`)
+and on the FFT diagonalization of the torus (`fourier.FourierDiagonal`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Protocol
 
 import numpy as np
 import scipy.linalg
 
 from .errors import CapacityError, ConfigError, EvaluationError, GridMismatchError
-from .group import GridFunction, GridSpec
+from .group import GridFunction, GridSpec, inner_product
 from .stencils import DiscreteOperator
 
 DENSE_LIMIT = 6000
@@ -24,27 +24,33 @@ DENSE_LIMIT = 6000
 EIG_CLAMP = 1e-10  # relative floor below which roundoff-negative eigenvalues clamp to 0
 
 
-@dataclass
-class ScalarMultiplier:
-    """Pointwise-evaluable function of the spectrum, with a display label."""
+class Spectrum(Protocol):
+    """A diagonalization of a positive self-adjoint operator on `spec`.
 
-    fn: Callable[[np.ndarray], np.ndarray]
-    label: str = "m"
+    `apply_values(values, f)` applies diag(values) in the eigenbasis, with
+    values[i] the multiplier at eigenvalues[i].
+    """
 
-    def __call__(self, lam: np.ndarray) -> np.ndarray:
-        try:
-            out = np.asarray(self.fn(lam), dtype=float)
-            if out.shape != np.shape(lam):
-                raise TypeError
-        except (TypeError, ValueError):
-            out = np.array([float(self.fn(x)) for x in np.atleast_1d(lam)])
-        bad = ~np.isfinite(out)
-        if bad.any():
-            lam_bad = np.atleast_1d(lam)[bad][0]
-            raise EvaluationError(
-                f"multiplier {self.label!r} is not finite at lambda={lam_bad!r}"
-            )
-        return out
+    spec: GridSpec
+    eigenvalues: np.ndarray
+
+    def apply_values(self, values: np.ndarray, f: GridFunction) -> GridFunction: ...
+
+
+def _checked_values(spectrum: Spectrum, values, f: GridFunction) -> np.ndarray:
+    """values as floats, after checking the grid of f and one finite value per eigenvalue."""
+    if f.spec != spectrum.spec:
+        raise GridMismatchError("function grid does not match the diagonalization")
+    values = np.asarray(values, dtype=float)
+    lam = spectrum.eigenvalues
+    if values.shape != lam.shape:
+        raise EvaluationError(
+            f"multiplier has shape {values.shape}, not one value per eigenvalue {lam.shape}"
+        )
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise EvaluationError(f"multiplier is not finite at lambda={lam[bad][0]!r}")
+    return values
 
 
 @dataclass
@@ -54,23 +60,16 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
     spec: GridSpec
-    operator_kind: str
 
     @property
     def n(self) -> int:
         return self.eigenvalues.size
 
-    def project(self, f: GridFunction) -> np.ndarray:
-        if f.spec != self.spec:
-            raise GridMismatchError("function grid does not match the decomposition")
-        return self.eigenvectors.T @ f.values
-
-    def reconstruct(self, coefficients: np.ndarray) -> GridFunction:
-        return GridFunction(self.spec, self.eigenvectors @ coefficients)
-
     def apply_values(self, values: np.ndarray, f: GridFunction) -> GridFunction:
         """Apply diag(values) in the eigenbasis: Q (values * Q^T f)."""
-        return self.reconstruct(np.asarray(values) * self.project(f))
+        values = _checked_values(self, values, f)
+        Q = self.eigenvectors
+        return GridFunction(self.spec, Q @ (values * (Q.T @ f.values)))
 
 
 def spectral_decompose(op: DiscreteOperator, dense_limit: int = DENSE_LIMIT) -> SpectralDecomposition:
@@ -100,9 +99,7 @@ def spectral_decompose(op: DiscreteOperator, dense_limit: int = DENSE_LIMIT) -> 
     # lambda^s does not amplify a spurious +1e-13 kernel eigenvalue
     w = np.where(np.abs(w) < EIG_CLAMP * scale, 0.0, w)
     w = np.clip(w, 0.0, None)
-    return SpectralDecomposition(
-        eigenvalues=w, eigenvectors=Q, spec=op.spec, operator_kind=op.kind
-    )
+    return SpectralDecomposition(eigenvalues=w, eigenvectors=Q, spec=op.spec)
 
 
 def eigen_probe(op: DiscreteOperator, dec: SpectralDecomposition) -> tuple[float, float]:
@@ -125,10 +122,9 @@ def eigen_probe(op: DiscreteOperator, dec: SpectralDecomposition) -> tuple[float
     return float(orthogonality), float(residual / scale if scale > 0 else residual)
 
 
-def apply_multiplier(dec: SpectralDecomposition, m: ScalarMultiplier | Callable,
+def apply_multiplier(dec: Spectrum, m: Callable[[np.ndarray], np.ndarray],
                      f: GridFunction) -> GridFunction:
-    if not isinstance(m, ScalarMultiplier):
-        m = ScalarMultiplier(m)
+    """m(J) f; m maps the whole eigenvalue array to one value per eigenvalue."""
     return dec.apply_values(m(dec.eigenvalues), f)
 
 
@@ -139,14 +135,14 @@ def positive_power(lam: np.ndarray, s: float) -> np.ndarray:
     return vals
 
 
-def fractional_power(dec: SpectralDecomposition, s: float, f: GridFunction) -> GridFunction:
+def fractional_power(dec: Spectrum, s: float, f: GridFunction) -> GridFunction:
     """J^s f via the multiplier lambda^s (0^s = 0); requires s > 0."""
     if s <= 0:
         raise ConfigError(f"fractional power needs s > 0, got {s}")
     return dec.apply_values(positive_power(dec.eigenvalues, s), f)
 
 
-def heat_apply(dec: SpectralDecomposition, t: float, f: GridFunction) -> GridFunction:
+def heat_apply(dec: Spectrum, t: float, f: GridFunction) -> GridFunction:
     """H_t f = e^{-tJ} f; t >= 0, and H_0 is the identity exactly."""
     if t < 0:
         raise ConfigError(f"heat semigroup needs t >= 0, got {t}")
@@ -164,7 +160,7 @@ def delta_function(spec: GridSpec, node: int | None = None) -> GridFunction:
     return GridFunction(spec, vals)
 
 
-def heat_kernel_column(dec: SpectralDecomposition, t: float,
+def heat_kernel_column(dec: Spectrum, t: float,
                        node: int | None = None) -> GridFunction:
     """H_t applied to the unit-mass discrete delta; approximates h_t(x0^{-1}.x)."""
     if t <= 0:
@@ -172,7 +168,7 @@ def heat_kernel_column(dec: SpectralDecomposition, t: float,
     return heat_apply(dec, t, delta_function(dec.spec, node))
 
 
-def heat_time_derivative_check(dec: SpectralDecomposition, t: float,
+def heat_time_derivative_check(dec: Spectrum, t: float,
                                f: GridFunction, rel_step: float = 1e-4) -> float:
     """Relative residual of d/dt H_t f = -J H_t f by centered differences in t."""
     if t <= 0:
@@ -187,15 +183,10 @@ def heat_time_derivative_check(dec: SpectralDecomposition, t: float,
     return float(num / den) if den > 0 else float(num)
 
 
-def spectral_pairing(dec: SpectralDecomposition, f: GridFunction, g: GridFunction,
-                     m: ScalarMultiplier | Callable) -> float:
-    """Haar-weighted sum_i m(lambda_i) (Q^T f)_i (Q^T g)_i; m = id gives <Jf, g>."""
-    if not isinstance(m, ScalarMultiplier):
-        m = ScalarMultiplier(m)
-    cf = dec.project(f)
-    cg = dec.project(g)
-    w = dec.spec.spacing ** dec.spec.dims
-    return float(w * np.sum(m(dec.eigenvalues) * cf * cg))
+def spectral_pairing(dec: Spectrum, f: GridFunction, g: GridFunction,
+                     m: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Haar-weighted <m(J) f, g>; m = id gives <Jf, g>."""
+    return inner_product(apply_multiplier(dec, m, f), g)
 
 
 def export_spectrum_csv(dec: SpectralDecomposition, path) -> None:

@@ -166,6 +166,28 @@ def test_empty_t_sweep_exits_two(tmp_path, capsys):
     assert "error: the t sweep is empty" in capsys.readouterr().err
 
 
+def test_empty_s_sweep_exits_two(tmp_path, capsys):
+    # with no s the per-s checks never run, so the report would pass vacuously
+    code = run_cli(["limit", "--mode", "euclidean_torus", "--n", "16", "--s", ",",
+                    "--out", str(tmp_path)])
+    assert code == 2
+    assert "error: the s sweep is empty" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_bad_tolerance_exits_two(tmp_path, capsys, tol, source):
+    argv = ["limit", "--mode", "euclidean_torus", "--n", "16", "--out", str(tmp_path)]
+    if source == "flag":
+        argv += ["--tol", tol]
+    else:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"tol={tol}\n")
+        argv += ["--config", str(cfg)]
+    assert run_cli(argv) == 2
+    assert "error: tol must be finite and >= 0" in capsys.readouterr().err
+
+
 def test_spectrum_reports_eigen_probes(tmp_path):
     code = run_cli(["spectrum", "--mode", "euclidean_torus", "--n", "16",
                     "--out", str(tmp_path)])
@@ -189,7 +211,7 @@ def test_limit_spec_example_defaults(tmp_path):
 def test_heat_subcommand(tmp_path, capsys):
     code = run_cli([
         "heat", "--mode", "euclidean_torus", "--n", "32", "--L", "10",
-        "--t", "0.3,0.1", "--quad-nodes", "200", "--out", str(tmp_path),
+        "--t", "0.3,0.1", "--out", str(tmp_path),
     ])
     out = capsys.readouterr().out
     assert code == 0

@@ -10,7 +10,6 @@ import subfrac
 from subfrac import (
     ExtensionParams,
     GridFunction,
-    QuadratureSpec,
     boundary_limit,
     extension_constant,
     extension_constant_quadrature,
@@ -144,14 +143,16 @@ def test_subordination_integral_bessel_family():
                 assert got[0] == pytest.approx(want, rel=1e-9)
 
 
-def test_subordination_integral_validation():
+def test_subordination_integral_validation(monkeypatch):
     with pytest.raises(ConfigError):
         subordination_integral(0.5, np.array([0.0]), 1)
     with pytest.raises(ConfigError):
         subordination_integral(1.2, np.array([1.0]), 0)
+    monkeypatch.setattr(subfrac.extension, "QUAD_NODES", 4)
+    monkeypatch.setattr(subfrac.extension, "QUAD_RTOL", 1e-12)
+    monkeypatch.setattr(subfrac.extension, "QUAD_DOUBLINGS", 0)
     with pytest.raises(AccuracyError):
-        subordination_integral(0.5, np.array([1.0]), 0,
-                               QuadratureSpec(initial_nodes=4, rtol=1e-12, max_doublings=0))
+        subordination_integral(0.5, np.array([1.0]), 0)
 
 
 def test_subordination_integral_tiny_q():
@@ -349,7 +350,7 @@ def test_dt_negative_on_positive_modes(torus64):
     v = GridFunction(op.spec, dec.eigenvectors[:, k])
     for t in (0.1, 0.5, 2.0):
         du = extension_solve(dec, ExtensionParams(s=0.5, t_values=(t,)), v).du_dt[0]
-        coeff = dec.project(du)[k]
+        coeff = dec.eigenvectors[:, k] @ du.values
         assert coeff < 0.0
 
 

@@ -7,16 +7,23 @@ from subfrac import (
     FourierDiagonal,
     GridFunction,
     GridSpec,
+    apply_multiplier,
     assemble_operator,
     boundary_limit,
     cross_validate,
     extension_constant,
-    fourier_fractional,
+    extension_solve,
     fractional_power,
     gaussian_bump,
+    heat_apply,
+    heat_kernel_column,
+    kernel_norm_decay,
     lp_norm,
+    random_bump,
     spectral_decompose,
+    spectral_pairing,
 )
+from subfrac.estimates import resolvable_t_window
 from subfrac.errors import ConfigError
 
 
@@ -34,7 +41,7 @@ def test_requires_torus():
 
 def test_symbol_multiset_matches_dense_eigenvalues(torus64, torus2d):
     for op, dec in (torus64, torus2d):
-        sym = np.sort(FourierDiagonal.for_spec(op.spec).symbol)
+        sym = np.sort(FourierDiagonal.for_spec(op.spec).eigenvalues)
         assert np.abs(sym - dec.eigenvalues).max() <= 1e-9
         assert sym[0] == 0.0
 
@@ -42,7 +49,7 @@ def test_symbol_multiset_matches_dense_eigenvalues(torus64, torus2d):
 def test_fractional_s1_matches_operator(torus64, rng):
     op, dec = torus64
     phi = GridFunction(op.spec, rng.standard_normal(op.spec.n_nodes))
-    got = fourier_fractional(phi, 1.0).values
+    got = fractional_power(FourierDiagonal.for_spec(phi.spec), 1.0, phi).values
     want = op.apply(phi).values
     assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
@@ -50,7 +57,8 @@ def test_fractional_s1_matches_operator(torus64, rng):
 def test_constant_maps_to_zero(torus64):
     op, _ = torus64
     phi = GridFunction(op.spec, np.full(op.spec.n_nodes, 3.0))
-    assert np.abs(fourier_fractional(phi, 0.5).values).max() <= 1e-12
+    got = fractional_power(FourierDiagonal.for_spec(phi.spec), 0.5, phi).values
+    assert np.abs(got).max() <= 1e-12
 
 
 def test_single_mode_diagonal_action(torus64):
@@ -61,8 +69,8 @@ def test_single_mode_diagonal_action(torus64):
     k = 5
     x = spec.axis_coordinates()
     mode = np.cos(2 * np.pi * k * np.arange(n) / n)
-    out = fourier_fractional(GridFunction(spec, mode), 0.4).values
-    lam = diag.symbol[k]
+    out = fractional_power(diag, 0.4, GridFunction(spec, mode)).values
+    lam = diag.eigenvalues[k]
     assert np.abs(out - lam ** 0.4 * mode).max() <= 1e-10 * lam ** 0.4
 
 
@@ -89,7 +97,7 @@ def test_boundary_limit_through_fourier_path(torus64):
     for s in (0.3, 0.7):
         params = ExtensionParams(s=s, t_values=(0.2, 0.1, 0.05))
         res = boundary_limit(diag, params, phi)
-        want = -extension_constant(s) * fourier_fractional(phi, s).values
+        want = -extension_constant(s) * fractional_power(diag, s, phi).values
         gap = lp_norm(GridFunction(spec, res.extrapolated.values - want), 2)
         assert gap / lp_norm(GridFunction(spec, want), 2) <= 1e-3
 
@@ -106,14 +114,49 @@ def test_fourier_path_error_shrinks_under_refinement(torus64):
     assert errs[2] < errs[1] < errs[0]
 
 
-def test_fourier_vs_dense_extension_agree(torus64, rng):
-    op, dec = torus64
-    spec = op.spec
-    diag = FourierDiagonal.for_spec(spec)
-    phi = GridFunction(spec, rng.standard_normal(spec.n_nodes))
-    params = ExtensionParams(s=0.5, t_values=(0.3,))
-    from subfrac import extension_solve
+def _extension_u_and_du(spectrum, phi, g, rng):
+    # s = 0.5 at t = 0.3 on white-noise data, the extension spot check
+    profile = extension_solve(spectrum, ExtensionParams(s=0.5, t_values=(0.3,)), phi)
+    return profile.u[0].values, profile.du_dt[0].values
 
-    ua = extension_solve(dec, params, phi).u[0]
-    ub = extension_solve(diag, params, phi).u[0]
-    assert np.abs(ua.values - ub.values).max() <= 1e-9 * np.abs(ua.values).max()
+
+def _kernel_norm_fits(spectrum, phi, g, rng):
+    lo, hi = resolvable_t_window(spectrum.spec)
+    t_values = np.geomspace(1.1 * lo, 0.9 * hi, 4)
+    fits = [kernel_norm_decay(spectrum, 0.4, p, t_values) for p in (1, 2)]
+    return [x for fit in fits for x in (fit.norms, fit.fitted_slope)]
+
+
+SPECTRUM_CALLS = {
+    "fractional_power": lambda sp, phi, g, rng: [fractional_power(sp, 0.3, phi).values],
+    "heat_apply": lambda sp, phi, g, rng: [heat_apply(sp, 0.05, phi).values],
+    "heat_kernel_column": lambda sp, phi, g, rng: [heat_kernel_column(sp, 0.05).values],
+    "apply_multiplier": lambda sp, phi, g, rng: [
+        apply_multiplier(sp, lambda lam: np.sin(lam) / np.maximum(lam, 1.0), phi).values
+    ],
+    "spectral_pairing": lambda sp, phi, g, rng: [spectral_pairing(sp, phi, g, lambda lam: lam)],
+    "extension_solve": _extension_u_and_du,
+    "boundary_limit": lambda sp, phi, g, rng: [
+        boundary_limit(sp, ExtensionParams(s=0.5, t_values=(0.2, 0.1, 0.05)),
+                       random_bump(sp.spec, rng)).extrapolated.values
+    ],
+    "kernel_norm_decay": _kernel_norm_fits,
+}
+
+
+@pytest.mark.parametrize("call", sorted(SPECTRUM_CALLS))
+@pytest.mark.parametrize("grid", ["torus64", "torus2d"])
+def test_dense_and_fourier_spectra_agree(request, grid, call):
+    # the functional calculus sees only the Spectrum members, so the dense
+    # eigenbasis and the FFT must give the same numbers to roundoff
+    op, dec = request.getfixturevalue(grid)
+    diag = FourierDiagonal.for_spec(op.spec)
+    results = []
+    for spectrum in (dec, diag):
+        rng = np.random.default_rng(20240817)
+        phi = GridFunction(op.spec, rng.standard_normal(op.spec.n_nodes))
+        g = GridFunction(op.spec, rng.standard_normal(op.spec.n_nodes))
+        results.append(SPECTRUM_CALLS[call](spectrum, phi, g, rng))
+    for dense, fft in zip(*results):
+        dense, fft = np.atleast_1d(dense), np.atleast_1d(fft)
+        assert np.abs(dense - fft).max() <= 1e-10 * np.abs(dense).max()

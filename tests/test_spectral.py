@@ -8,7 +8,6 @@ import subfrac
 from subfrac import (
     GridFunction,
     GridSpec,
-    ScalarMultiplier,
     apply_multiplier,
     assemble_operator,
     eigen_probe,
@@ -142,7 +141,15 @@ def test_multiplier_nan_reports_eigenvalue(torus_small, rng):
         return np.where(lam > 1.0, np.nan, 1.0)
 
     with pytest.raises(EvaluationError):
-        apply_multiplier(dec, ScalarMultiplier(bad, label="bad"), grid_fn(op.spec, rng))
+        apply_multiplier(dec, bad, grid_fn(op.spec, rng))
+
+
+def test_scalar_multiplier_is_evaluation_error(torus_small, rng):
+    # a multiplier must give one value per eigenvalue; a scalar is not
+    # broadcast into the constant multiplier
+    op, dec = torus_small
+    with pytest.raises(EvaluationError, match="one value per eigenvalue"):
+        apply_multiplier(dec, lambda lam: 1.0, grid_fn(op.spec, rng))
 
 
 def test_bounded_multiplier_is_l2_nonexpansive(torus_small, rng):
