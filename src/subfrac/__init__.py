@@ -45,6 +45,7 @@ from .stencils import (
     export_matrix_market,
 )
 from .spectral import (
+    KrylovSpectrum,
     SpectralDecomposition,
     Spectrum,
     apply_multiplier,
@@ -55,6 +56,7 @@ from .spectral import (
     heat_apply,
     heat_kernel_column,
     heat_time_derivative_check,
+    krylov_spectrum,
     spectral_decompose,
     spectral_pairing,
 )

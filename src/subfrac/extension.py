@@ -263,15 +263,17 @@ def extension_solve_tau_grid(dec: Spectrum, params: ExtensionParams,
 
     The lambda = 0 mode integral diverges and J^s kills it, so PATH B yields
     the mean-zero part of u on a torus; compare against PATH A on Dirichlet
-    grids or with mean-zero data.
+    grids or with mean-zero data.  Repeated eigenvalues share one quadrature
+    row.
     """
     lam = dec.eigenvalues
     pos = lam > 0
     out = []
     for t in params.t_values:
-        g0, _ = subordination_integral(params.s, lam[pos] * t * t / 4.0, 0)
+        q, index = np.unique(lam[pos] * t * t / 4.0, return_inverse=True)
+        g0, _ = subordination_integral(params.s, q, 0)
         full = np.zeros_like(lam)
-        full[pos] = g0
+        full[pos] = g0[index]
         out.append(dec.apply_values(full, phi))
     return out
 

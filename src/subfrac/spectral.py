@@ -1,10 +1,14 @@
-"""Dense eigendecomposition and the spectral functional calculus m(J).
+"""Dense and Krylov diagonalizations and the spectral functional calculus m(J).
 
 A multiplier m acts as m(J) = Q diag(m(lambda)) Q^T.  Everything here other
-than the decomposition itself goes through the three members of `Spectrum`,
-so fractional powers, the heat semigroup, heat-kernel columns and the pairing
-<m(J) f, g> run unchanged on the dense eigenbasis (`SpectralDecomposition`)
-and on the FFT diagonalization of the torus (`fourier.FourierDiagonal`).
+than the decompositions themselves goes through the three members of
+`Spectrum`, so fractional powers, the heat semigroup, heat-kernel columns and
+the pairing <m(J) f, g> run unchanged on the dense eigenbasis
+(`SpectralDecomposition`), on the FFT diagonalization of the torus
+(`fourier.FourierDiagonal`) and on the Ritz spectrum of one vector
+(`KrylovSpectrum`), which gives m(J) f for that vector alone without forming
+the eigenbasis (Higham, Functions of Matrices, SIAM 2008, ch. 13; Musco,
+Musco and Sidford, SODA 2018).
 """
 
 from __future__ import annotations
@@ -22,6 +26,10 @@ from .stencils import DiscreteOperator
 DENSE_LIMIT = 6000
 
 EIG_CLAMP = 1e-10  # relative floor below which roundoff-negative eigenvalues clamp to 0
+
+# a Lanczos residual this far below the largest ||A v|| seen marks an
+# invariant Krylov subspace, on which the Ritz spectrum is exact
+KRYLOV_BREAKDOWN = 1e-12
 
 
 class Spectrum(Protocol):
@@ -84,12 +92,24 @@ def spectral_decompose(op: DiscreteOperator, dense_limit: int = DENSE_LIMIT) -> 
             f"grid has {N} nodes, over the dense eigendecomposition limit {dense_limit}; "
             "use a smaller grid"
         )
-    if not np.isfinite(op.matrix.data).all():
-        raise ConfigError("operator has a non-finite entry")
+    _check_finite(op)
     # Fortran order lets LAPACK overwrite the densified matrix in place; a
     # C-ordered array would cost scipy a hidden N x N copy
     w, Q = scipy.linalg.eigh(op.matrix.toarray(order="F"), driver="evd",
                              overwrite_a=True, check_finite=False)
+    return SpectralDecomposition(eigenvalues=_clamped(w), eigenvectors=Q, spec=op.spec)
+
+
+def _check_finite(op: DiscreteOperator) -> None:
+    if not np.isfinite(op.matrix.data).all():
+        raise ConfigError("operator has a non-finite entry")
+
+
+def _clamped(w: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues w of a PSD operator, roundoff-scale ones set to 0.
+
+    Raises ConfigError when w[0] is negative beyond roundoff.
+    """
     scale = max(abs(w[0]), abs(w[-1]))
     if w[0] < -EIG_CLAMP * scale:
         raise ConfigError(
@@ -98,8 +118,105 @@ def spectral_decompose(op: DiscreteOperator, dense_limit: int = DENSE_LIMIT) -> 
     # snap roundoff-scale eigenvalues (either sign) to exact zero so that
     # lambda^s does not amplify a spurious +1e-13 kernel eigenvalue
     w = np.where(np.abs(w) < EIG_CLAMP * scale, 0.0, w)
-    w = np.clip(w, 0.0, None)
-    return SpectralDecomposition(eigenvalues=w, eigenvectors=Q, spec=op.spec)
+    return np.clip(w, 0.0, None)
+
+
+@dataclass
+class KrylovSpectrum:
+    """The Ritz spectrum of one vector f: m(J) f ~ ||f|| V^T Y (m(theta) * Y[0]).
+
+    The rows of V are the Lanczos basis of the Krylov space of f, T = V A V^T
+    is the tridiagonal (alpha on the diagonal, beta beside it), and theta
+    (the eigenvalues, ascending) and the columns of Y are its eigenpairs.
+    A `Spectrum` for f alone: apply_values raises EvaluationError for any
+    other vector.  `exhaustive` marks a basis that spans an invariant
+    subspace containing f (N steps, or a breakdown), where the result is
+    exact.
+    """
+
+    spec: GridSpec
+    eigenvalues: np.ndarray = field(repr=False)
+    ritz_vectors: np.ndarray = field(repr=False)
+    basis: np.ndarray = field(repr=False)
+    alpha: np.ndarray = field(repr=False)
+    beta: np.ndarray = field(repr=False)
+    start: np.ndarray = field(repr=False)
+    exhaustive: bool
+
+    @property
+    def steps(self) -> int:
+        return self.eigenvalues.size
+
+    def apply_values(self, values: np.ndarray, f: GridFunction) -> GridFunction:
+        """Apply diag(values) over the Ritz values: ||f|| V^T Y (values * Y[0])."""
+        values = _checked_values(self, values, f)
+        if not np.array_equal(f.values, self.start):
+            raise EvaluationError("a Krylov spectrum applies only to its start vector")
+        Y = self.ritz_vectors
+        coef = np.linalg.norm(self.start) * (Y @ (values * Y[0]))
+        return GridFunction(self.spec, self.basis.T @ coef)
+
+    def leading(self, steps: int) -> "KrylovSpectrum":
+        """The Ritz spectrum of the first `steps` Lanczos steps of this basis."""
+        return _ritz_spectrum(self.spec, self.basis[:steps], self.alpha[:steps],
+                              self.beta[:steps - 1], self.start,
+                              self.exhaustive and steps >= self.steps)
+
+
+def _ritz_spectrum(spec: GridSpec, V: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
+                   start: np.ndarray, exhaustive: bool) -> KrylovSpectrum:
+    theta, Y = scipy.linalg.eigh_tridiagonal(alpha, beta)
+    return KrylovSpectrum(spec=spec, eigenvalues=_clamped(theta), ritz_vectors=Y, basis=V,
+                          alpha=alpha, beta=beta, start=start, exhaustive=exhaustive)
+
+
+def krylov_spectrum(op: DiscreteOperator, f: GridFunction, steps: int) -> KrylovSpectrum:
+    """Ritz spectrum of f after min(steps, N) Lanczos steps on the assembled operator.
+
+    Full reorthogonalization: each new vector is orthogonalized against the
+    whole basis in two classical Gram-Schmidt passes, so the basis stays
+    orthonormal to roundoff.  The process stops early at an invariant
+    subspace.  The basis holds steps x N doubles, and a request above
+    DENSE_LIMIT^2 of them, the memory of the dense route at its limit,
+    raises CapacityError.
+    """
+    if f.spec != op.spec:
+        raise GridMismatchError("start vector grid does not match the operator")
+    if steps < 1:
+        raise ConfigError(f"a Krylov spectrum needs at least one step, got {steps}")
+    N = op.spec.n_nodes
+    steps = min(steps, N)
+    if steps * N > DENSE_LIMIT ** 2:
+        raise CapacityError(
+            f"{steps} Krylov steps on {N} nodes exceed the {DENSE_LIMIT}^2-double "
+            "memory limit; use a smaller grid"
+        )
+    _check_finite(op)
+    start = f.values.copy()
+    norm = np.linalg.norm(start)
+    if not 0.0 < norm < np.inf:
+        raise ConfigError(f"Krylov start vector must be finite and nonzero, norm {norm}")
+    A = op.matrix
+    V = np.empty((steps, N))
+    alpha, beta = np.empty(steps), np.empty(steps - 1)
+    V[0] = start / norm
+    scale = 0.0
+    for j in range(steps):
+        w = A @ V[j]
+        scale = max(scale, np.linalg.norm(w))
+        basis = V[:j + 1]
+        h = basis @ w
+        w -= h @ basis
+        h2 = basis @ w
+        w -= h2 @ basis
+        alpha[j] = h[j] + h2[j]
+        if j + 1 == steps:
+            break
+        beta[j] = np.linalg.norm(w)
+        if beta[j] <= KRYLOV_BREAKDOWN * scale:
+            return _ritz_spectrum(op.spec, V[:j + 1], alpha[:j + 1], beta[:j], start, True)
+        V[j + 1] = w / beta[j]
+    return _ritz_spectrum(op.spec, V, alpha, beta, start, steps == N)
 
 
 def eigen_probe(op: DiscreteOperator, dec: SpectralDecomposition) -> tuple[float, float]:

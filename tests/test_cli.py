@@ -199,6 +199,56 @@ def test_spectrum_reports_eigen_probes(tmp_path):
         assert checks[name]["tolerance"] == 1e-12
 
 
+def _checks(tmp_path, kind):
+    report = json.loads((tmp_path / kind / "results.json").read_text())["report"]
+    return {c["name"]: c for c in report["checks"]}
+
+
+def test_tol_sets_only_the_boundary_limit_bound(tmp_path):
+    code = run_cli(["verify-all", "--mode", "euclidean_torus", "--n", "32", "--L", "10",
+                    "--s", "0.5", "--tol", "0.02", "--out", str(tmp_path)])
+    assert code == 0
+    checks = _checks(tmp_path, "verify-all")
+    assert checks["boundary_limit_rel_error_s=0.5"]["tolerance"] == 0.02
+    assert checks["pde_residual_s=0.5"]["tolerance"] == 1e-6
+
+
+KRYLOV_CHECKS = {
+    "krylov_orthogonality": 1e-12,
+    "krylov_steps_s=0.5": subfrac.spectral.DENSE_LIMIT ** 2 // 19 ** 3,
+    "krylov_delta_s=0.5": 1e-10,
+    "sparse_identity_s=0.5": 1e-12,
+}
+
+
+def test_heisenberg_limit_past_the_dense_wall(tmp_path, monkeypatch):
+    # N = 6859 is over the dense limit; a Heisenberg limit must never densify
+    import subfrac.cli as cli
+    import subfrac.spectral as spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("limit called the dense eigendecomposition")
+
+    monkeypatch.setattr(spectral, "spectral_decompose", refuse)
+    monkeypatch.setattr(cli, "spectral_decompose", refuse)
+    code = run_cli(["limit", "--mode", "heisenberg", "--n", "19", "--L", "4",
+                    "--out", str(tmp_path)])
+    assert code == 0
+    checks = _checks(tmp_path, "limit")
+    for name, bound in KRYLOV_CHECKS.items():
+        assert checks[name]["passed"] and checks[name]["tolerance"] == bound, name
+    assert checks["boundary_limit_rel_error_s=0.5"]["passed"]
+    assert not (tmp_path / "limit" / "spectrum.csv").exists()
+
+
+def test_torus_limit_stays_dense(tmp_path):
+    assert run_cli(["limit", "--mode", "euclidean_torus", "--n", "16",
+                    "--out", str(tmp_path)]) == 0
+    checks = _checks(tmp_path, "limit")
+    assert "eigen_residual_probe" in checks
+    assert not any(name.startswith(("krylov", "sparse_identity")) for name in checks)
+
+
 def test_limit_spec_example_defaults(tmp_path):
     # the documented one-liner, with no --L: defaults must make it pass
     code = run_cli([

@@ -304,6 +304,31 @@ def test_tau_grid_drops_kernel_mode(torus64):
     assert np.abs(ub.values).max() <= 1e-12
 
 
+def test_tau_grid_one_quadrature_row_per_distinct_eigenvalue(torus64, monkeypatch):
+    # the torus spectrum repeats eigenvalues; PATH B integrates each distinct
+    # q once and must give the same numbers as one row per eigenvalue
+    import subfrac.extension as ext
+
+    op, dec = torus64
+    phi = torus_bump(op.spec)
+    s, t = 0.4, 0.3
+    rows = []
+
+    def counted(s, q, k=0):
+        rows.append(len(q))
+        return subordination_integral(s, q, k)
+
+    monkeypatch.setattr(ext, "subordination_integral", counted)
+    got = extension_solve_tau_grid(dec, ExtensionParams(s=s, t_values=(t,)), phi)[0]
+    lam = dec.eigenvalues
+    pos = lam > 0
+    q = lam[pos] * t * t / 4.0
+    assert rows == [np.unique(q).size] and rows[0] < q.size
+    per_eigenvalue = np.zeros_like(lam)
+    per_eigenvalue[pos] = subordination_integral(s, q, 0)[0]
+    assert np.array_equal(got.values, dec.apply_values(per_eigenvalue, phi).values)
+
+
 # ---------------------------------------------------------------------------
 # t-derivatives
 # ---------------------------------------------------------------------------

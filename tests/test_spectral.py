@@ -16,11 +16,14 @@ from subfrac import (
     heat_kernel_column,
     heat_time_derivative_check,
     integral,
+    krylov_spectrum,
     lp_norm,
+    random_bump,
     spectral_decompose,
     spectral_pairing,
 )
-from subfrac.errors import CapacityError, ConfigError, EvaluationError
+from subfrac.errors import CapacityError, ConfigError, EvaluationError, GridMismatchError
+from subfrac.extension import ExtensionParams, boundary_limit, extension_solve
 from subfrac.stencils import DiscreteOperator
 
 
@@ -102,14 +105,143 @@ def test_non_psd_operator_is_config_error():
         spectral_decompose(negated)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_operator_is_config_error(bad):
+def _box_operator_with_entry(bad) -> DiscreteOperator:
     spec = GridSpec(9, 1.0, 1, "euclidean_box")
     op = assemble_operator("euclid", spec)
     matrix = op.matrix.copy()
     matrix.data[3] = bad
+    return DiscreteOperator(op.kind, matrix, op.fields_used, spec)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_operator_is_config_error(bad):
     with pytest.raises(ConfigError, match="non-finite"):
-        spectral_decompose(DiscreteOperator(op.kind, matrix, op.fields_used, spec))
+        spectral_decompose(_box_operator_with_entry(bad))
+
+
+# ---------------------------------------------------------------------------
+# Krylov (Ritz) spectra, against the dense eigenbasis
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def krylov_routes(heis9, heis15):
+    """(dense decomposition, 512-step Ritz spectrum of phi, phi) per grid."""
+    routes = {}
+    for name, (op, dec) in (("heis9", heis9), ("heis15", heis15)):
+        phi = random_bump(op.spec, np.random.default_rng(77))
+        routes[name] = (dec, krylov_spectrum(op, phi, 512), phi)
+    return routes
+
+
+def _limit_fields(sp, phi):
+    fields = []
+    for s in (0.1, 0.5, 0.9):
+        res = boundary_limit(sp, ExtensionParams(s=s, t_values=(0.2, 0.1, 0.05)), phi)
+        fields += [res.extrapolated.values, res.reference.values]
+    return fields
+
+
+def _extension_fields(sp, phi):
+    profile = extension_solve(sp, ExtensionParams(s=0.5, t_values=(0.2, 0.1, 0.05)), phi)
+    return [f.values for f in profile.u + profile.du_dt]
+
+
+KRYLOV_CALLS = {
+    "fractional_power": lambda sp, phi: [fractional_power(sp, s, phi).values
+                                         for s in (0.1, 0.5, 0.9)],
+    "heat_apply": lambda sp, phi: [heat_apply(sp, t, phi).values for t in (0.01, 0.1, 1.0)],
+    "extension_solve": _extension_fields,
+    "boundary_limit": _limit_fields,
+}
+
+
+@pytest.mark.parametrize("call", sorted(KRYLOV_CALLS))
+@pytest.mark.parametrize("grid", ["heis9", "heis15"])
+def test_dense_and_krylov_spectra_agree(krylov_routes, grid, call):
+    # the functional calculus sees only the Spectrum members, so the dense
+    # eigenbasis and the Ritz spectrum of phi must give the same m(J) phi
+    dec, kry, phi = krylov_routes[grid]
+    for dense, ritz in zip(KRYLOV_CALLS[call](dec, phi), KRYLOV_CALLS[call](kry, phi)):
+        assert np.linalg.norm(ritz - dense) <= 1e-11 * np.linalg.norm(dense)
+
+
+def test_krylov_capped_at_n_reproduces_dense(heis9, rng):
+    op, dec = heis9
+    phi = grid_fn(op.spec, rng)
+    kry = krylov_spectrum(op, phi, 10 * dec.n)
+    assert kry.steps <= dec.n and kry.exhaustive
+    V = kry.basis
+    assert np.abs(V @ V.T - np.eye(kry.steps)).max() <= 1e-12
+    for m in (lambda lam: lam, lambda lam: np.exp(-0.5 * lam), lambda lam: lam ** 0.3):
+        want = dec.apply_values(m(dec.eigenvalues), phi).values
+        got = kry.apply_values(m(kry.eigenvalues), phi).values
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_krylov_eigenvector_start_stops_early(heis9):
+    op, dec = heis9
+    k = 100
+    phi = GridFunction(op.spec, 3.0 * dec.eigenvectors[:, k])
+    kry = krylov_spectrum(op, phi, 64)
+    assert kry.steps == 1 and kry.exhaustive
+    assert abs(kry.eigenvalues[0] - dec.eigenvalues[k]) <= 1e-12 * dec.eigenvalues[-1]
+    got = fractional_power(kry, 0.4, phi).values
+    assert np.abs(got - dec.eigenvalues[k] ** 0.4 * phi.values).max() <= 1e-12 * np.abs(got).max()
+
+
+def test_krylov_leading_steps_are_the_shorter_run(heis9, rng):
+    op, _ = heis9
+    phi = grid_fn(op.spec, rng)
+    long, short = krylov_spectrum(op, phi, 64), krylov_spectrum(op, phi, 32)
+    half = long.leading(32)
+    assert not half.exhaustive
+    assert np.array_equal(half.eigenvalues, short.eigenvalues)
+    assert np.array_equal(half.basis, short.basis)
+
+
+def test_krylov_foreign_vector_is_evaluation_error(heis9, rng):
+    op, _ = heis9
+    phi, other = grid_fn(op.spec, rng), grid_fn(op.spec, rng)
+    kry = krylov_spectrum(op, phi, 16)
+    assert np.isfinite(fractional_power(kry, 0.5, phi).values).all()
+    with pytest.raises(EvaluationError, match="start vector"):
+        fractional_power(kry, 0.5, other)
+    with pytest.raises(EvaluationError, match="start vector"):
+        heat_kernel_column(kry, 0.1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_krylov_non_finite_operator_is_config_error(bad):
+    op = _box_operator_with_entry(bad)
+    with pytest.raises(ConfigError, match="non-finite"):
+        krylov_spectrum(op, GridFunction(op.spec, np.ones(op.spec.n_nodes)), 4)
+
+
+def test_krylov_rejects_bad_start_and_non_psd():
+    spec = GridSpec(9, 1.0, 1, "euclidean_box")
+    op = assemble_operator("euclid", spec)
+    for vals in (np.zeros(9), np.full(9, np.nan)):
+        with pytest.raises(ConfigError, match="start vector"):
+            krylov_spectrum(op, GridFunction(spec, vals), 4)
+    with pytest.raises(ConfigError, match="at least one step"):
+        krylov_spectrum(op, GridFunction(spec, np.ones(9)), 0)
+    with pytest.raises(GridMismatchError):
+        krylov_spectrum(op, GridFunction(GridSpec(9, 2.0, 1, "euclidean_box"), np.ones(9)), 4)
+    negated = DiscreteOperator(op.kind, -op.matrix, op.fields_used, spec)
+    with pytest.raises(ConfigError, match="not PSD"):
+        krylov_spectrum(negated, GridFunction(spec, np.ones(9)), 4)
+
+
+def test_krylov_capacity_is_the_dense_memory_ceiling(monkeypatch):
+    import subfrac.spectral as spectral
+
+    spec = GridSpec(9, 1.0, 1, "euclidean_box")
+    op = assemble_operator("euclid", spec)
+    phi = GridFunction(spec, np.ones(9))
+    monkeypatch.setattr(spectral, "DENSE_LIMIT", 5)  # 25 doubles: 2 steps of 9 nodes
+    assert krylov_spectrum(op, phi, 2).steps == 2
+    with pytest.raises(CapacityError):
+        krylov_spectrum(op, phi, 3)
 
 
 # ---------------------------------------------------------------------------
