@@ -77,7 +77,7 @@ from .extension import (
     scalar_ode_residual,
     subordination_integral,
 )
-from .fourier import FourierDiagonal, cross_validate
+from .fourier import FourierDiagonal, cross_validate, fourier_decompose
 from .estimates import (
     DecayFit,
     GaussianBoundResult,

@@ -1,9 +1,12 @@
-"""Fourier diagonalization of the discrete torus Laplacian: the ground-truth path.
+"""Fourier diagonalization of the discrete torus Laplacian: the CLI's route on the torus.
 
 The forward-difference torus operator is circulant per axis, so the FFT
 diagonalizes it exactly with symbol (2 - 2 cos(2 pi k / n)) / h^2, tensorized
-across dims.  Multipliers applied through this path must agree with the dense
-eigendecomposition to roundoff: same operator, two diagonalizations.
+across dims.  The symbol is built from min(k, n - k), so mirrored and (in 2-D)
+axis-permuted frequencies share bitwise-equal values and every degeneracy of
+the spectrum is exact.  Multipliers applied through this path agree with the
+dense eigendecomposition to roundoff (same operator, two diagonalizations);
+the tests hold the two routes together.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .group import GridFunction, GridSpec
-from .spectral import Spectrum, _checked_values, fractional_power
+from .spectral import Spectrum, _check_finite, _checked_values, fractional_power
+from .stencils import DiscreteOperator
 
 
 @dataclass
@@ -34,7 +38,9 @@ class FourierDiagonal:
             raise ConfigError(f"Fourier diagonal requires euclidean_torus, got {spec.mode}")
         n = spec.n_per_axis
         h = spec.spacing
-        axis = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n) / n)) / (h * h)
+        k = np.arange(n)
+        # cos(2 pi (n - k) / n) and cos(2 pi k / n) differ in the last bit
+        axis = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.minimum(k, n - k) / n)) / (h * h)
         mesh = np.meshgrid(*([axis] * spec.dims), indexing="ij")
         return cls(spec=spec, eigenvalues=sum(mesh).ravel())
 
@@ -45,6 +51,19 @@ class FourierDiagonal:
         fh = np.fft.fftn(f.shaped())
         out = np.fft.ifftn(values.reshape(shape) * fh)
         return GridFunction(self.spec, np.real(out).ravel())
+
+
+def fourier_decompose(op: DiscreteOperator) -> FourierDiagonal:
+    """The FFT diagonalization of an assembled torus Laplacian.
+
+    Only the forward-difference Laplacian ("euclid") on a euclidean torus is
+    circulant; anything else raises ConfigError.  eigen_probe checks the
+    result against the operator.
+    """
+    if op.kind != "euclid":
+        raise ConfigError(f"the FFT diagonalizes the euclid torus operator, not {op.kind!r}")
+    _check_finite(op)
+    return FourierDiagonal.for_spec(op.spec)
 
 
 def cross_validate(dec: Spectrum, s: float, phi: GridFunction) -> float:

@@ -131,7 +131,9 @@ class KrylovSpectrum:
     A `Spectrum` for f alone: apply_values raises EvaluationError for any
     other vector.  `exhaustive` marks a basis that spans an invariant
     subspace containing f (N steps, or a breakdown), where the result is
-    exact.
+    exact.  `residual` (the reorthogonalized A v of the last step) and
+    `scale` (the largest ||A v|| seen) let `extended` continue the
+    recurrence; a `leading` spectrum has no residual.
     """
 
     spec: GridSpec
@@ -142,6 +144,8 @@ class KrylovSpectrum:
     beta: np.ndarray = field(repr=False)
     start: np.ndarray = field(repr=False)
     exhaustive: bool
+    residual: np.ndarray | None = field(default=None, repr=False)
+    scale: float = 0.0
 
     @property
     def steps(self) -> int:
@@ -162,12 +166,77 @@ class KrylovSpectrum:
                               self.beta[:steps - 1], self.start,
                               self.exhaustive and steps >= self.steps)
 
+    def extended(self, op: DiscreteOperator, steps: int) -> "KrylovSpectrum":
+        """This spectrum continued to min(steps, N) Lanczos steps on op.
+
+        The steps already taken are kept, not recomputed, so the result is
+        bitwise the one krylov_spectrum(op, f, steps) gives.  An exhaustive
+        spectrum, or one already `steps` long, is returned as it is.
+        """
+        if op.spec != self.spec:
+            raise GridMismatchError("operator grid does not match the Krylov spectrum")
+        steps = _krylov_steps(op, steps)
+        done = self.steps
+        if self.exhaustive or steps <= done:
+            return self
+        if self.residual is None:
+            raise EvaluationError("a leading Krylov spectrum cannot be extended")
+        V = np.empty((steps, self.basis.shape[1]))
+        alpha, beta = np.empty(steps), np.empty(steps - 1)
+        V[:done], alpha[:done], beta[:done - 1] = self.basis, self.alpha, self.beta
+        return _lanczos(op, V, alpha, beta, self.start, done, self.residual, self.scale)
+
 
 def _ritz_spectrum(spec: GridSpec, V: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
-                   start: np.ndarray, exhaustive: bool) -> KrylovSpectrum:
+                   start: np.ndarray, exhaustive: bool, residual: np.ndarray | None = None,
+                   scale: float = 0.0) -> KrylovSpectrum:
     theta, Y = scipy.linalg.eigh_tridiagonal(alpha, beta)
     return KrylovSpectrum(spec=spec, eigenvalues=_clamped(theta), ritz_vectors=Y, basis=V,
-                          alpha=alpha, beta=beta, start=start, exhaustive=exhaustive)
+                          alpha=alpha, beta=beta, start=start, exhaustive=exhaustive,
+                          residual=residual, scale=scale)
+
+
+def _krylov_steps(op: DiscreteOperator, steps: int) -> int:
+    """min(steps, N), after the step and memory checks of a Krylov basis."""
+    if steps < 1:
+        raise ConfigError(f"a Krylov spectrum needs at least one step, got {steps}")
+    N = op.spec.n_nodes
+    steps = min(steps, N)
+    if steps * N > DENSE_LIMIT ** 2:
+        raise CapacityError(
+            f"{steps} Krylov steps on {N} nodes exceed the {DENSE_LIMIT}^2-double "
+            "memory limit; use a smaller grid"
+        )
+    _check_finite(op)
+    return steps
+
+
+def _lanczos(op: DiscreteOperator, V: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
+             start: np.ndarray, done: int, w: np.ndarray | None,
+             scale: float) -> KrylovSpectrum:
+    """Lanczos steps done .. len(V) - 1, filling V, alpha and beta in place.
+
+    The first `done` rows of V and entries of alpha (done - 1 of beta) are
+    already filled, and w is the reorthogonalized residual of step done - 1
+    (None when done = 0, with V[0] the normalized start vector).
+    """
+    A = op.matrix
+    steps = V.shape[0]
+    for j in range(done, steps):
+        if j > 0:
+            beta[j - 1] = np.linalg.norm(w)
+            if beta[j - 1] <= KRYLOV_BREAKDOWN * scale:
+                return _ritz_spectrum(op.spec, V[:j], alpha[:j], beta[:j - 1], start, True)
+            V[j] = w / beta[j - 1]
+        w = A @ V[j]
+        scale = max(scale, np.linalg.norm(w))
+        basis = V[:j + 1]
+        h = basis @ w
+        w -= h @ basis
+        h2 = basis @ w
+        w -= h2 @ basis
+        alpha[j] = h[j] + h2[j]
+    return _ritz_spectrum(op.spec, V, alpha, beta, start, steps == op.spec.n_nodes, w, scale)
 
 
 def krylov_spectrum(op: DiscreteOperator, f: GridFunction, steps: int) -> KrylovSpectrum:
@@ -182,60 +251,38 @@ def krylov_spectrum(op: DiscreteOperator, f: GridFunction, steps: int) -> Krylov
     """
     if f.spec != op.spec:
         raise GridMismatchError("start vector grid does not match the operator")
-    if steps < 1:
-        raise ConfigError(f"a Krylov spectrum needs at least one step, got {steps}")
-    N = op.spec.n_nodes
-    steps = min(steps, N)
-    if steps * N > DENSE_LIMIT ** 2:
-        raise CapacityError(
-            f"{steps} Krylov steps on {N} nodes exceed the {DENSE_LIMIT}^2-double "
-            "memory limit; use a smaller grid"
-        )
-    _check_finite(op)
+    steps = _krylov_steps(op, steps)
     start = f.values.copy()
     norm = np.linalg.norm(start)
     if not 0.0 < norm < np.inf:
         raise ConfigError(f"Krylov start vector must be finite and nonzero, norm {norm}")
-    A = op.matrix
-    V = np.empty((steps, N))
-    alpha, beta = np.empty(steps), np.empty(steps - 1)
+    V = np.empty((steps, op.spec.n_nodes))
     V[0] = start / norm
-    scale = 0.0
-    for j in range(steps):
-        w = A @ V[j]
-        scale = max(scale, np.linalg.norm(w))
-        basis = V[:j + 1]
-        h = basis @ w
-        w -= h @ basis
-        h2 = basis @ w
-        w -= h2 @ basis
-        alpha[j] = h[j] + h2[j]
-        if j + 1 == steps:
-            break
-        beta[j] = np.linalg.norm(w)
-        if beta[j] <= KRYLOV_BREAKDOWN * scale:
-            return _ritz_spectrum(op.spec, V[:j + 1], alpha[:j + 1], beta[:j], start, True)
-        V[j + 1] = w / beta[j]
-    return _ritz_spectrum(op.spec, V, alpha, beta, start, steps == N)
+    return _lanczos(op, V, np.empty(steps), np.empty(steps - 1), start, 0, None, 0.0)
 
 
-def eigen_probe(op: DiscreteOperator, dec: SpectralDecomposition) -> tuple[float, float]:
-    """Orthogonality and residual of a decomposition of op, on a random block.
+def eigen_probe(op: DiscreteOperator, dec: Spectrum) -> tuple[float, float]:
+    """Orthogonality and residual of a diagonalization of op, on a random block.
 
-    With X a fixed-seed Gaussian block of 4 columns, returns
-    ||Q(Q^T X) - X|| / ||X|| and ||A(QX) - Q(Lambda X)|| / (lambda_max ||X||)
-    in Frobenius norms: O(N^2) work, where forming Q^T Q or AQ - Q Lambda
-    would be O(N^3).  A is the assembled sparse operator, so the residual
-    also covers the eigenvalues that were clamped to 0.
+    With x the 4 rows of a fixed-seed Gaussian block X, returns
+    ||apply(1, x) - x|| / ||X|| and ||A x - apply(lambda, x)|| / (lambda_max ||X||)
+    in Frobenius norms, through `apply_values` alone: O(N^2) work on the
+    dense eigenbasis, where forming Q^T Q or AQ - Q Lambda would be O(N^3),
+    and O(N log N) on the FFT.  A is the assembled sparse operator, so the
+    residual does not come from the diagonalization and also covers the
+    eigenvalues that were clamped to 0.
     """
-    Q, lam = dec.eigenvectors, dec.eigenvalues
-    # one column at a time: as a block product, OpenBLAS threads the gemm and
+    spec, lam = dec.spec, dec.eigenvalues
+    ones = np.ones_like(lam)
+    # one row at a time: as a block product, OpenBLAS threads the gemm and
     # keeps a second thread's buffer resident (+2.4 MiB at N = 729, 2 threads)
-    X = np.random.default_rng(0).standard_normal((4, dec.n))
+    X = np.random.default_rng(0).standard_normal((4, spec.n_nodes))
     x_norm = np.linalg.norm(X)
-    orthogonality = np.linalg.norm([Q @ (Q.T @ x) - x for x in X]) / x_norm
-    residual = np.linalg.norm([op.matrix @ (Q @ x) - Q @ (lam * x) for x in X])
-    scale = lam[-1] * x_norm
+    orthogonality = np.linalg.norm(
+        [dec.apply_values(ones, GridFunction(spec, x)).values - x for x in X]) / x_norm
+    residual = np.linalg.norm(
+        [op.matrix @ x - dec.apply_values(lam, GridFunction(spec, x)).values for x in X])
+    scale = lam.max() * x_norm
     return float(orthogonality), float(residual / scale if scale > 0 else residual)
 
 
@@ -306,9 +353,9 @@ def spectral_pairing(dec: Spectrum, f: GridFunction, g: GridFunction,
     return inner_product(apply_multiplier(dec, m, f), g)
 
 
-def export_spectrum_csv(dec: SpectralDecomposition, path) -> None:
-    """CSV `index,eigenvalue` at full float64 precision."""
+def export_spectrum_csv(dec: Spectrum, path) -> None:
+    """CSV `index,eigenvalue` of the ascending eigenvalues at full float64 precision."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write("index,eigenvalue\n")
-        for i, lam in enumerate(dec.eigenvalues):
+        for i, lam in enumerate(np.sort(dec.eigenvalues)):
             fh.write(f"{i},{lam:.17g}\n")

@@ -188,15 +188,20 @@ def test_bad_tolerance_exits_two(tmp_path, capsys, tol, source):
     assert "error: tol must be finite and >= 0" in capsys.readouterr().err
 
 
+EIGEN_PROBES = ("eigen_orthogonality_probe", "eigen_residual_probe")
+
+
 def test_spectrum_reports_eigen_probes(tmp_path):
-    code = run_cli(["spectrum", "--mode", "euclidean_torus", "--n", "16",
-                    "--out", str(tmp_path)])
-    assert code == 0
-    report = json.loads((tmp_path / "spectrum" / "results.json").read_text())["report"]
-    checks = {c["name"]: c for c in report["checks"]}
-    for name in ("eigen_orthogonality_probe", "eigen_residual_probe"):
-        assert checks[name]["passed"]
-        assert checks[name]["tolerance"] == 1e-12
+    # the dense route (a box and the Heisenberg grid) and the FFT route (a torus)
+    for grid in (["--mode", "euclidean_box", "--dims", "2", "--n", "13"],
+                 ["--mode", "heisenberg", "--n", "5"],
+                 ["--mode", "euclidean_torus", "--n", "16"]):
+        out = tmp_path / grid[1]
+        assert run_cli(["spectrum", *grid, "--out", str(out)]) == 0, grid
+        checks = _checks(out, "spectrum")
+        for name in EIGEN_PROBES:
+            assert checks[name]["passed"], (grid, name)
+            assert checks[name]["tolerance"] == 1e-12
 
 
 def _checks(tmp_path, kind):
@@ -241,12 +246,30 @@ def test_heisenberg_limit_past_the_dense_wall(tmp_path, monkeypatch):
     assert not (tmp_path / "limit" / "spectrum.csv").exists()
 
 
-def test_torus_limit_stays_dense(tmp_path):
-    assert run_cli(["limit", "--mode", "euclidean_torus", "--n", "16",
-                    "--out", str(tmp_path)]) == 0
-    checks = _checks(tmp_path, "limit")
-    assert "eigen_residual_probe" in checks
-    assert not any(name.startswith(("krylov", "sparse_identity")) for name in checks)
+def test_torus_runs_never_densify(tmp_path, monkeypatch):
+    # every torus subcommand takes the FFT diagonalization, checked by the
+    # probes against the assembled operator
+    import subfrac.cli as cli
+    import subfrac.spectral as spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a torus run called the dense eigendecomposition")
+
+    monkeypatch.setattr(spectral, "spectral_decompose", refuse)
+    monkeypatch.setattr(cli, "spectral_decompose", refuse)
+    for kind in ("spectrum", "frac", "heat", "extend", "limit", "verify-all"):
+        code = run_cli([kind, "--mode", "euclidean_torus", "--dims", "2", "--n", "16",
+                        "--L", "10", "--s", "0.5", "--out", str(tmp_path)])
+        assert code == 0, kind
+        checks = _checks(tmp_path, kind)
+        for name in EIGEN_PROBES:
+            assert checks[name]["passed"] and checks[name]["tolerance"] == 1e-12, (kind, name)
+        assert not any(name.startswith(("krylov", "sparse_identity", "fourier_cross_validate"))
+                       for name in checks), kind
+    lines = (tmp_path / "spectrum" / "spectrum.csv").read_text().splitlines()
+    values = [float(line.split(",")[1]) for line in lines[1:]]
+    assert lines[0] == "index,eigenvalue" and len(values) == 256
+    assert values == sorted(values) and values[0] == 0.0
 
 
 def test_limit_spec_example_defaults(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,8 @@ from subfrac import (
     cross_validate,
     extension_constant,
     extension_solve,
+    extension_solve_tau_grid,
+    fourier_decompose,
     fractional_power,
     gaussian_bump,
     heat_apply,
@@ -22,6 +26,7 @@ from subfrac import (
     random_bump,
     spectral_decompose,
     spectral_pairing,
+    subordination_integral,
 )
 from subfrac.estimates import resolvable_t_window
 from subfrac.errors import ConfigError
@@ -37,6 +42,49 @@ def torus2d():
 def test_requires_torus():
     with pytest.raises(ConfigError):
         FourierDiagonal.for_spec(GridSpec(9, 1.0, 1, "euclidean_box"))
+
+
+def test_fourier_decompose_needs_the_torus_laplacian(torus64):
+    op, _ = torus64
+    assert np.array_equal(fourier_decompose(op).eigenvalues,
+                          FourierDiagonal.for_spec(op.spec).eigenvalues)
+    box = assemble_operator("euclid", GridSpec(9, 1.0, 1, "euclidean_box"))
+    with pytest.raises(ConfigError, match="euclidean_torus"):
+        fourier_decompose(box)
+    with pytest.raises(ConfigError, match="euclid torus operator"):
+        fourier_decompose(dataclasses.replace(op, kind="j1"))
+
+
+def test_mirrored_and_permuted_frequencies_share_one_symbol_value(monkeypatch):
+    # the degeneracies of the torus spectrum are exact, so PATH B integrates
+    # at most one quadrature row per class {(+-k1, +-k2), (+-k2, +-k1)}
+    import subfrac.extension as ext
+
+    n = 48
+    spec = GridSpec(n, 10.0, 2, "euclidean_torus")
+    diag = FourierDiagonal.for_spec(spec)
+    sym = diag.eigenvalues.reshape(n, n)
+    mirror = -np.arange(n) % n
+    assert np.array_equal(sym[mirror], sym)
+    assert np.array_equal(sym[:, mirror], sym)
+    assert np.array_equal(sym.T, sym)
+
+    rows = []
+
+    def counted(s, q, k=0):
+        rows.append(len(q))
+        return subordination_integral(s, q, k)
+
+    monkeypatch.setattr(ext, "subordination_integral", counted)
+    phi = GridFunction(spec, np.random.default_rng(5).standard_normal(spec.n_nodes))
+    t = 0.2
+    extension_solve_tau_grid(diag, ExtensionParams(s=0.5, t_values=(t,)), phi)
+    folded = np.minimum(np.arange(n), n - np.arange(n))
+    k1, k2 = np.meshgrid(folded, folded, indexing="ij")
+    classes = {(min(a, b), max(a, b)) for a, b in zip(k1.ravel(), k2.ravel())} - {(0, 0)}
+    assert len(classes) == 324
+    assert rows == [np.unique(sym[sym > 0] * t * t / 4.0).size]
+    assert rows[0] <= len(classes)
 
 
 def test_symbol_multiset_matches_dense_eigenvalues(torus64, torus2d):

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 import subfrac
 from subfrac import (
+    FourierDiagonal,
     GridFunction,
     GridSpec,
     apply_multiplier,
@@ -73,7 +74,7 @@ def test_eigenbasis_orthogonal_to_roundoff(heis9):
     assert np.abs(Q.T @ Q - np.eye(dec.n)).max() <= 1e-13
 
 
-def test_eigen_probe_passes_and_flags_broken_bases(heis9):
+def test_eigen_probe_passes_and_flags_broken_bases(heis9, torus_small):
     op, dec = heis9
     orthogonality, residual = eigen_probe(op, dec)
     assert orthogonality <= 1e-12 and residual <= 1e-12
@@ -82,6 +83,13 @@ def test_eigen_probe_passes_and_flags_broken_bases(heis9):
     assert eigen_probe(op, skewed)[0] >= 1e-6
     shifted = dataclasses.replace(dec, eigenvalues=dec.eigenvalues * (1.0 + 1e-6))
     assert eigen_probe(op, shifted)[1] >= 1e-8
+    # the same probe on the FFT diagonalization of a torus, through apply_values
+    op, _ = torus_small
+    diag = FourierDiagonal.for_spec(op.spec)
+    orthogonality, residual = eigen_probe(op, diag)
+    assert orthogonality <= 1e-12 and residual <= 1e-12
+    scaled = dataclasses.replace(diag, eigenvalues=diag.eigenvalues * (1.0 + 1e-6))
+    assert eigen_probe(op, scaled)[1] >= 1e-8
 
 
 def test_trace_preserved(heis9):
@@ -197,6 +205,23 @@ def test_krylov_leading_steps_are_the_shorter_run(heis9, rng):
     assert not half.exhaustive
     assert np.array_equal(half.eigenvalues, short.eigenvalues)
     assert np.array_equal(half.basis, short.basis)
+
+
+def test_krylov_extended_is_the_longer_run(heis9, rng):
+    # continuing the recurrence repeats no step and changes no bit
+    op, _ = heis9
+    phi = grid_fn(op.spec, rng)
+    longer = krylov_spectrum(op, phi, 32).extended(op, 64)
+    fresh = krylov_spectrum(op, phi, 64)
+    assert longer.steps == 64 and not longer.exhaustive
+    for name in ("eigenvalues", "basis", "alpha", "beta", "residual"):
+        assert np.array_equal(getattr(longer, name), getattr(fresh, name)), name
+    assert longer.scale == fresh.scale
+    capped = longer.extended(op, 10 * op.spec.n_nodes)
+    assert capped.steps == op.spec.n_nodes and capped.exhaustive
+    assert capped.extended(op, 10 * op.spec.n_nodes) is capped
+    with pytest.raises(EvaluationError, match="leading"):
+        fresh.leading(32).extended(op, 64)
 
 
 def test_krylov_foreign_vector_is_evaluation_error(heis9, rng):
