@@ -7,6 +7,7 @@ least squares, and the fitted slope is compared against the predicted rate.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -19,6 +20,15 @@ from .errors import ConfigError
 from .group import GridFunction, GridSpec, homogeneous_norm, lp_norm
 from .spectral import Spectrum, delta_function, heat_kernel_column, positive_power
 from .stencils import apply_multi_index
+
+# lattice spacing of the unit-ball volume count on heisenberg
+UNIT_BALL_LATTICE_H = 0.02
+# largest spread of the Gaussian-bound log gaps over t that counts as stable
+GAUSSIAN_STABILITY_WINDOW = 2.0
+# fewest lattice points the smallest ball of a volume-growth fit may hold
+VOLUME_MIN_POINTS = 1000
+# half-width of the reconstruction window, as a fraction of the extent L
+RECONSTRUCTION_WINDOW = 0.5
 
 
 @dataclass
@@ -140,29 +150,22 @@ def _norm_for_mode(spec: GridSpec, rel: np.ndarray) -> np.ndarray:
     return np.sqrt((rel ** 2).sum(axis=1))
 
 
-def ball_volume(spec_mode: str, r: float, dims: int = 3,
-                unit_volume: float | None = None) -> float:
+def ball_volume(spec_mode: str, r: float, dims: int = 3) -> float:
     """V(r): homogeneous r^4 scaling on heisenberg, euclidean ball otherwise."""
     if spec_mode == "heisenberg":
-        v1 = heisenberg_unit_ball_volume() if unit_volume is None else unit_volume
-        return v1 * r ** 4
+        return heisenberg_unit_ball_volume() * r ** 4
     cd = math.pi ** (dims / 2.0) / math.gamma(dims / 2.0 + 1.0)
     return cd * r ** dims
 
 
-_UNIT_BALL_CACHE: dict = {}
-
-
-def heisenberg_unit_ball_volume(lattice_h: float = 0.02) -> float:
+@functools.cache
+def heisenberg_unit_ball_volume() -> float:
     """V(1) for the homogeneous-norm unit ball, by lattice count."""
-    key = round(lattice_h, 12)
-    if key not in _UNIT_BALL_CACHE:
-        _UNIT_BALL_CACHE[key] = measure_ball_volumes([1.0], lattice_h)[0]
-    return _UNIT_BALL_CACHE[key]
+    return measure_ball_volumes([1.0], UNIT_BALL_LATTICE_H)[0]
 
 
 def gaussian_bound_check(dec: Spectrum, t_values: Sequence[float],
-                         epsilon: float, stability_window: float = 2.0) -> GaussianBoundResult:
+                         epsilon: float) -> GaussianBoundResult:
     """Log-gap statistic for h_t(x) <= C [V(sqrt t)]^{-1} exp(-|x|^2/(4(1+eps)t)).
 
     G(t) = max_x [log h_t(x) + |x|^2/(4(1+eps)t) + log V(sqrt t)] over interior
@@ -202,7 +205,7 @@ def gaussian_bound_check(dec: Spectrum, t_values: Sequence[float],
         log_gaps=gaps,
         spread=spread,
         skipped=tuple(skipped),
-        stable=bool(np.isfinite(gaps).all() and spread < stability_window),
+        stable=bool(np.isfinite(gaps).all() and spread < GAUSSIAN_STABILITY_WINDOW),
     )
 
 
@@ -238,14 +241,14 @@ def measure_ball_volumes(r_values: Sequence[float], lattice_h: float,
 
 
 def volume_growth_fit(r_values: Sequence[float], lattice_h: float,
-                      norm: str = "heisenberg", min_points: int = 1000) -> DecayFit:
+                      norm: str = "heisenberg") -> DecayFit:
     """Fit log V(r) against log r; slope targets 4 (heisenberg) or 3 (euclidean)."""
     vols = measure_ball_volumes(r_values, lattice_h, norm=norm)
     smallest = vols.min() / lattice_h ** 3
-    if smallest < min_points:
+    if smallest < VOLUME_MIN_POINTS:
         raise ConfigError(
             f"smallest ball holds only {int(smallest)} lattice points "
-            f"(< {min_points}); decrease lattice_h"
+            f"(< {VOLUME_MIN_POINTS}); decrease lattice_h"
         )
     return fit_loglog(sorted(r_values), vols)
 
@@ -289,14 +292,13 @@ def weighted_norm_target_slope(spec: GridSpec, index: Sequence[str], p: int) -> 
 # multiplier-kernel reconstruction, exercised through m(lambda) = lambda^s e^{-lambda}
 # ---------------------------------------------------------------------------
 
-def kernel_reconstruction_gap(dec: Spectrum, s: float, t: float,
-                              window_fraction: float = 0.5) -> float:
+def kernel_reconstruction_gap(dec: Spectrum, s: float, t: float) -> float:
     """Relative gap between ||J^s h_t||_1 and its convolution reconstruction.
 
     J^s h_t = (t/2)^{-s} M * h_{t/2} exactly in the spectral calculus, where M
     is the kernel of m((t/2) J) with m(lambda) = lambda^s e^{-lambda}; here the
     right side is reassembled with the discrete group convolution and both L1
-    norms are taken over the inner window |x_i| <= window_fraction * L.
+    norms are taken over the inner window |x_i| <= RECONSTRUCTION_WINDOW * L.
     """
     from .group import group_convolve
 
@@ -311,7 +313,7 @@ def kernel_reconstruction_gap(dec: Spectrum, s: float, t: float,
     recon = group_convolve(M, ht2)
     scale = (t / 2.0) ** (-s)
     coords = spec.node_coordinates()
-    window = (np.abs(coords) <= window_fraction * spec.extent).all(axis=1)
+    window = (np.abs(coords) <= RECONSTRUCTION_WINDOW * spec.extent).all(axis=1)
     w = spec.spacing ** spec.dims
     l1_direct = w * np.abs(direct.values[window]).sum()
     l1_recon = scale * w * np.abs(recon.values[window]).sum()

@@ -239,22 +239,39 @@ def extension_constant_quadrature(s: float) -> float:
 
 @dataclass
 class ExtensionProfile:
-    """u(t_j, .) and d_t u(t_j, .) over the sweep."""
+    """u(t_j, .), its first two t-derivatives and J u(t_j, .) over the sweep.
+
+    lam_f_max[j] is the largest lambda F_s(t_j, lambda) over the spectrum, so
+    ||J u(t_j)||_2 <= lam_f_max[j] ||phi||_2.
+    """
 
     params: ExtensionParams
     u: list
     du_dt: list
+    ddu_dt2: list
+    ju: list
+    lam_f_max: np.ndarray
 
 
 def extension_solve(dec: Spectrum, params: ExtensionParams,
                     phi: GridFunction) -> ExtensionProfile:
-    """PATH A: the closed-form Bessel-K multipliers, one per eigenvalue."""
-    u, du = [], []
+    """PATH A: the closed-form Bessel-K multipliers, evaluated once per t.
+
+    The multipliers are elementwise in lambda, so they are evaluated once per
+    distinct eigenvalue and gathered back.
+    """
+    lam, index = np.unique(dec.eigenvalues, return_inverse=True)
+    u, du, ddu, ju, lam_f_max = [], [], [], [], []
     for t in params.t_values:
-        F, dF, _ = extension_multiplier_values(params.s, t, dec.eigenvalues)
-        u.append(dec.apply_values(F, phi))
-        du.append(dec.apply_values(dF, phi))
-    return ExtensionProfile(params=params, u=u, du_dt=du)
+        F, dF, ddF = extension_multiplier_values(params.s, t, lam)
+        lam_f = lam * F
+        u.append(dec.apply_values(F[index], phi))
+        du.append(dec.apply_values(dF[index], phi))
+        ddu.append(dec.apply_values(ddF[index], phi))
+        ju.append(dec.apply_values(lam_f[index], phi))
+        lam_f_max.append(float(lam_f.max(initial=0.0)))
+    return ExtensionProfile(params=params, u=u, du_dt=du, ddu_dt2=ddu, ju=ju,
+                            lam_f_max=np.array(lam_f_max))
 
 
 def extension_solve_tau_grid(dec: Spectrum, params: ExtensionParams,
@@ -278,34 +295,31 @@ def extension_solve_tau_grid(dec: Spectrum, params: ExtensionParams,
     return out
 
 
-def path_agreement(dec: Spectrum, params: ExtensionParams,
+def path_agreement(dec: Spectrum, profile: ExtensionProfile,
                    phi: GridFunction) -> float:
     """Max over the sweep of the relative L2 gap between PATH A and PATH B."""
-    a = extension_solve(dec, params, phi)
-    b = extension_solve_tau_grid(dec, params, phi)
+    b = extension_solve_tau_grid(dec, profile.params, phi)
     worst = 0.0
-    for ua, ub in zip(a.u, b):
+    for ua, ub in zip(profile.u, b):
         denom = max(lp_norm(ua, 2), 1e-300)
         worst = max(worst, lp_norm(GridFunction(phi.spec, ua.values - ub.values), 2) / denom)
     return worst
 
 
-def pde_residual(dec: Spectrum, params: ExtensionParams,
-                 phi: GridFunction, t: float) -> float:
-    """Relative residual of d_t^2 u + ((1-2s)/t) d_t u - J u = 0 at time t.
+def pde_residual(profile: ExtensionProfile) -> float:
+    """Worst relative residual of d_t^2 u + ((1-2s)/t) d_t u - J u = 0 over the sweep.
 
     The three terms come from Bessel functions of three different orders, so
     the residual checks the closed forms against the equation.
     """
-    s = params.s
-    lam = dec.eigenvalues
-    F, dF, ddF = extension_multiplier_values(s, t, lam)
-    ju = dec.apply_values(lam * F, phi).values
-    du = dec.apply_values(dF, phi).values
-    ddu = dec.apply_values(ddF, phi).values
-    num = np.linalg.norm(ddu + (1.0 - 2.0 * s) / t * du - ju)
-    den = np.linalg.norm(ju) + np.linalg.norm(ddu)
-    return float(num / den) if den > 0 else float(num)
+    s = profile.params.s
+    worst = 0.0
+    for t, du, ddu, ju in zip(profile.params.t_values, profile.du_dt,
+                              profile.ddu_dt2, profile.ju):
+        num = np.linalg.norm(ddu.values + (1.0 - 2.0 * s) / t * du.values - ju.values)
+        den = np.linalg.norm(ju.values) + np.linalg.norm(ddu.values)
+        worst = max(worst, float(num / den) if den > 0 else float(num))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -352,20 +366,20 @@ def boundary_limit(dec: Spectrum, params: ExtensionParams,
     if len(params.t_values) < 3:
         raise ConfigError("boundary limit needs at least 3 sweep points")
     s = params.s
-    lam = dec.eigenvalues
+    profile = extension_solve(dec, params, phi)
     sweep, slopes = [], []
-    for t in params.t_values:
-        _, dF, ddF = extension_multiplier_values(s, t, lam)
-        sweep.append(dec.apply_values(t ** (1.0 - 2.0 * s) * dF, phi))
-        slopes.append((1.0 - 2.0 * s) * t ** (-2.0 * s) * dF + t ** (1.0 - 2.0 * s) * ddF)
+    for t, du, ddu in zip(params.t_values, profile.du_dt, profile.ddu_dt2):
+        sweep.append(GridFunction(phi.spec, t ** (1.0 - 2.0 * s) * du.values))
+        slopes.append((1.0 - 2.0 * s) * t ** (-2.0 * s) * du.values
+                      + t ** (1.0 - 2.0 * s) * ddu.values)
 
     ext_vals = _extrapolate_three(
         params.t_values[-3:],
         [w.values for w in sweep[-3:]],
-        [dec.apply_values(m, phi).values for m in slopes[-3:]],
+        slopes[-3:],
         s,
     )
-    reference = dec.apply_values(-extension_constant(s) * positive_power(lam, s), phi)
+    reference = dec.apply_values(-extension_constant(s) * positive_power(dec.eigenvalues, s), phi)
 
     dists = [np.linalg.norm(w.values - ext_vals) for w in sweep]
     monotone = all(d1 > d2 for d1, d2 in zip(dists, dists[1:]))
@@ -413,24 +427,15 @@ class WellposednessReport:
     in_domain: bool
 
 
-def l2_wellposedness_check(dec: Spectrum, params: ExtensionParams,
+def l2_wellposedness_check(profile: ExtensionProfile,
                            phi: GridFunction) -> WellposednessReport:
     """||u(t)||_2 <= ||phi||_2 and J u(t) in L^2 with the sharp spectral bound."""
-    lam = dec.eigenvalues
     phinorm = lp_norm(phi, 2)
-    ratios, junorms, bounds = [], [], []
-    for t in params.t_values:
-        vals, _, _ = extension_multiplier_values(params.s, t, lam)
-        u = dec.apply_values(vals, phi)
-        ratios.append(lp_norm(u, 2) / max(phinorm, 1e-300))
-        ju = dec.apply_values(lam * vals, phi)
-        junorms.append(lp_norm(ju, 2))
-        bounds.append(float((lam * vals).max(initial=0.0)) * phinorm)
-    ratios = np.array(ratios)
-    junorms = np.array(junorms)
-    bounds = np.array(bounds)
+    ratios = np.array([lp_norm(u, 2) / max(phinorm, 1e-300) for u in profile.u])
+    junorms = np.array([lp_norm(ju, 2) for ju in profile.ju])
+    bounds = profile.lam_f_max * phinorm
     return WellposednessReport(
-        t_values=params.t_values,
+        t_values=profile.params.t_values,
         norm_ratios=ratios,
         ju_norms=junorms,
         ju_bounds=bounds,

@@ -277,6 +277,9 @@ def _heisenberg_convolve(f3: np.ndarray, g3: np.ndarray, spec: GridSpec) -> np.n
 # test functions
 # ---------------------------------------------------------------------------
 
+RANDOM_BUMPS = 3
+
+
 def gaussian_bump(spec: GridSpec, center, width: float) -> GridFunction:
     """Euclidean Gaussian exp(-|x-c|^2 / (2 width^2)) sampled on the grid.
 
@@ -300,17 +303,16 @@ def gaussian_bump(spec: GridSpec, center, width: float) -> GridFunction:
     return GridFunction(spec, np.exp(-d2 / (2.0 * width ** 2)))
 
 
-def random_bump(spec: GridSpec, rng: np.random.Generator, width: float | None = None,
-                n_bumps: int = 3, zero_mean: bool = False) -> GridFunction:
-    """Seeded sum of Gaussian bumps with centers in the inner half-box.
+def random_bump(spec: GridSpec, rng: np.random.Generator,
+                zero_mean: bool = False) -> GridFunction:
+    """Seeded sum of RANDOM_BUMPS Gaussian bumps with centers in the inner half-box.
 
-    width defaults to max(4h, L/8) so the bumps stay machine-resolvable.
+    Their width is max(4h, L/8), so the bumps stay machine-resolvable.
     """
     L = spec.extent
-    if width is None:
-        width = max(4.0 * spec.spacing, L / 8.0)
+    width = max(4.0 * spec.spacing, L / 8.0)
     vals = np.zeros(spec.n_nodes)
-    for _ in range(n_bumps):
+    for _ in range(RANDOM_BUMPS):
         center = rng.uniform(-L / 2, L / 2, size=spec.dims)
         amp = rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0])
         vals += amp * gaussian_bump(spec, center, width).values

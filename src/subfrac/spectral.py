@@ -133,7 +133,7 @@ class KrylovSpectrum:
     subspace containing f (N steps, or a breakdown), where the result is
     exact.  `residual` (the reorthogonalized A v of the last step) and
     `scale` (the largest ||A v|| seen) let `extended` continue the
-    recurrence; a `leading` spectrum has no residual.
+    recurrence.
     """
 
     spec: GridSpec
@@ -160,12 +160,6 @@ class KrylovSpectrum:
         coef = np.linalg.norm(self.start) * (Y @ (values * Y[0]))
         return GridFunction(self.spec, self.basis.T @ coef)
 
-    def leading(self, steps: int) -> "KrylovSpectrum":
-        """The Ritz spectrum of the first `steps` Lanczos steps of this basis."""
-        return _ritz_spectrum(self.spec, self.basis[:steps], self.alpha[:steps],
-                              self.beta[:steps - 1], self.start,
-                              self.exhaustive and steps >= self.steps)
-
     def extended(self, op: DiscreteOperator, steps: int) -> "KrylovSpectrum":
         """This spectrum continued to min(steps, N) Lanczos steps on op.
 
@@ -179,8 +173,6 @@ class KrylovSpectrum:
         done = self.steps
         if self.exhaustive or steps <= done:
             return self
-        if self.residual is None:
-            raise EvaluationError("a leading Krylov spectrum cannot be extended")
         V = np.empty((steps, self.basis.shape[1]))
         alpha, beta = np.empty(steps), np.empty(steps - 1)
         V[:done], alpha[:done], beta[:done - 1] = self.basis, self.alpha, self.beta
@@ -315,21 +307,18 @@ def heat_apply(dec: Spectrum, t: float, f: GridFunction) -> GridFunction:
     return dec.apply_values(np.exp(-t * dec.eigenvalues), f)
 
 
-def delta_function(spec: GridSpec, node: int | None = None) -> GridFunction:
-    """Discrete delta scaled by h^{-dims} so its integral is 1."""
-    if node is None:
-        node = spec.center_index()
+def delta_function(spec: GridSpec) -> GridFunction:
+    """Discrete delta at the center node, scaled by h^{-dims} so its integral is 1."""
     vals = np.zeros(spec.n_nodes)
-    vals[node] = spec.spacing ** (-spec.dims)
+    vals[spec.center_index()] = spec.spacing ** (-spec.dims)
     return GridFunction(spec, vals)
 
 
-def heat_kernel_column(dec: Spectrum, t: float,
-                       node: int | None = None) -> GridFunction:
-    """H_t applied to the unit-mass discrete delta; approximates h_t(x0^{-1}.x)."""
+def heat_kernel_column(dec: Spectrum, t: float) -> GridFunction:
+    """H_t applied to the unit-mass delta at the center x0; approximates h_t(x0^{-1}.x)."""
     if t <= 0:
         raise ConfigError(f"kernel column needs t > 0, got {t}")
-    return heat_apply(dec, t, delta_function(dec.spec, node))
+    return heat_apply(dec, t, delta_function(dec.spec))
 
 
 def heat_time_derivative_check(dec: Spectrum, t: float,

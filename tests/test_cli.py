@@ -188,6 +188,26 @@ def test_bad_tolerance_exits_two(tmp_path, capsys, tol, source):
     assert "error: tol must be finite and >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("mode, key, value", [
+    ("heisenberg", "dims", "2"),
+    ("euclidean_torus", "op", "j3"),
+    ("euclidean_box", "op", "j1"),
+])
+def test_value_the_mode_ignores_exits_two(tmp_path, capsys, mode, key, value, source):
+    # a heisenberg grid is always 3-D and a euclidean one carries the euclid
+    # operator, so any other value would be hashed into the config but not run
+    argv = ["spectrum", "--mode", mode, "--n", "5", "--out", str(tmp_path)]
+    if source == "flag":
+        argv += [f"--{key}", value]
+    else:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        argv += ["--config", str(cfg)]
+    assert run_cli(argv) == 2
+    assert f"got {key}=" in capsys.readouterr().err
+
+
 EIGEN_PROBES = ("eigen_orthogonality_probe", "eigen_residual_probe")
 
 
@@ -270,6 +290,28 @@ def test_torus_runs_never_densify(tmp_path, monkeypatch):
     values = [float(line.split(",")[1]) for line in lines[1:]]
     assert lines[0] == "index,eigenvalue" and len(values) == 256
     assert values == sorted(values) and values[0] == 0.0
+
+
+def test_verify_all_evaluates_multipliers_once_per_profile(tmp_path, monkeypatch):
+    # one extension profile per s for the extend checks and one per s in the
+    # boundary limit, each evaluated once per t over the distinct eigenvalues
+    import subfrac.extension as extension
+
+    evaluate = extension.extension_multiplier_values
+    calls = []
+
+    def counted(s, t, lam):
+        calls.append(lam.size)
+        assert np.unique(lam).size == lam.size
+        return evaluate(s, t, lam)
+
+    monkeypatch.setattr(extension, "extension_multiplier_values", counted)
+    code = run_cli(["verify-all", "--mode", "euclidean_torus", "--dims", "2", "--n", "16",
+                    "--L", "10", "--s", "0.3,0.5", "--t", "0.2,0.1,0.05",
+                    "--out", str(tmp_path)])
+    assert code == 0
+    assert len(calls) == 2 * 2 * 3
+    assert max(calls) < 16 * 16
 
 
 def test_limit_spec_example_defaults(tmp_path):

@@ -286,14 +286,14 @@ def test_path_a_vs_path_b_heisenberg(heis9, rng):
     op, dec = heis9
     phi = subfrac.random_bump(op.spec, rng)
     params = ExtensionParams(s=0.45, t_values=(0.8, 0.3))
-    assert path_agreement(dec, params, phi) <= 1e-6
+    assert path_agreement(dec, extension_solve(dec, params, phi), phi) <= 1e-6
 
 
 def test_path_a_vs_path_b_torus_mean_zero(torus64, rng):
     op, dec = torus64
     phi = subfrac.random_bump(op.spec, rng, zero_mean=True)
     params = ExtensionParams(s=0.3, t_values=(0.5,))
-    assert path_agreement(dec, params, phi) <= 1e-6
+    assert path_agreement(dec, extension_solve(dec, params, phi), phi) <= 1e-6
 
 
 def test_tau_grid_drops_kernel_mode(torus64):
@@ -394,7 +394,7 @@ def test_pde_residual_single_mode(torus64):
     op, dec = torus64
     v = GridFunction(op.spec, dec.eigenvectors[:, 3])
     params = ExtensionParams(s=0.5, t_values=(1.0,))
-    assert pde_residual(dec, params, v, 1.0) <= 1e-8
+    assert pde_residual(extension_solve(dec, params, v)) <= 1e-8
 
 
 def test_pde_residual_torus(torus64, rng):
@@ -402,8 +402,7 @@ def test_pde_residual_torus(torus64, rng):
     phi = subfrac.random_bump(op.spec, rng)
     for s in (0.3, 0.5, 0.7):
         params = ExtensionParams(s=s, t_values=(1.0, 0.5, 0.1))
-        for t in params.t_values:
-            assert pde_residual(dec, params, phi, t) <= 1e-6
+        assert pde_residual(extension_solve(dec, params, phi)) <= 1e-6
 
 
 def test_pde_residual_heisenberg(heis15, rng):
@@ -411,7 +410,7 @@ def test_pde_residual_heisenberg(heis15, rng):
     phi = subfrac.random_bump(op.spec, rng)
     for s in (0.3, 0.7):
         params = ExtensionParams(s=s, t_values=(0.5,))
-        assert pde_residual(dec, params, phi, 0.5) <= 1e-5
+        assert pde_residual(extension_solve(dec, params, phi)) <= 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +487,7 @@ def test_wellposedness_report(torus64, rng):
     op, dec = torus64
     phi = subfrac.random_bump(op.spec, rng)
     params = ExtensionParams(s=0.5, t_values=(2.0, 1.0, 0.5, 0.1, 1e-3))
-    rep = l2_wellposedness_check(dec, params, phi)
+    rep = l2_wellposedness_check(extension_solve(dec, params, phi), phi)
     assert rep.non_expansive
     assert rep.in_domain
     # F decreasing in t: later (smaller t) ratios are larger

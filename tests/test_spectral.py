@@ -197,16 +197,6 @@ def test_krylov_eigenvector_start_stops_early(heis9):
     assert np.abs(got - dec.eigenvalues[k] ** 0.4 * phi.values).max() <= 1e-12 * np.abs(got).max()
 
 
-def test_krylov_leading_steps_are_the_shorter_run(heis9, rng):
-    op, _ = heis9
-    phi = grid_fn(op.spec, rng)
-    long, short = krylov_spectrum(op, phi, 64), krylov_spectrum(op, phi, 32)
-    half = long.leading(32)
-    assert not half.exhaustive
-    assert np.array_equal(half.eigenvalues, short.eigenvalues)
-    assert np.array_equal(half.basis, short.basis)
-
-
 def test_krylov_extended_is_the_longer_run(heis9, rng):
     # continuing the recurrence repeats no step and changes no bit
     op, _ = heis9
@@ -220,8 +210,6 @@ def test_krylov_extended_is_the_longer_run(heis9, rng):
     capped = longer.extended(op, 10 * op.spec.n_nodes)
     assert capped.steps == op.spec.n_nodes and capped.exhaustive
     assert capped.extended(op, 10 * op.spec.n_nodes) is capped
-    with pytest.raises(EvaluationError, match="leading"):
-        fresh.leading(32).extended(op, 64)
 
 
 def test_krylov_foreign_vector_is_evaluation_error(heis9, rng):
