@@ -297,15 +297,18 @@ def run_heat(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=Non
             report.add_upper(f"kernel_mass_gap_t={t}", abs(integral(col) - 1.0), 1e-9)
 
 
-def run_extend(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=None) -> None:
+def run_extend(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=None) -> list:
+    """The extend checks of each s; returns the extension profile of each s."""
     spec = config.grid()
     if dec is None:
         dec = run_spectrum(config, report, out_dir)
     phi = _phi(config, spec, zero_mean=spec.mode == "euclidean_torus")
     res_tol = 1e-5 if spec.mode == "heisenberg" else 1e-6
+    profiles = []
     for s in config.s_values:
         params = ExtensionParams(s=s, t_values=config.t_values)
         profile = extension_solve(dec, params, phi)
+        profiles.append(profile)
         for t, u, du in zip(params.t_values, profile.u, profile.du_dt):
             write_gf1(out_dir / f"extend_u_s{s!r}_t{t!r}.gf1", u)
             write_gf1(out_dir / f"extend_dudt_s{s!r}_t{t!r}.gf1", du)
@@ -320,7 +323,7 @@ def run_extend(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=N
             "s": s,
             "t_values": list(params.t_values),
             "quadrature": {
-                "initial_nodes": QUAD_NODES,
+                "initial_nodes": QUAD_NODES + 1,  # QUAD_NODES intervals
                 "rtol": QUAD_RTOL,
                 "tail": QUAD_TAIL,
             },
@@ -332,6 +335,7 @@ def run_extend(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=N
             out_dir / f"extend_manifest_s{s!r}.json",
             json.dumps(manifest, sort_keys=True, indent=2) + "\n",
         )
+    return profiles
 
 
 def _relative_gap(a: GridFunction, b: GridFunction) -> float:
@@ -347,24 +351,27 @@ def _krylov_limit_spectrum(op, phi: GridFunction, sweeps: list):
     exhaustive, when the Ritz spectrum is exact and each gap is 0.  Each
     doubling continues the Lanczos recurrence of the last basis, so the
     k/2-step spectrum is the previous level and its limits are kept, not
-    recomputed.  Returns the spectrum and the gap of each sweep.
+    recomputed.  Returns the spectrum, the gap of each sweep and the
+    extension profile of each sweep on that spectrum.
     """
     kry, previous = krylov_spectrum(op, phi, KRYLOV_START), None
-    while not kry.exhaustive:
+    while True:
+        profiles = [extension_solve(kry, params, phi) for params in sweeps]
+        if kry.exhaustive:
+            return kry, [0.0] * len(sweeps), profiles
         # these limits only test convergence; the reported ones are computed
         # again on the final spectrum, where a fallback warning is real
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            current = [boundary_limit(kry, params, phi) for params in sweeps]
+            current = [boundary_limit(kry, profile, phi) for profile in profiles]
         if previous is not None:
             gaps = [max(_relative_gap(part.extrapolated, full.extrapolated),
                         _relative_gap(part.reference, full.reference))
                     for part, full in zip(previous, current)]
             if max(gaps) <= KRYLOV_RTOL:
-                return kry, gaps
+                return kry, gaps, profiles
         previous = current
         kry = kry.extended(op, 2 * kry.steps)
-    return kry, [0.0] * len(sweeps)
 
 
 def _sparse_identity(op, kry, s: float, phi: GridFunction) -> float:
@@ -378,12 +385,15 @@ def _sparse_identity(op, kry, s: float, phi: GridFunction) -> float:
     return _relative_gap(lhs, op.apply(phi))
 
 
-def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=None) -> None:
+def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=None,
+              profiles=None) -> None:
     """The boundary limit of each s.
 
     Without a decomposition handed in, a Dirichlet grid (lambda_min > 0)
     takes the Krylov route; a torus, whose zero mode the Ritz values resolve
-    slowly, takes the FFT diagonalization of run_spectrum.
+    slowly, takes the FFT diagonalization of run_spectrum.  `profiles`, one
+    per s, are extension profiles of dec and this run's phi, to be read
+    instead of built again.
     """
     spec = config.grid()
     phi = _phi(config, spec)
@@ -391,7 +401,7 @@ def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=No
     krylov = dec is None and spec.mode != "euclidean_torus"
     if krylov:
         op = assemble_operator(config.op, spec)
-        dec, gaps = _krylov_limit_spectrum(op, phi, sweeps)
+        dec, gaps, profiles = _krylov_limit_spectrum(op, phi, sweeps)
         V = dec.basis
         report.add_upper("krylov_orthogonality",
                          float(np.abs(V @ V.T - np.eye(dec.steps)).max()), 1e-12)
@@ -410,7 +420,8 @@ def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=No
             report.add_upper(f"krylov_steps_s={s}", dec.steps, DENSE_LIMIT ** 2 // spec.n_nodes)
             report.add_upper(f"krylov_delta_s={s}", gaps[i], KRYLOV_RTOL)
             report.add_upper(f"sparse_identity_s={s}", _sparse_identity(op, dec, s, phi), 1e-12)
-        result = boundary_limit(dec, params, phi)
+        profile = profiles[i] if profiles else extension_solve(dec, params, phi)
+        result = boundary_limit(dec, profile, phi)
         write_gf1(out_dir / f"limit_extrapolated_s{s!r}.gf1", result.extrapolated)
         write_gf1(out_dir / f"limit_reference_s{s!r}.gf1", result.reference)
         rows = ["t,rel_distance_to_extrapolant"]
@@ -497,8 +508,11 @@ def run_verify_all(config: ExperimentConfig, report: RunReport, out_dir: Path) -
     dec = run_spectrum(config, report, out_dir)
     run_frac(config, report, out_dir, dec)
     run_heat(config, report, out_dir, dec)
-    run_extend(config, report, out_dir, dec)
-    run_limit(config, report, out_dir, dec)
+    profiles = run_extend(config, report, out_dir, dec)
+    # the extend phi is zero-mean only on the torus; elsewhere it is the
+    # limit's phi, so the limit reads the extend profiles
+    run_limit(config, report, out_dir, dec,
+              None if spec.mode == "euclidean_torus" else profiles)
 
 
 RUNNERS = {

@@ -18,9 +18,10 @@ closed form with the modified Bessel function K (Caffarelli-Silvestre 2007,
 Stinga-Torrea 2010).  The validation routes evaluate the integrals instead, by
 the trapezoid rule on the log axis rho = e^sigma, where the integrand decays
 exponentially at both ends and the rule converges geometrically; the grid is
-cut where the integrand falls QUAD_TAIL log-units below its peak and the
-node count, from QUAD_NODES, doubles until successive values agree to
-QUAD_RTOL.
+cut where the integrand falls QUAD_TAIL log-units below its peak, and its
+levels nest: the first has QUAD_NODES intervals, and each doubling adds only
+the midpoints, until successive levels agree to QUAD_RTOL (Trefethen and
+Weideman, SIAM Review 56, 2014).
 
 The boundary limit t^{1-2s} d_t u -> -C(s) J^s phi carries the constant
 C(s) = 4^{1-s} Gamma(1-s) / (2 Gamma(s)), validated against direct quadrature
@@ -141,12 +142,41 @@ def scalar_ode_residual(s: float, lam: float, t: float) -> float:
 # log-axis quadrature (the validation routes)
 # ---------------------------------------------------------------------------
 
+def _node_sums(a: float, q: np.ndarray, log_q: np.ndarray, peak: np.ndarray,
+               sig: np.ndarray) -> np.ndarray:
+    """Per q, the sum over the ascending nodes sig of exp(a sigma - e^sigma - q e^{-sigma} - peak).
+
+    The q-term is the outer product q e^{-sigma}, so the only 2-D exp is the
+    final one, taken in place.  On the columns where e^{-sigma} overflows (a
+    prefix of the ascending nodes) the q-term keeps the exact log form
+    exp(log q - sigma) instead; q = 0 then drops it as log q = -inf.  A
+    q-term that overflows to inf, where one grid serves a wide range of q,
+    correctly gives the node the value 0.
+    """
+    with np.errstate(over="ignore"):
+        decay = np.exp(-sig)
+        cut = np.count_nonzero(np.isinf(decay))
+        head = a * sig - np.exp(sig)
+        buf = np.multiply.outer(q, decay[cut:])
+        buf += peak[:, None]
+        np.subtract(head[cut:], buf, out=buf)
+        np.exp(buf, out=buf)
+        total = buf.sum(axis=1)
+        if cut:
+            expo = head[:cut] - np.exp(log_q[:, None] - sig[:cut]) - peak[:, None]
+            total += np.exp(expo).sum(axis=1)
+    return total
+
+
 def _log_axis_quadrature(a: float, q: np.ndarray) -> tuple[np.ndarray, float]:
     """int exp(a sigma - e^sigma - q e^{-sigma}) dsigma over the real line, per q.
 
     All q >= 0 share one grid, cut where the integrands of the smallest and
-    the largest q fall QUAD_TAIL below their peaks; q = 0 needs a > 0.
-    Returns the values and the last relative refinement delta.
+    the largest q fall QUAD_TAIL below their peaks; q = 0 needs a > 0.  Level
+    j of the trapezoid rule has QUAD_NODES 2^j intervals on that grid, so the
+    levels nest: each doubling evaluates only the new midpoints.  Each row is
+    scaled by the integrand's peak, known in closed form.  Returns the values
+    and the last relative refinement delta.
     """
     with np.errstate(divide="ignore"):
         log_q = np.log(q)  # -inf at q = 0 drops the q-term
@@ -156,12 +186,15 @@ def _log_axis_quadrature(a: float, q: np.ndarray) -> tuple[np.ndarray, float]:
         # march is still above the cutoff
         return a * sig - np.exp(sig) - np.exp(lq - sig)
 
-    edges = []
-    for qe, lq in ((q.min(), log_q.min()), (q.max(), log_q.max())):
+    def crest(qq):
         # the peak e^sigma solves x^2 - a x - q = 0; for a < 0 the textbook
         # root cancels to 0 when q is tiny, so take its rationalized form
-        root = np.sqrt(a * a + 4.0 * qe)
-        s0 = np.log((a + root) / 2.0 if a >= 0 else 2.0 * qe / (root - a))
+        root = np.sqrt(a * a + 4.0 * qq)
+        return np.log((a + root) / 2.0 if a >= 0 else 2.0 * qq / (root - a))
+
+    edges = []
+    for qe, lq in ((q.min(), log_q.min()), (q.max(), log_q.max())):
+        s0 = crest(qe)
         floor = g(s0, lq) - QUAD_TAIL
         lo = hi = s0
         while g(lo, lq) > floor:
@@ -171,20 +204,24 @@ def _log_axis_quadrature(a: float, q: np.ndarray) -> tuple[np.ndarray, float]:
         edges += [lo, hi]
     lo, hi = min(edges) - 0.5, max(edges) + 0.5
 
+    peak = g(crest(q), log_q)
+    scale = np.exp(peak)
     n = QUAD_NODES
-    prev = None
+    h = (hi - lo) / n
+    inner = lo + h * np.arange(1, n)
+    total = h * (_node_sums(a, q, log_q, peak, inner)
+                 + 0.5 * _node_sums(a, q, log_q, peak, np.array([lo, hi])))
+    vals = scale * total
     delta = np.inf
-    for _ in range(QUAD_DOUBLINGS + 1):
-        sig = np.linspace(lo, hi, n)
-        expo = g(sig[None, :], log_q[:, None])
-        peak = expo.max(axis=1, keepdims=True)
-        vals = np.exp(peak[:, 0]) * np.trapezoid(np.exp(expo - peak), sig, axis=1)
-        if prev is not None:
-            delta = float(np.max(np.abs(vals - prev) / np.maximum(np.abs(vals), 1e-300)))
-            if delta <= QUAD_RTOL:
-                return vals, delta
-        prev = vals
+    for _ in range(QUAD_DOUBLINGS):
+        mids = lo + h * (np.arange(n) + 0.5)
+        h /= 2.0
         n *= 2
+        total = total / 2.0 + h * _node_sums(a, q, log_q, peak, mids)
+        prev, vals = vals, scale * total
+        delta = float(np.max(np.abs(vals - prev) / np.maximum(np.abs(vals), 1e-300)))
+        if delta <= QUAD_RTOL:
+            return vals, delta
     raise AccuracyError("log-axis quadrature did not converge", delta)
 
 
@@ -354,19 +391,20 @@ def _extrapolate_three(ts: Sequence[float], ws: Sequence[np.ndarray],
     return sum(wt * d for wt, d in zip(weights, data))
 
 
-def boundary_limit(dec: Spectrum, params: ExtensionParams,
+def boundary_limit(dec: Spectrum, profile: ExtensionProfile,
                    phi: GridFunction) -> BoundaryLimitResult:
     """Extrapolate t^{1-2s} d_t u to t = 0 and compare with -C(s) J^s phi.
 
-    Uses the values and exact t-derivatives at the three smallest sweep points
-    for the extrapolant.  If the sweep does not approach it monotonically the
-    extrapolation assumption failed; a warning is raised and the smallest-t
-    raw value is returned instead.
+    Reads d_t u and d_t^2 u from the profile that extension_solve built from
+    dec and phi, and uses the values and exact t-derivatives at the three
+    smallest sweep points for the extrapolant.  If the sweep does not approach
+    it monotonically the extrapolation assumption failed; a warning is raised
+    and the smallest-t raw value is returned instead.
     """
+    params = profile.params
     if len(params.t_values) < 3:
         raise ConfigError("boundary limit needs at least 3 sweep points")
     s = params.s
-    profile = extension_solve(dec, params, phi)
     sweep, slopes = [], []
     for t, du, ddu in zip(params.t_values, profile.du_dt, profile.ddu_dt2):
         sweep.append(GridFunction(phi.spec, t ** (1.0 - 2.0 * s) * du.values))

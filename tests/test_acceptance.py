@@ -77,7 +77,7 @@ def test_criterion_02_limit_identity_torus(torus64):
     with criterion(2, "boundary limit on euclidean_torus n=64", 10.0):
         for s in (0.3, 0.5, 0.7):
             params = ExtensionParams(s=s, t_values=(0.2, 0.1, 0.05))
-            res = boundary_limit(dec, params, phi)
+            res = boundary_limit(dec, extension_solve(dec, params, phi), phi)
             assert res.rel_error <= 1e-3, (s, res.rel_error)
 
 
@@ -89,7 +89,7 @@ def test_criterion_03_limit_identity_heisenberg(heis15, rng):
                    300.0, extra_s=decomposition_s):
         for s in (0.3, 0.5, 0.7):
             params = ExtensionParams(s=s, t_values=(0.1, 0.05, 0.025))
-            res = boundary_limit(dec, params, phi)
+            res = boundary_limit(dec, extension_solve(dec, params, phi), phi)
             assert res.rel_error <= 2e-2, (s, res.rel_error)
 
 

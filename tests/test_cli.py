@@ -314,6 +314,26 @@ def test_verify_all_evaluates_multipliers_once_per_profile(tmp_path, monkeypatch
     assert max(calls) < 16 * 16
 
 
+def test_verify_all_heisenberg_limit_reads_the_extend_profiles(tmp_path, monkeypatch):
+    # off the torus the extend and limit phis agree, so the boundary limit
+    # reads the extend profiles: one multiplier call per (s, t)
+    import subfrac.extension as extension
+
+    evaluate = extension.extension_multiplier_values
+    calls = []
+
+    def counted(s, t, lam):
+        calls.append((s, t))
+        return evaluate(s, t, lam)
+
+    monkeypatch.setattr(extension, "extension_multiplier_values", counted)
+    code = run_cli(["verify-all", "--mode", "heisenberg", "--n", "5", "--L", "2",
+                    "--s", "0.3,0.5", "--t", "0.2,0.1,0.05", "--out", str(tmp_path)])
+    assert code == 0
+    assert len(calls) == 2 * 3
+    assert len(set(calls)) == len(calls)
+
+
 def test_limit_spec_example_defaults(tmp_path):
     # the documented one-liner, with no --L: defaults must make it pass
     code = run_cli([

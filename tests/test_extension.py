@@ -164,6 +164,58 @@ def test_subordination_integral_tiny_q():
         assert got[0] == pytest.approx(want, rel=1e-9)
 
 
+EXACT_CASES = (
+    [(0, s, q) for s in (0.01, 0.1, 0.5, 0.99)
+     for q in (5e-324, 1e-310, 1e-300, 1e-12, 1.0, 1e4)]
+    + [(k, 0.5, q) for k in (1, 2) for q in (1e-300, 1e-150, 1e-12, 1.0, 1e4)
+       if (k, q) != (2, 1e-300)]
+)
+
+
+def test_quadrature_engine_is_exact():
+    # down to the smallest subnormal q, where the q-term matters only far out
+    # on the negative log axis, and without a floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, s, q in EXACT_CASES:
+            got, _ = subordination_integral(s, np.array([q]), k)
+            want = 2.0 / gamma(s) * q ** ((s - k) / 2.0) * kv(s - k, 2.0 * np.sqrt(q))
+            assert got[0] == pytest.approx(want, rel=1e-12), (k, s, q)
+        for s in (0.01, 0.5, 0.99):
+            assert extension_constant_quadrature(s) == pytest.approx(
+                extension_constant(s), rel=1e-14)
+
+
+def test_quadrature_levels_nest(monkeypatch):
+    # a call that converges after k doublings evaluates the integrand at the
+    # QUAD_NODES 2^k + 1 nodes of its finest level, each exactly once
+    import subfrac.extension as ext
+
+    monkeypatch.setattr(ext, "QUAD_NODES", 16)
+    evaluate = ext._node_sums
+    seen = []
+
+    def counted(a, q, log_q, peak, sig):
+        seen.extend(sig)
+        return evaluate(a, q, log_q, peak, sig)
+
+    monkeypatch.setattr(ext, "_node_sums", counted)
+    q = np.array([1e-3, 1.0, 10.0])
+    got, _ = subordination_integral(0.5, q, 0)
+    nodes = np.sort(seen)
+    k = int(np.log2((nodes.size - 1) // 16))
+    assert k >= 2 and nodes.size == 16 * 2 ** k + 1
+    assert np.unique(nodes).size == nodes.size
+    np.testing.assert_allclose(np.diff(nodes), (nodes[-1] - nodes[0]) / (16 * 2 ** k),
+                               rtol=1e-9)
+    want = 2.0 / gamma(0.5) * q ** 0.25 * kv(0.5, 2.0 * np.sqrt(q))
+    np.testing.assert_allclose(got, want, rtol=1e-10)
+    # one doubling fewer does not converge, so k is the doubling count
+    monkeypatch.setattr(ext, "QUAD_DOUBLINGS", k - 1)
+    with pytest.raises(AccuracyError):
+        subordination_integral(0.5, q, 0)
+
+
 def test_closed_form_matches_quadrature():
     # PATH A's Bessel-K triple against G_0, G_1, G_2 by quadrature
     lam = np.geomspace(1e-3, 1e3, 25)
@@ -432,7 +484,7 @@ def test_boundary_limit_torus(torus64):
     phi = torus_bump(op.spec)
     for s in (0.3, 0.5, 0.7):
         params = ExtensionParams(s=s, t_values=(0.2, 0.1, 0.05))
-        res = boundary_limit(dec, params, phi)
+        res = boundary_limit(dec, extension_solve(dec, params, phi), phi)
         assert res.rel_error <= 1e-3
         assert res.monotone and not res.used_fallback
 
@@ -443,7 +495,7 @@ def test_boundary_limit_error_shrinks_with_sweep(torus64):
     errs = []
     for t0 in (0.4, 0.2, 0.1):
         params = ExtensionParams(s=0.6, t_values=(t0, t0 / 2, t0 / 4))
-        errs.append(boundary_limit(dec, params, phi).rel_error)
+        errs.append(boundary_limit(dec, extension_solve(dec, params, phi), phi).rel_error)
     assert errs[2] < errs[1] < errs[0]
 
 
@@ -451,7 +503,7 @@ def test_boundary_limit_reference_is_fractional_power(torus64):
     op, dec = torus64
     phi = torus_bump(op.spec)
     params = ExtensionParams(s=0.5, t_values=(0.2, 0.1, 0.05))
-    res = boundary_limit(dec, params, phi)
+    res = boundary_limit(dec, extension_solve(dec, params, phi), phi)
     want = -extension_constant(0.5) * fractional_power(dec, 0.5, phi).values
     assert np.abs(res.reference.values - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -460,7 +512,8 @@ def test_boundary_limit_needs_three_points(torus64):
     op, dec = torus64
     phi = torus_bump(op.spec)
     with pytest.raises(ConfigError):
-        boundary_limit(dec, ExtensionParams(s=0.5, t_values=(0.2, 0.1)), phi)
+        params = ExtensionParams(s=0.5, t_values=(0.2, 0.1))
+        boundary_limit(dec, extension_solve(dec, params, phi), phi)
 
 
 def test_boundary_limit_fallback_wiring(torus64, monkeypatch):
@@ -474,7 +527,7 @@ def test_boundary_limit_fallback_wiring(torus64, monkeypatch):
     params = ExtensionParams(s=0.5, t_values=(0.2, 0.1, 0.05))
     monkeypatch.setattr(ext, "_extrapolate_three", lambda ts, ws, dws, s: np.array(ws[0]))
     with pytest.warns(RuntimeWarning):
-        res = ext.boundary_limit(dec, params, phi)
+        res = ext.boundary_limit(dec, extension_solve(dec, params, phi), phi)
     assert res.used_fallback and not res.monotone
     assert np.array_equal(res.extrapolated.values, res.sweep_values[-1].values)
 

@@ -144,7 +144,7 @@ def test_boundary_limit_through_fourier_path(torus64):
     phi = gaussian_bump(spec, [0.2 * spec.extent], 8 * spec.spacing)
     for s in (0.3, 0.7):
         params = ExtensionParams(s=s, t_values=(0.2, 0.1, 0.05))
-        res = boundary_limit(diag, params, phi)
+        res = boundary_limit(diag, extension_solve(diag, params, phi), phi)
         want = -extension_constant(s) * fractional_power(diag, s, phi).values
         gap = lp_norm(GridFunction(spec, res.extrapolated.values - want), 2)
         assert gap / lp_norm(GridFunction(spec, want), 2) <= 1e-3
@@ -158,7 +158,7 @@ def test_fourier_path_error_shrinks_under_refinement(torus64):
     errs = []
     for t0 in (0.4, 0.2, 0.1):
         params = ExtensionParams(s=0.5, t_values=(t0, t0 / 2, t0 / 4))
-        errs.append(boundary_limit(diag, params, phi).rel_error)
+        errs.append(boundary_limit(diag, extension_solve(diag, params, phi), phi).rel_error)
     assert errs[2] < errs[1] < errs[0]
 
 
@@ -166,6 +166,13 @@ def _extension_u_and_du(spectrum, phi, g, rng):
     # s = 0.5 at t = 0.3 on white-noise data, the extension spot check
     profile = extension_solve(spectrum, ExtensionParams(s=0.5, t_values=(0.3,)), phi)
     return profile.u[0].values, profile.du_dt[0].values
+
+
+def _limit_extrapolated(spectrum, phi, g, rng):
+    data = random_bump(spectrum.spec, rng)
+    params = ExtensionParams(s=0.5, t_values=(0.2, 0.1, 0.05))
+    return [boundary_limit(spectrum, extension_solve(spectrum, params, data), data)
+            .extrapolated.values]
 
 
 def _kernel_norm_fits(spectrum, phi, g, rng):
@@ -184,10 +191,7 @@ SPECTRUM_CALLS = {
     ],
     "spectral_pairing": lambda sp, phi, g, rng: [spectral_pairing(sp, phi, g, lambda lam: lam)],
     "extension_solve": _extension_u_and_du,
-    "boundary_limit": lambda sp, phi, g, rng: [
-        boundary_limit(sp, ExtensionParams(s=0.5, t_values=(0.2, 0.1, 0.05)),
-                       random_bump(sp.spec, rng)).extrapolated.values
-    ],
+    "boundary_limit": _limit_extrapolated,
     "kernel_norm_decay": _kernel_norm_fits,
 }
 

@@ -144,7 +144,8 @@ def krylov_routes(heis9, heis15):
 def _limit_fields(sp, phi):
     fields = []
     for s in (0.1, 0.5, 0.9):
-        res = boundary_limit(sp, ExtensionParams(s=s, t_values=(0.2, 0.1, 0.05)), phi)
+        params = ExtensionParams(s=s, t_values=(0.2, 0.1, 0.05))
+        res = boundary_limit(sp, extension_solve(sp, params, phi), phi)
         fields += [res.extrapolated.values, res.reference.values]
     return fields
 
