@@ -374,14 +374,13 @@ def _krylov_limit_spectrum(op, phi: GridFunction, sweeps: list):
         kry = kry.extended(op, 2 * kry.steps)
 
 
-def _sparse_identity(op, kry, s: float, phi: GridFunction) -> float:
-    """||J^s (J^{1-s} phi) - A phi|| / ||A phi|| with A the assembled matrix.
+def _sparse_identity(op, psi: GridFunction, s: float, steps: int, phi: GridFunction) -> float:
+    """||J^s psi - A phi|| / ||A phi|| with psi = J^{1-s} phi and A the assembled matrix.
 
-    J^{1-s} phi comes from the Ritz spectrum of phi, and J^s from a second
-    one of the same size started from J^{1-s} phi.
+    psi comes from the Ritz spectrum of phi, and J^s from a second one of
+    `steps` steps started from psi.
     """
-    psi = fractional_power(kry, 1.0 - s, phi)
-    lhs = fractional_power(krylov_spectrum(op, psi, kry.steps), s, psi)
+    lhs = fractional_power(krylov_spectrum(op, psi, steps), s, psi)
     return _relative_gap(lhs, op.apply(phi))
 
 
@@ -402,13 +401,23 @@ def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=No
     if krylov:
         op = assemble_operator(config.op, spec)
         dec, gaps, profiles = _krylov_limit_spectrum(op, phi, sweeps)
-        V = dec.basis
         report.add_upper("krylov_orthogonality",
-                         float(np.abs(V @ V.T - np.eye(dec.steps)).max()), 1e-12)
+                         float(np.abs(dec.basis @ dec.basis.T - np.eye(dec.steps)).max()), 1e-12)
     elif dec is None:
         dec = run_spectrum(config, report, out_dir)
+    if not profiles:
+        profiles = [extension_solve(dec, params, phi) for params in sweeps]
+    results = [boundary_limit(dec, profile, phi) for profile in profiles]
+    if krylov:
+        # the basis of each psi is built only once phi's is dropped, so the
+        # run holds one full-length basis at a time
+        steps = dec.steps
+        psis = [fractional_power(dec, 1.0 - params.s, phi) for params in sweeps]
+        del dec
+        identities = [_sparse_identity(op, psi, params.s, steps, phi)
+                      for psi, params in zip(psis, sweeps)]
     tol = config.tol or (2e-2 if spec.mode == "heisenberg" else 1e-3)
-    for i, params in enumerate(sweeps):
+    for i, (params, result) in enumerate(zip(sweeps, results)):
         s = params.s
         report.add_upper(
             f"C_s_closed_vs_quadrature_s={s}",
@@ -417,11 +426,9 @@ def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=No
             1e-10,
         )
         if krylov:
-            report.add_upper(f"krylov_steps_s={s}", dec.steps, DENSE_LIMIT ** 2 // spec.n_nodes)
+            report.add_upper(f"krylov_steps_s={s}", steps, DENSE_LIMIT ** 2 // spec.n_nodes)
             report.add_upper(f"krylov_delta_s={s}", gaps[i], KRYLOV_RTOL)
-            report.add_upper(f"sparse_identity_s={s}", _sparse_identity(op, dec, s, phi), 1e-12)
-        profile = profiles[i] if profiles else extension_solve(dec, params, phi)
-        result = boundary_limit(dec, profile, phi)
+            report.add_upper(f"sparse_identity_s={s}", identities[i], 1e-12)
         write_gf1(out_dir / f"limit_extrapolated_s{s!r}.gf1", result.extrapolated)
         write_gf1(out_dir / f"limit_reference_s{s!r}.gf1", result.reference)
         rows = ["t,rel_distance_to_extrapolant"]

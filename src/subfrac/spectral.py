@@ -222,24 +222,30 @@ def _lanczos(op: DiscreteOperator, V: np.ndarray, alpha: np.ndarray, beta: np.nd
             V[j] = w / beta[j - 1]
         w = A @ V[j]
         scale = max(scale, np.linalg.norm(w))
+        # the three-term recurrence, O(N), then one classical Gram-Schmidt
+        # pass over the whole basis to remove what roundoff left of it
+        if j > 0:
+            w -= beta[j - 1] * V[j - 1]
+        a = V[j] @ w
+        w -= a * V[j]
         basis = V[:j + 1]
         h = basis @ w
         w -= h @ basis
-        h2 = basis @ w
-        w -= h2 @ basis
-        alpha[j] = h[j] + h2[j]
+        alpha[j] = a + h[j]
     return _ritz_spectrum(op.spec, V, alpha, beta, start, steps == op.spec.n_nodes, w, scale)
 
 
 def krylov_spectrum(op: DiscreteOperator, f: GridFunction, steps: int) -> KrylovSpectrum:
     """Ritz spectrum of f after min(steps, N) Lanczos steps on the assembled operator.
 
-    Full reorthogonalization: each new vector is orthogonalized against the
-    whole basis in two classical Gram-Schmidt passes, so the basis stays
-    orthonormal to roundoff.  The process stops early at an invariant
-    subspace.  The basis holds steps x N doubles, and a request above
-    DENSE_LIMIT^2 of them, the memory of the dense route at its limit,
-    raises CapacityError.
+    Full reorthogonalization: each step takes the three-term recurrence and
+    then one classical Gram-Schmidt pass against the whole basis, so the
+    basis stays orthonormal to roundoff.  The process stops early at an
+    invariant subspace.  The basis holds steps x N doubles, and a request
+    above DENSE_LIMIT^2 of them, the memory of the dense route at its limit,
+    raises CapacityError.  The ceiling bounds one basis; a doubling by
+    `extended` briefly holds the old half-length basis beside the new one,
+    1.5 bases in all.
     """
     if f.spec != op.spec:
         raise GridMismatchError("start vector grid does not match the operator")

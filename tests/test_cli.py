@@ -266,6 +266,38 @@ def test_heisenberg_limit_past_the_dense_wall(tmp_path, monkeypatch):
     assert not (tmp_path / "limit" / "spectrum.csv").exists()
 
 
+def test_krylov_limit_holds_one_basis_at_a_time(tmp_path, monkeypatch):
+    # the basis of each J^(1-s) phi in the sparse identity is built only
+    # after every spectrum of phi, each doubling included, has been freed
+    import weakref
+
+    import subfrac.cli as cli
+    import subfrac.spectral as spectral
+
+    build, extend = cli.krylov_spectrum, spectral.KrylovSpectrum.extended
+    of_phi, alive_at_psi = [], []
+
+    def tracked_build(op, f, steps):
+        if of_phi:  # every build after phi's first one is a psi basis
+            alive_at_psi.append(sum(ref() is not None for ref in of_phi))
+            return build(op, f, steps)
+        kry = build(op, f, steps)
+        of_phi.append(weakref.ref(kry))
+        return kry
+
+    def tracked_extend(self, op, steps):
+        kry = extend(self, op, steps)
+        of_phi.append(weakref.ref(kry))
+        return kry
+
+    monkeypatch.setattr(cli, "krylov_spectrum", tracked_build)
+    monkeypatch.setattr(spectral.KrylovSpectrum, "extended", tracked_extend)
+    code = run_cli(["limit", "--mode", "heisenberg", "--n", "7", "--L", "2",
+                    "--s", "0.3,0.7", "--out", str(tmp_path)])
+    assert code == 0
+    assert len(of_phi) > 1 and alive_at_psi == [0, 0]
+
+
 def test_torus_runs_never_densify(tmp_path, monkeypatch):
     # every torus subcommand takes the FFT diagonalization, checked by the
     # probes against the assembled operator

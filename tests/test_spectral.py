@@ -213,6 +213,19 @@ def test_krylov_extended_is_the_longer_run(heis9, rng):
     assert capped.extended(op, 10 * op.spec.n_nodes) is capped
 
 
+def test_krylov_stays_orthogonal_on_a_clustered_spectrum():
+    # the 48^2 torus has 2304 eigenvalues but only 305 distinct ones, so the
+    # Ritz values converge early and the three-term recurrence alone would
+    # lose orthogonality; the one full Gram-Schmidt pass per step keeps it
+    spec = GridSpec(48, 10.0, 2, "euclidean_torus")
+    op = assemble_operator("euclid", spec)
+    phi = GridFunction(spec, np.random.default_rng(0).standard_normal(spec.n_nodes))
+    kry = krylov_spectrum(op, phi, 1024)
+    assert kry.steps == 1024
+    V = kry.basis
+    assert np.abs(V @ V.T - np.eye(kry.steps)).max() <= 1e-12
+
+
 def test_krylov_foreign_vector_is_evaluation_error(heis9, rng):
     op, _ = heis9
     phi, other = grid_fn(op.spec, rng), grid_fn(op.spec, rng)
