@@ -48,7 +48,6 @@ from .spectral import (
     KrylovSpectrum,
     SpectralDecomposition,
     Spectrum,
-    apply_multiplier,
     delta_function,
     eigen_probe,
     export_spectrum_csv,
@@ -58,7 +57,6 @@ from .spectral import (
     heat_time_derivative_check,
     krylov_spectrum,
     spectral_decompose,
-    spectral_pairing,
 )
 from .extension import (
     BoundaryLimitResult,

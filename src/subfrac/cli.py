@@ -59,6 +59,7 @@ from .spectral import (
     heat_apply,
     heat_kernel_column,
     krylov_spectrum,
+    positive_power,
     spectral_decompose,
     export_spectrum_csv,
 )
@@ -95,6 +96,13 @@ class ExperimentConfig:
             raise ConfigError(f"{self.mode} grids carry the euclid operator, got op={self.op}")
         if not 0.0 <= self.tol < np.inf:
             raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # each value names its checks and output files, so a repeat would
+        # report one check twice and overwrite its files
+        for key, values in (("s", self.s_values), ("t", self.t_values)):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"the {key} sweep repeats a value: {values}")
 
     def flat(self) -> dict:
         return {
@@ -210,9 +218,8 @@ def write_results(report: RunReport, out_dir: Path) -> None:
 # experiments
 # ---------------------------------------------------------------------------
 
-def _phi(config: ExperimentConfig, spec: GridSpec, zero_mean: bool = False) -> GridFunction:
-    rng = np.random.default_rng(config.seed)
-    return random_bump(spec, rng, zero_mean=zero_mean)
+def _phi(config: ExperimentConfig, spec: GridSpec) -> GridFunction:
+    return random_bump(spec, np.random.default_rng(config.seed))
 
 
 def run_assemble(config: ExperimentConfig, report: RunReport, out_dir: Path) -> None:
@@ -302,7 +309,7 @@ def run_extend(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=N
     spec = config.grid()
     if dec is None:
         dec = run_spectrum(config, report, out_dir)
-    phi = _phi(config, spec, zero_mean=spec.mode == "euclidean_torus")
+    phi = _phi(config, spec)
     res_tol = 1e-5 if spec.mode == "heisenberg" else 1e-6
     profiles = []
     for s in config.s_values:
@@ -374,16 +381,6 @@ def _krylov_limit_spectrum(op, phi: GridFunction, sweeps: list):
         kry = kry.extended(op, 2 * kry.steps)
 
 
-def _sparse_identity(op, psi: GridFunction, s: float, steps: int, phi: GridFunction) -> float:
-    """||J^s psi - A phi|| / ||A phi|| with psi = J^{1-s} phi and A the assembled matrix.
-
-    psi comes from the Ritz spectrum of phi, and J^s from a second one of
-    `steps` steps started from psi.
-    """
-    lhs = fractional_power(krylov_spectrum(op, psi, steps), s, psi)
-    return _relative_gap(lhs, op.apply(phi))
-
-
 def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=None,
               profiles=None) -> None:
     """The boundary limit of each s.
@@ -393,6 +390,11 @@ def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=No
     slowly, takes the FFT diagonalization of run_spectrum.  `profiles`, one
     per s, are extension profiles of dec and this run's phi, to be read
     instead of built again.
+
+    On the Krylov route the sparse identity checks J^{-s}(A phi) = J^{1-s} phi
+    for each s, with A the assembled matrix: J^{1-s} phi comes from the Ritz
+    spectrum of phi, and J^{-s} from one second spectrum, of as many steps,
+    started from A phi.
     """
     spec = config.grid()
     phi = _phi(config, spec)
@@ -409,13 +411,16 @@ def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=No
         profiles = [extension_solve(dec, params, phi) for params in sweeps]
     results = [boundary_limit(dec, profile, phi) for profile in profiles]
     if krylov:
-        # the basis of each psi is built only once phi's is dropped, so the
-        # run holds one full-length basis at a time
+        # the basis of A phi is built only once phi's is dropped, so the run
+        # holds one full-length basis at a time
         steps = dec.steps
         psis = [fractional_power(dec, 1.0 - params.s, phi) for params in sweeps]
         del dec
-        identities = [_sparse_identity(op, psi, params.s, steps, phi)
-                      for psi, params in zip(psis, sweeps)]
+        a_phi = op.apply(phi)
+        kry = krylov_spectrum(op, a_phi, steps)
+        identities = [
+            _relative_gap(kry.apply_values(positive_power(kry.eigenvalues, -params.s), a_phi), psi)
+            for psi, params in zip(psis, sweeps)]
     tol = config.tol or (2e-2 if spec.mode == "heisenberg" else 1e-3)
     for i, (params, result) in enumerate(zip(sweeps, results)):
         s = params.s
@@ -516,10 +521,7 @@ def run_verify_all(config: ExperimentConfig, report: RunReport, out_dir: Path) -
     run_frac(config, report, out_dir, dec)
     run_heat(config, report, out_dir, dec)
     profiles = run_extend(config, report, out_dir, dec)
-    # the extend phi is zero-mean only on the torus; elsewhere it is the
-    # limit's phi, so the limit reads the extend profiles
-    run_limit(config, report, out_dir, dec,
-              None if spec.mode == "euclidean_torus" else profiles)
+    run_limit(config, report, out_dir, dec, profiles)
 
 
 RUNNERS = {

@@ -7,7 +7,6 @@ least squares, and the fitted slope is compared against the predicted rate.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import warnings
@@ -21,8 +20,6 @@ from .group import GridFunction, GridSpec, homogeneous_norm, lp_norm
 from .spectral import Spectrum, delta_function, heat_kernel_column, positive_power
 from .stencils import apply_multi_index
 
-# lattice spacing of the unit-ball volume count on heisenberg
-UNIT_BALL_LATTICE_H = 0.02
 # largest spread of the Gaussian-bound log gaps over t that counts as stable
 GAUSSIAN_STABILITY_WINDOW = 2.0
 # fewest lattice points the smallest ball of a volume-growth fit may hold
@@ -151,17 +148,14 @@ def _norm_for_mode(spec: GridSpec, rel: np.ndarray) -> np.ndarray:
 
 
 def ball_volume(spec_mode: str, r: float, dims: int = 3) -> float:
-    """V(r): homogeneous r^4 scaling on heisenberg, euclidean ball otherwise."""
+    """V(r): homogeneous r^4 scaling on heisenberg, euclidean ball otherwise.
+
+    The quartic-norm unit ball has V(1) = pi int_0^1 r sqrt(1 - r^4) dr = pi^2/8.
+    """
     if spec_mode == "heisenberg":
-        return heisenberg_unit_ball_volume() * r ** 4
+        return math.pi ** 2 / 8.0 * r ** 4
     cd = math.pi ** (dims / 2.0) / math.gamma(dims / 2.0 + 1.0)
     return cd * r ** dims
-
-
-@functools.cache
-def heisenberg_unit_ball_volume() -> float:
-    """V(1) for the homogeneous-norm unit ball, by lattice count."""
-    return measure_ball_volumes([1.0], UNIT_BALL_LATTICE_H)[0]
 
 
 def gaussian_bound_check(dec: Spectrum, t_values: Sequence[float],

@@ -114,16 +114,13 @@ def extension_multiplier_values(s: float, t: float,
 def scalar_extension_multiplier(s: float, t: float, lam: float) -> float:
     """F_s(t, lambda) for one spectral point.
 
-    F_s(0, .) = 1 (Gamma normalization); at lambda = 0 with t > 0 the lambda^s
-    factor makes the value 0.  (The operator path treats the lambda = 0 torus
-    mode separately as a passthrough; see extension_multiplier_values.)
+    F_s(0, .) = 1 (Gamma normalization), and the lambda = 0 kernel mode
+    passes through with F = 1 at every t, as in extension_multiplier_values.
     """
     if t < 0 or lam < 0:
         raise ConfigError("t and lambda must be >= 0")
     if t == 0.0:
         return 1.0
-    if lam == 0.0:
-        return 0.0
     F, _, _ = extension_multiplier_values(s, t, np.array([lam]))
     return float(F[0])
 
@@ -315,20 +312,15 @@ def extension_solve_tau_grid(dec: Spectrum, params: ExtensionParams,
                              phi: GridFunction) -> list:
     """PATH B: G_0 by quadrature on one log-axis grid shared by all eigenvalues.
 
-    The lambda = 0 mode integral diverges and J^s kills it, so PATH B yields
-    the mean-zero part of u on a torus; compare against PATH A on Dirichlet
-    grids or with mean-zero data.  Repeated eigenvalues share one quadrature
-    row.
+    The lambda = 0 kernel mode has q = 0, where subordination_integral gives
+    G_0 = 1 exactly, so it passes through as in PATH A.  Repeated eigenvalues
+    share one quadrature row.
     """
-    lam = dec.eigenvalues
-    pos = lam > 0
     out = []
     for t in params.t_values:
-        q, index = np.unique(lam[pos] * t * t / 4.0, return_inverse=True)
+        q, index = np.unique(dec.eigenvalues * t * t / 4.0, return_inverse=True)
         g0, _ = subordination_integral(params.s, q, 0)
-        full = np.zeros_like(lam)
-        full[pos] = g0[index]
-        out.append(dec.apply_values(full, phi))
+        out.append(dec.apply_values(g0[index], phi))
     return out
 
 

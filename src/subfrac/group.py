@@ -18,8 +18,6 @@ from .errors import ConfigError, GridMismatchError
 
 MODES = ("heisenberg", "euclidean_box", "euclidean_torus")
 
-IDENTITY = np.zeros(3)
-
 
 # ---------------------------------------------------------------------------
 # group algebra
@@ -303,8 +301,7 @@ def gaussian_bump(spec: GridSpec, center, width: float) -> GridFunction:
     return GridFunction(spec, np.exp(-d2 / (2.0 * width ** 2)))
 
 
-def random_bump(spec: GridSpec, rng: np.random.Generator,
-                zero_mean: bool = False) -> GridFunction:
+def random_bump(spec: GridSpec, rng: np.random.Generator) -> GridFunction:
     """Seeded sum of RANDOM_BUMPS Gaussian bumps with centers in the inner half-box.
 
     Their width is max(4h, L/8), so the bumps stay machine-resolvable.
@@ -316,8 +313,6 @@ def random_bump(spec: GridSpec, rng: np.random.Generator,
         center = rng.uniform(-L / 2, L / 2, size=spec.dims)
         amp = rng.uniform(0.5, 1.5) * rng.choice([-1.0, 1.0])
         vals += amp * gaussian_bump(spec, center, width).values
-    if zero_mean:
-        vals -= vals.mean()
     return GridFunction(spec, vals)
 
 

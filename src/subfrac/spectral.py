@@ -2,25 +2,24 @@
 
 A multiplier m acts as m(J) = Q diag(m(lambda)) Q^T.  Everything here other
 than the decompositions themselves goes through the three members of
-`Spectrum`, so fractional powers, the heat semigroup, heat-kernel columns and
-the pairing <m(J) f, g> run unchanged on the dense eigenbasis
-(`SpectralDecomposition`), on the FFT diagonalization of the torus
-(`fourier.FourierDiagonal`) and on the Ritz spectrum of one vector
-(`KrylovSpectrum`), which gives m(J) f for that vector alone without forming
-the eigenbasis (Higham, Functions of Matrices, SIAM 2008, ch. 13; Musco,
+`Spectrum`, so fractional powers, the heat semigroup and heat-kernel columns
+run unchanged on the dense eigenbasis (`SpectralDecomposition`), on the FFT
+diagonalization of the torus (`fourier.FourierDiagonal`) and on the Ritz
+spectrum of one vector (`KrylovSpectrum`), which gives m(J) f for that vector
+alone without forming the eigenbasis (Higham, Functions of Matrices, SIAM 2008, ch. 13; Musco,
 Musco and Sidford, SODA 2018).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Protocol
 
 import numpy as np
 import scipy.linalg
 
 from .errors import CapacityError, ConfigError, EvaluationError, GridMismatchError
-from .group import GridFunction, GridSpec, inner_product
+from .group import GridFunction, GridSpec
 from .stencils import DiscreteOperator
 
 DENSE_LIMIT = 6000
@@ -80,16 +79,16 @@ class SpectralDecomposition:
         return GridFunction(self.spec, Q @ (values * (Q.T @ f.values)))
 
 
-def spectral_decompose(op: DiscreteOperator, dense_limit: int = DENSE_LIMIT) -> SpectralDecomposition:
+def spectral_decompose(op: DiscreteOperator) -> SpectralDecomposition:
     """Full symmetric eigendecomposition; roundoff-negative eigenvalues clamp to 0.
 
     LAPACK's divide-and-conquer driver (evd) computes it; eigen_probe checks
     the result against the operator.
     """
     N = op.spec.n_nodes
-    if N > dense_limit:
+    if N > DENSE_LIMIT:
         raise CapacityError(
-            f"grid has {N} nodes, over the dense eigendecomposition limit {dense_limit}; "
+            f"grid has {N} nodes, over the dense eigendecomposition limit {DENSE_LIMIT}; "
             "use a smaller grid"
         )
     _check_finite(op)
@@ -284,12 +283,6 @@ def eigen_probe(op: DiscreteOperator, dec: Spectrum) -> tuple[float, float]:
     return float(orthogonality), float(residual / scale if scale > 0 else residual)
 
 
-def apply_multiplier(dec: Spectrum, m: Callable[[np.ndarray], np.ndarray],
-                     f: GridFunction) -> GridFunction:
-    """m(J) f; m maps the whole eigenvalue array to one value per eigenvalue."""
-    return dec.apply_values(m(dec.eigenvalues), f)
-
-
 def positive_power(lam: np.ndarray, s: float) -> np.ndarray:
     """lambda^s on lambda > 0 and 0 elsewhere, so the kernel maps to 0 (s > 0)."""
     vals = np.where(lam > 0, lam, 1.0) ** s
@@ -340,12 +333,6 @@ def heat_time_derivative_check(dec: Spectrum, t: float,
     num = np.linalg.norm((fwd - bwd) / (2.0 * dt) + gen)
     den = np.linalg.norm(gen)
     return float(num / den) if den > 0 else float(num)
-
-
-def spectral_pairing(dec: Spectrum, f: GridFunction, g: GridFunction,
-                     m: Callable[[np.ndarray], np.ndarray]) -> float:
-    """Haar-weighted <m(J) f, g>; m = id gives <Jf, g>."""
-    return inner_product(apply_multiplier(dec, m, f), g)
 
 
 def export_spectrum_csv(dec: Spectrum, path) -> None:

@@ -189,6 +189,28 @@ def test_bad_tolerance_exits_two(tmp_path, capsys, tol, source):
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("kind, key, value", [
+    ("limit", "seed", "-1"),
+    ("limit", "s", "0.5,0.5"),
+    ("heat", "t", "0.2,0.2"),
+])
+def test_bad_seed_or_repeated_sweep_value_exits_two(tmp_path, capsys, kind, key, value, source):
+    # a negative seed is no numpy seed, and a repeated sweep value would
+    # report one check twice and overwrite its output files
+    argv = [kind, "--mode", "euclidean_torus", "--n", "16", "--out", str(tmp_path)]
+    if source == "flag":
+        argv += [f"--{key}", value]
+    else:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        argv += ["--config", str(cfg)]
+    assert run_cli(argv) == 2
+    message = "seed must be >= 0" if key == "seed" else f"the {key} sweep repeats a value"
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / kind).exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("mode, key, value", [
     ("heisenberg", "dims", "2"),
     ("euclidean_torus", "op", "j3"),
@@ -267,8 +289,8 @@ def test_heisenberg_limit_past_the_dense_wall(tmp_path, monkeypatch):
 
 
 def test_krylov_limit_holds_one_basis_at_a_time(tmp_path, monkeypatch):
-    # the basis of each J^(1-s) phi in the sparse identity is built only
-    # after every spectrum of phi, each doubling included, has been freed
+    # the basis of A phi in the sparse identity is built only after every
+    # spectrum of phi, each doubling included, has been freed
     import weakref
 
     import subfrac.cli as cli
@@ -278,7 +300,7 @@ def test_krylov_limit_holds_one_basis_at_a_time(tmp_path, monkeypatch):
     of_phi, alive_at_psi = [], []
 
     def tracked_build(op, f, steps):
-        if of_phi:  # every build after phi's first one is a psi basis
+        if of_phi:  # every build after phi's first one is the A phi basis
             alive_at_psi.append(sum(ref() is not None for ref in of_phi))
             return build(op, f, steps)
         kry = build(op, f, steps)
@@ -295,7 +317,28 @@ def test_krylov_limit_holds_one_basis_at_a_time(tmp_path, monkeypatch):
     code = run_cli(["limit", "--mode", "heisenberg", "--n", "7", "--L", "2",
                     "--s", "0.3,0.7", "--out", str(tmp_path)])
     assert code == 0
-    assert len(of_phi) > 1 and alive_at_psi == [0, 0]
+    assert len(of_phi) > 1 and alive_at_psi == [0]
+
+
+def test_sparse_identity_builds_one_basis_for_every_s(tmp_path, monkeypatch):
+    # phi's spectrum and one spectrum of A phi, however many s values
+    import subfrac.cli as cli
+
+    build, calls = cli.krylov_spectrum, []
+
+    def counted(op, f, steps):
+        calls.append(steps)
+        return build(op, f, steps)
+
+    monkeypatch.setattr(cli, "krylov_spectrum", counted)
+    code = run_cli(["limit", "--mode", "heisenberg", "--n", "7", "--L", "2",
+                    "--s", "0.1,0.5,0.9", "--out", str(tmp_path)])
+    assert code == 0
+    assert len(calls) == 2
+    checks = _checks(tmp_path, "limit")
+    for s in ("0.1", "0.5", "0.9"):
+        check = checks[f"sparse_identity_s={s}"]
+        assert check["passed"] and check["tolerance"] == 1e-12
 
 
 def test_torus_runs_never_densify(tmp_path, monkeypatch):
@@ -324,46 +367,32 @@ def test_torus_runs_never_densify(tmp_path, monkeypatch):
     assert values == sorted(values) and values[0] == 0.0
 
 
-def test_verify_all_evaluates_multipliers_once_per_profile(tmp_path, monkeypatch):
-    # one extension profile per s for the extend checks and one per s in the
-    # boundary limit, each evaluated once per t over the distinct eigenvalues
+@pytest.mark.parametrize("mode", ["euclidean_torus", "heisenberg"])
+def test_verify_all_limit_reads_the_extend_profiles(tmp_path, monkeypatch, mode):
+    # the extend and limit phis agree in every mode, so the boundary limit
+    # reads the extend profiles: one multiplier call per (s, t), each over
+    # the distinct eigenvalues
     import subfrac.extension as extension
 
     evaluate = extension.extension_multiplier_values
-    calls = []
+    calls, sizes = [], []
 
     def counted(s, t, lam):
-        calls.append(lam.size)
+        calls.append((s, t))
+        sizes.append(lam.size)
         assert np.unique(lam).size == lam.size
         return evaluate(s, t, lam)
 
     monkeypatch.setattr(extension, "extension_multiplier_values", counted)
-    code = run_cli(["verify-all", "--mode", "euclidean_torus", "--dims", "2", "--n", "16",
-                    "--L", "10", "--s", "0.3,0.5", "--t", "0.2,0.1,0.05",
-                    "--out", str(tmp_path)])
-    assert code == 0
-    assert len(calls) == 2 * 2 * 3
-    assert max(calls) < 16 * 16
-
-
-def test_verify_all_heisenberg_limit_reads_the_extend_profiles(tmp_path, monkeypatch):
-    # off the torus the extend and limit phis agree, so the boundary limit
-    # reads the extend profiles: one multiplier call per (s, t)
-    import subfrac.extension as extension
-
-    evaluate = extension.extension_multiplier_values
-    calls = []
-
-    def counted(s, t, lam):
-        calls.append((s, t))
-        return evaluate(s, t, lam)
-
-    monkeypatch.setattr(extension, "extension_multiplier_values", counted)
-    code = run_cli(["verify-all", "--mode", "heisenberg", "--n", "5", "--L", "2",
-                    "--s", "0.3,0.5", "--t", "0.2,0.1,0.05", "--out", str(tmp_path)])
+    grid = {"euclidean_torus": ["--dims", "2", "--n", "16", "--L", "10"],
+            "heisenberg": ["--n", "5", "--L", "2"]}[mode]
+    code = run_cli(["verify-all", "--mode", mode, *grid, "--s", "0.3,0.5",
+                    "--t", "0.2,0.1,0.05", "--out", str(tmp_path)])
     assert code == 0
     assert len(calls) == 2 * 3
     assert len(set(calls)) == len(calls)
+    if mode == "euclidean_torus":
+        assert max(sizes) < 16 * 16
 
 
 def test_limit_spec_example_defaults(tmp_path):

@@ -141,6 +141,14 @@ def test_volume_doubles_as_r_fourth():
     assert vols[1] / vols[0] == pytest.approx(16.0, rel=0.05)
 
 
+def test_volume_matches_the_closed_form_unit_ball():
+    # V(r) = (pi^2/8) r^4 for the quartic norm; the lattice count at h = 0.05
+    # is within 1.6e-3 for r >= 1.32 (r = 1 is 3.6e-2 low)
+    r = np.geomspace(1.0, 4.0, 6)[1:]
+    vols = measure_ball_volumes(r, 0.05)
+    assert np.abs(vols / (np.pi ** 2 / 8.0 * r ** 4) - 1.0).max() <= 2e-3
+
+
 def test_volume_growth_slope():
     fit = volume_growth_fit(np.geomspace(1.0, 4.0, 6), 0.05)
     assert abs(fit.fitted_slope - 4.0) <= 0.3

@@ -80,9 +80,8 @@ def test_multiplier_bessel_half():
 
 
 def test_multiplier_lambda_zero_scalar_convention():
-    # the scalar function carries the lambda^s factor: 0 at the bottom of the
-    # spectrum for t > 0 (the operator path passes the kernel mode through)
-    assert scalar_extension_multiplier(0.5, 1.0, 0.0) == 0.0
+    # the kernel mode passes through at every t, as on the operator paths
+    assert scalar_extension_multiplier(0.5, 1.0, 0.0) == 1.0
 
 
 def test_multiplier_matches_bessel_oracle(rng):
@@ -324,7 +323,7 @@ def test_solution_on_eigenvector_is_scalar_multiplier(torus64):
 
 
 def test_kernel_mode_passthrough(torus64):
-    # constant phi: u(t) = phi for all t and d_t u = 0
+    # constant phi: u(t) = phi for all t and d_t u = 0, on PATH A and PATH B
     op, dec = torus64
     phi = GridFunction(op.spec, np.full(op.spec.n_nodes, 2.5))
     params = ExtensionParams(s=0.4, t_values=(1.0, 0.5))
@@ -332,6 +331,8 @@ def test_kernel_mode_passthrough(torus64):
     for u, du in zip(prof.u, prof.du_dt):
         assert np.abs(u.values - 2.5).max() <= 1e-10
         assert np.abs(du.values).max() <= 1e-10
+    for u in extension_solve_tau_grid(dec, params, phi):
+        assert np.abs(u.values - 2.5).max() <= 1e-12
 
 
 def test_path_a_vs_path_b_heisenberg(heis9, rng):
@@ -342,18 +343,12 @@ def test_path_a_vs_path_b_heisenberg(heis9, rng):
 
 
 def test_path_a_vs_path_b_torus_mean_zero(torus64, rng):
+    # both routes pass the kernel mode through, so the mean may be there or not
     op, dec = torus64
-    phi = subfrac.random_bump(op.spec, rng, zero_mean=True)
+    vals = subfrac.random_bump(op.spec, rng).values
     params = ExtensionParams(s=0.3, t_values=(0.5,))
-    assert path_agreement(dec, extension_solve(dec, params, phi), phi) <= 1e-6
-
-
-def test_tau_grid_drops_kernel_mode(torus64):
-    op, dec = torus64
-    phi = GridFunction(op.spec, np.full(op.spec.n_nodes, 1.0))
-    params = ExtensionParams(s=0.5, t_values=(0.5,))
-    ub = extension_solve_tau_grid(dec, params, phi)[0]
-    assert np.abs(ub.values).max() <= 1e-12
+    for phi in (GridFunction(op.spec, vals - vals.mean()), GridFunction(op.spec, vals)):
+        assert path_agreement(dec, extension_solve(dec, params, phi), phi) <= 1e-6
 
 
 def test_tau_grid_one_quadrature_row_per_distinct_eigenvalue(torus64, monkeypatch):
@@ -372,12 +367,9 @@ def test_tau_grid_one_quadrature_row_per_distinct_eigenvalue(torus64, monkeypatc
 
     monkeypatch.setattr(ext, "subordination_integral", counted)
     got = extension_solve_tau_grid(dec, ExtensionParams(s=s, t_values=(t,)), phi)[0]
-    lam = dec.eigenvalues
-    pos = lam > 0
-    q = lam[pos] * t * t / 4.0
+    q = dec.eigenvalues * t * t / 4.0
     assert rows == [np.unique(q).size] and rows[0] < q.size
-    per_eigenvalue = np.zeros_like(lam)
-    per_eigenvalue[pos] = subordination_integral(s, q, 0)[0]
+    per_eigenvalue = subordination_integral(s, q, 0)[0]
     assert np.array_equal(got.values, dec.apply_values(per_eigenvalue, phi).values)
 
 

@@ -9,7 +9,6 @@ from subfrac import (
     FourierDiagonal,
     GridFunction,
     GridSpec,
-    apply_multiplier,
     assemble_operator,
     eigen_probe,
     fractional_power,
@@ -21,7 +20,6 @@ from subfrac import (
     lp_norm,
     random_bump,
     spectral_decompose,
-    spectral_pairing,
 )
 from subfrac.errors import CapacityError, ConfigError, EvaluationError, GridMismatchError
 from subfrac.extension import ExtensionParams, boundary_limit, extension_solve
@@ -99,10 +97,11 @@ def test_trace_preserved(heis9):
 
 
 def test_capacity_error():
-    spec = GridSpec(9, 1.0, 1, "euclidean_box")
+    # 19^3 = 6859 nodes, over DENSE_LIMIT: refused before densifying
+    spec = GridSpec(19, 1.0, 3, "euclidean_box")
     op = assemble_operator("euclid", spec)
     with pytest.raises(CapacityError):
-        spectral_decompose(op, dense_limit=5)
+        spectral_decompose(op)
 
 
 def test_non_psd_operator_is_config_error():
@@ -278,9 +277,9 @@ def test_krylov_capacity_is_the_dense_memory_ceiling(monkeypatch):
 def test_multiplier_identity_and_reconstruction(heis9, rng):
     op, dec = heis9
     f = grid_fn(op.spec, rng)
-    same = apply_multiplier(dec, lambda lam: np.ones_like(lam), f)
+    same = dec.apply_values(np.ones_like(dec.eigenvalues), f)
     assert np.abs(same.values - f.values).max() <= 1e-10 * np.abs(f.values).max()
-    af = apply_multiplier(dec, lambda lam: lam, f)
+    af = dec.apply_values(dec.eigenvalues, f)
     ref = op.apply(f)
     assert np.abs(af.values - ref.values).max() <= 1e-9 * np.abs(ref.values).max()
 
@@ -288,19 +287,16 @@ def test_multiplier_identity_and_reconstruction(heis9, rng):
 def test_multiplier_square_vs_double_apply(heis9, rng):
     op, dec = heis9
     f = grid_fn(op.spec, rng)
-    sq = apply_multiplier(dec, lambda lam: lam ** 2, f)
+    sq = dec.apply_values(dec.eigenvalues ** 2, f)
     ref = op.apply(op.apply(f))
     assert lp_norm(GridFunction(op.spec, sq.values - ref.values), 2) <= 1e-9 * lp_norm(ref, 2)
 
 
 def test_multiplier_nan_reports_eigenvalue(torus_small, rng):
     op, dec = torus_small
-
-    def bad(lam):
-        return np.where(lam > 1.0, np.nan, 1.0)
-
+    bad = np.where(dec.eigenvalues > 1.0, np.nan, 1.0)
     with pytest.raises(EvaluationError):
-        apply_multiplier(dec, bad, grid_fn(op.spec, rng))
+        dec.apply_values(bad, grid_fn(op.spec, rng))
 
 
 def test_scalar_multiplier_is_evaluation_error(torus_small, rng):
@@ -308,13 +304,14 @@ def test_scalar_multiplier_is_evaluation_error(torus_small, rng):
     # broadcast into the constant multiplier
     op, dec = torus_small
     with pytest.raises(EvaluationError, match="one value per eigenvalue"):
-        apply_multiplier(dec, lambda lam: 1.0, grid_fn(op.spec, rng))
+        dec.apply_values(1.0, grid_fn(op.spec, rng))
 
 
 def test_bounded_multiplier_is_l2_nonexpansive(torus_small, rng):
     op, dec = torus_small
     f = grid_fn(op.spec, rng)
-    out = apply_multiplier(dec, lambda lam: np.sin(lam) / np.maximum(lam, 1.0), f)
+    lam = dec.eigenvalues
+    out = dec.apply_values(np.sin(lam) / np.maximum(lam, 1.0), f)
     assert lp_norm(out, 2) <= lp_norm(f, 2) * (1 + 1e-12)
 
 
@@ -501,14 +498,15 @@ def test_pairing_parseval(heis9, rng):
     f = grid_fn(op.spec, rng)
     g = grid_fn(op.spec, rng)
     ip = subfrac.inner_product(f, g)
-    assert spectral_pairing(dec, f, g, lambda lam: np.ones_like(lam)) == pytest.approx(ip, rel=1e-11)
+    pairing = subfrac.inner_product(dec.apply_values(np.ones_like(dec.eigenvalues), f), g)
+    assert pairing == pytest.approx(ip, rel=1e-11)
 
 
 def test_pairing_identity_multiplier(heis9, rng):
     op, dec = heis9
     f = grid_fn(op.spec, rng)
     g = grid_fn(op.spec, rng)
-    lhs = spectral_pairing(dec, f, g, lambda lam: lam)
+    lhs = subfrac.inner_product(dec.apply_values(dec.eigenvalues, f), g)
     rhs = subfrac.inner_product(op.apply(f), g)
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
@@ -516,7 +514,7 @@ def test_pairing_identity_multiplier(heis9, rng):
 def test_pairing_psd(heis9, rng):
     op, dec = heis9
     f = grid_fn(op.spec, rng)
-    assert spectral_pairing(dec, f, f, lambda lam: lam) >= 0.0
+    assert subfrac.inner_product(dec.apply_values(dec.eigenvalues, f), f) >= 0.0
 
 
 # ---------------------------------------------------------------------------
