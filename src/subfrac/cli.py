@@ -66,6 +66,10 @@ from .spectral import (
 from .stencils import apply_multi_index, assemble_operator, export_matrix_market
 
 EXPERIMENT_KINDS = ("assemble", "spectrum", "frac", "heat", "extend", "limit", "verify-all")
+# the kinds that solve the extension problem over the t sweep, and those of
+# them that take its boundary limit
+EXTENSION_KINDS = ("extend", "limit", "verify-all")
+LIMIT_KINDS = ("limit", "verify-all")
 
 # the Krylov route of `limit`: first basis size, and the agreement of the
 # boundary-limit outputs between k/2 and k steps at which the doubling stops
@@ -88,8 +92,9 @@ class ExperimentConfig:
     out: str = "runs"
 
     def __post_init__(self):
-        if not self.s_values:
-            raise ConfigError("the s sweep is empty")
+        for key, values in (("s", self.s_values), ("t", self.t_values)):
+            if not values:
+                raise ConfigError(f"the {key} sweep is empty")
         if self.mode == "heisenberg" and self.dims != 3:
             raise ConfigError(f"heisenberg grids are 3-D, got dims={self.dims}")
         if self.mode != "heisenberg" and self.op != "euclid":
@@ -103,6 +108,16 @@ class ExperimentConfig:
         for key, values in (("s", self.s_values), ("t", self.t_values)):
             if len(set(values)) != len(values):
                 raise ConfigError(f"the {key} sweep repeats a value: {values}")
+        # the sweeps the extension kinds will build, and the three points the
+        # limit extrapolates from, are checked here, before any decomposition
+        # is paid for or file written
+        if self.kind in EXTENSION_KINDS:
+            for s in self.s_values:
+                ExtensionParams(s=s, t_values=self.t_values)
+        if self.kind in LIMIT_KINDS and len(self.t_values) < 3:
+            raise ConfigError(
+                f"{self.kind} needs at least 3 t values for the boundary limit, "
+                f"got {self.t_values}")
 
     def flat(self) -> dict:
         return {
@@ -319,8 +334,9 @@ def run_extend(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=N
         for t, u, du in zip(params.t_values, profile.u, profile.du_dt):
             write_gf1(out_dir / f"extend_u_s{s!r}_t{t!r}.gf1", u)
             write_gf1(out_dir / f"extend_dudt_s{s!r}_t{t!r}.gf1", du)
-        agreement = path_agreement(dec, profile, phi)
+        agreement, quad_delta = path_agreement(dec, profile, phi)
         report.add_upper(f"path_a_vs_b_s={s}", agreement, 1e-6)
+        report.add_upper(f"path_b_quadrature_delta_s={s}", quad_delta, QUAD_RTOL)
         wp = l2_wellposedness_check(profile, phi)
         report.add_upper(
             f"non_expansive_s={s}", float(wp.norm_ratios.max() - 1.0), 1e-12

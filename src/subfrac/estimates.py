@@ -209,28 +209,29 @@ def gaussian_bound_check(dec: Spectrum, t_values: Sequence[float],
 
 def measure_ball_volumes(r_values: Sequence[float], lattice_h: float,
                          norm: str = "heisenberg") -> np.ndarray:
-    """Lebesgue volume of norm-balls by lattice count times h^3."""
+    """Lebesgue volume of norm-balls by lattice count times h^3.
+
+    Counted one (x1, x2) column at a time: with rho^2 = x1^2 + x2^2, the
+    quartic norm is below r exactly where 16 x3^2 < r^4 - rho^4 (the
+    euclidean one where x3^2 < r^2 - rho^2), so each column's count is a
+    search of the sorted x3 terms, shared by every column.
+    """
     r = np.asarray(sorted(r_values), dtype=float)
     if (r <= 0).any():
         raise ConfigError("radii must be positive")
+    if norm not in ("heisenberg", "euclidean"):
+        raise ConfigError(f"unknown norm {norm!r}")
     rmax = r.max()
     # quartic norm < r forces |x1|,|x2| <= r and |x3| <= r^2/4
     r3max = rmax * rmax / 4.0 if norm == "heisenberg" else rmax
     ax12 = np.arange(-rmax, rmax + lattice_h / 2.0, lattice_h)
     ax3 = np.arange(-r3max, r3max + lattice_h / 2.0, lattice_h)
-    counts = np.zeros(r.size, dtype=np.int64)
-    x2g, x3g = np.meshgrid(ax12, ax3, indexing="ij")
-    for x1 in ax12:  # slab at a time to bound memory
-        if norm == "heisenberg":
-            pts = np.stack(
-                [np.full_like(x2g, x1), x2g, x3g], axis=-1
-            ).reshape(-1, 3)
-            d = homogeneous_norm(pts)
-        elif norm == "euclidean":
-            d = np.sqrt(x1 * x1 + x2g ** 2 + x3g ** 2).ravel()
-        else:
-            raise ConfigError(f"unknown norm {norm!r}")
-        counts += np.searchsorted(np.sort(d), r, side="left")
+    rho2 = (ax12[:, None] ** 2 + ax12[None, :] ** 2).ravel()
+    if norm == "heisenberg":
+        keys, room = 16.0 * ax3 ** 2, r[:, None] ** 4 - (rho2 * rho2)[None, :]
+    else:
+        keys, room = ax3 ** 2, r[:, None] ** 2 - rho2[None, :]
+    counts = np.searchsorted(np.sort(keys), room, side="left").sum(axis=1)
     return counts * lattice_h ** 3
 
 

@@ -292,47 +292,53 @@ def extension_solve(dec: Spectrum, params: ExtensionParams,
     """PATH A: the closed-form Bessel-K multipliers, evaluated once per t.
 
     The multipliers are elementwise in lambda, so they are evaluated once per
-    distinct eigenvalue and gathered back.
+    distinct eigenvalue and gathered back.  All 4 |t| fields come from one
+    batched apply.
     """
     lam, index = np.unique(dec.eigenvalues, return_inverse=True)
-    u, du, ddu, ju, lam_f_max = [], [], [], [], []
+    rows, lam_f_max = [], []
     for t in params.t_values:
         F, dF, ddF = extension_multiplier_values(params.s, t, lam)
         lam_f = lam * F
-        u.append(dec.apply_values(F[index], phi))
-        du.append(dec.apply_values(dF[index], phi))
-        ddu.append(dec.apply_values(ddF[index], phi))
-        ju.append(dec.apply_values(lam_f[index], phi))
+        rows += [F, dF, ddF, lam_f]
         lam_f_max.append(float(lam_f.max(initial=0.0)))
-    return ExtensionProfile(params=params, u=u, du_dt=du, ddu_dt2=ddu, ju=ju,
+    fields = dec.apply_values(np.array(rows)[:, index], phi)
+    return ExtensionProfile(params=params, u=fields[0::4], du_dt=fields[1::4],
+                            ddu_dt2=fields[2::4], ju=fields[3::4],
                             lam_f_max=np.array(lam_f_max))
 
 
 def extension_solve_tau_grid(dec: Spectrum, params: ExtensionParams,
-                             phi: GridFunction) -> list:
+                             phi: GridFunction) -> tuple[list, float]:
     """PATH B: G_0 by quadrature on one log-axis grid shared by all eigenvalues.
 
     The lambda = 0 kernel mode has q = 0, where subordination_integral gives
     G_0 = 1 exactly, so it passes through as in PATH A.  Repeated eigenvalues
-    share one quadrature row.
+    share one quadrature row, and the fields of the sweep come from one
+    batched apply.  Returns u(t) per t and the largest last refinement delta
+    of the quadratures.
     """
-    out = []
+    rows, delta = [], 0.0
     for t in params.t_values:
         q, index = np.unique(dec.eigenvalues * t * t / 4.0, return_inverse=True)
-        g0, _ = subordination_integral(params.s, q, 0)
-        out.append(dec.apply_values(g0[index], phi))
-    return out
+        g0, last = subordination_integral(params.s, q, 0)
+        rows.append(g0[index])
+        delta = max(delta, last)
+    return dec.apply_values(np.array(rows), phi), delta
 
 
 def path_agreement(dec: Spectrum, profile: ExtensionProfile,
-                   phi: GridFunction) -> float:
-    """Max over the sweep of the relative L2 gap between PATH A and PATH B."""
-    b = extension_solve_tau_grid(dec, profile.params, phi)
+                   phi: GridFunction) -> tuple[float, float]:
+    """Max over the sweep of the relative L2 gap between PATH A and PATH B.
+
+    Returns the gap and PATH B's largest quadrature refinement delta.
+    """
+    b, delta = extension_solve_tau_grid(dec, profile.params, phi)
     worst = 0.0
     for ua, ub in zip(profile.u, b):
         denom = max(lp_norm(ua, 2), 1e-300)
         worst = max(worst, lp_norm(GridFunction(phi.spec, ua.values - ub.values), 2) / denom)
-    return worst
+    return worst, delta
 
 
 def pde_residual(profile: ExtensionProfile) -> float:

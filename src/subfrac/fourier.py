@@ -44,13 +44,23 @@ class FourierDiagonal:
         mesh = np.meshgrid(*([axis] * spec.dims), indexing="ij")
         return cls(spec=spec, eigenvalues=sum(mesh).ravel())
 
-    def apply_values(self, values: np.ndarray, f: GridFunction) -> GridFunction:
-        """Apply a per-mode multiplier: ifftn(values * fftn(f)), real part."""
+    def apply_values(self, values: np.ndarray,
+                     f: GridFunction) -> GridFunction | list[GridFunction]:
+        """Apply a per-mode multiplier: ifftn(values * fftn(f)), real part.
+
+        Rows of a 2-D values share the one fftn(f) and go through one
+        ifftn batched over the row axis.
+        """
         values = _checked_values(self, values, f)
         shape = (self.spec.n_per_axis,) * self.spec.dims
         fh = np.fft.fftn(f.shaped())
-        out = np.fft.ifftn(values.reshape(shape) * fh)
-        return GridFunction(self.spec, np.real(out).ravel())
+        if values.ndim == 1:
+            out = np.fft.ifftn(values.reshape(shape) * fh)
+            return GridFunction(self.spec, np.real(out).ravel())
+        axes = tuple(range(1, self.spec.dims + 1))
+        out = np.fft.ifftn(values.reshape((-1, *shape)) * fh, axes=axes)
+        return [GridFunction(self.spec, row)
+                for row in np.ascontiguousarray(out.real).reshape(len(values), -1)]
 
 
 def fourier_decompose(op: DiscreteOperator) -> FourierDiagonal:

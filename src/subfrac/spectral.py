@@ -35,28 +35,37 @@ class Spectrum(Protocol):
     """A diagonalization of a positive self-adjoint operator on `spec`.
 
     `apply_values(values, f)` applies diag(values) in the eigenbasis, with
-    values[i] the multiplier at eigenvalues[i].
+    values[i] the multiplier at eigenvalues[i], and returns a GridFunction.
+    A 2-D `values` holds one multiplier per row; the call then returns the
+    list of their GridFunctions, from one pass over f and the eigenbasis.
     """
 
     spec: GridSpec
     eigenvalues: np.ndarray
 
-    def apply_values(self, values: np.ndarray, f: GridFunction) -> GridFunction: ...
+    def apply_values(self, values: np.ndarray,
+                     f: GridFunction) -> GridFunction | list[GridFunction]: ...
 
 
 def _checked_values(spectrum: Spectrum, values, f: GridFunction) -> np.ndarray:
-    """values as floats, after checking the grid of f and one finite value per eigenvalue."""
+    """values as floats, after checking the grid of f and one finite value per eigenvalue.
+
+    values is one multiplier (1-D) or one per row (2-D).
+    """
     if f.spec != spectrum.spec:
         raise GridMismatchError("function grid does not match the diagonalization")
     values = np.asarray(values, dtype=float)
     lam = spectrum.eigenvalues
-    if values.shape != lam.shape:
+    if values.ndim not in (1, 2) or values.shape[-1:] != lam.shape:
         raise EvaluationError(
-            f"multiplier has shape {values.shape}, not one value per eigenvalue {lam.shape}"
+            f"multiplier has shape {values.shape}, not one value per eigenvalue {lam.shape} "
+            "(or one row of them per output)"
         )
     bad = ~np.isfinite(values)
     if bad.any():
-        raise EvaluationError(f"multiplier is not finite at lambda={lam[bad][0]!r}")
+        # the last axis of the first bad entry indexes the eigenvalue
+        raise EvaluationError(
+            f"multiplier is not finite at lambda={lam[np.nonzero(bad)[-1][0]]!r}")
     return values
 
 
@@ -72,11 +81,18 @@ class SpectralDecomposition:
     def n(self) -> int:
         return self.eigenvalues.size
 
-    def apply_values(self, values: np.ndarray, f: GridFunction) -> GridFunction:
-        """Apply diag(values) in the eigenbasis: Q (values * Q^T f)."""
+    def apply_values(self, values: np.ndarray,
+                     f: GridFunction) -> GridFunction | list[GridFunction]:
+        """Apply diag(values) in the eigenbasis: Q (values * Q^T f).
+
+        Rows of a 2-D values share the one Q^T f and go through one gemm.
+        """
         values = _checked_values(self, values, f)
         Q = self.eigenvectors
-        return GridFunction(self.spec, Q @ (values * (Q.T @ f.values)))
+        c = Q.T @ f.values
+        if values.ndim == 1:
+            return GridFunction(self.spec, Q @ (values * c))
+        return [GridFunction(self.spec, row) for row in (values * c) @ Q.T]
 
 
 def spectral_decompose(op: DiscreteOperator) -> SpectralDecomposition:
@@ -150,14 +166,21 @@ class KrylovSpectrum:
     def steps(self) -> int:
         return self.eigenvalues.size
 
-    def apply_values(self, values: np.ndarray, f: GridFunction) -> GridFunction:
-        """Apply diag(values) over the Ritz values: ||f|| V^T Y (values * Y[0])."""
+    def apply_values(self, values: np.ndarray,
+                     f: GridFunction) -> GridFunction | list[GridFunction]:
+        """Apply diag(values) over the Ritz values: ||f|| V^T Y (values * Y[0]).
+
+        Rows of a 2-D values go through two gemms, over Y and over V.
+        """
         values = _checked_values(self, values, f)
         if not np.array_equal(f.values, self.start):
             raise EvaluationError("a Krylov spectrum applies only to its start vector")
         Y = self.ritz_vectors
-        coef = np.linalg.norm(self.start) * (Y @ (values * Y[0]))
-        return GridFunction(self.spec, self.basis.T @ coef)
+        norm = np.linalg.norm(self.start)
+        if values.ndim == 1:
+            return GridFunction(self.spec, self.basis.T @ (norm * (Y @ (values * Y[0]))))
+        coef = norm * ((values * Y[0]) @ Y.T)
+        return [GridFunction(self.spec, row) for row in coef @ self.basis]
 
     def extended(self, op: DiscreteOperator, steps: int) -> "KrylovSpectrum":
         """This spectrum continued to min(steps, N) Lanczos steps on op.

@@ -164,6 +164,7 @@ def test_empty_t_sweep_exits_two(tmp_path, capsys):
                     "--out", str(tmp_path)])
     assert code == 2
     assert "error: the t sweep is empty" in capsys.readouterr().err
+    assert not (tmp_path / "extend").exists()
 
 
 def test_empty_s_sweep_exits_two(tmp_path, capsys):
@@ -208,6 +209,39 @@ def test_bad_seed_or_repeated_sweep_value_exits_two(tmp_path, capsys, kind, key,
     message = "seed must be >= 0" if key == "seed" else f"the {key} sweep repeats a value"
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / kind).exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("kind, mode, key, value, message", [
+    ("extend", "heisenberg", "t", "0.1,0.2", "t values must be strictly descending"),
+    ("limit", "euclidean_torus", "t", "0.2,0.1", "limit needs at least 3 t values"),
+    ("limit", "heisenberg", "t", "0.2,0.05,0.1", "t values must be strictly descending"),
+    ("verify-all", "euclidean_torus", "t", "0.2,0.1", "verify-all needs at least 3 t values"),
+    ("extend", "euclidean_torus", "t", "0.2,0", "all t values must be finite and > 0"),
+    ("limit", "heisenberg", "s", "0.5,1.5", "s must lie strictly in (0, 1)"),
+])
+def test_bad_extension_sweep_exits_two_before_any_output(tmp_path, capsys, kind, mode, key,
+                                                         value, message, source):
+    # rejected with the config, so no decomposition is paid for and no
+    # spectrum.csv is left without its results.json
+    argv = [kind, "--mode", mode, "--n", "7" if mode == "heisenberg" else "16",
+            "--out", str(tmp_path)]
+    if source == "flag":
+        argv += [f"--{key}", value]
+    else:
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        argv += ["--config", str(cfg)]
+    assert run_cli(argv) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / kind).exists()
+
+
+def test_heat_takes_any_t_sweep(tmp_path):
+    # only the extension kinds march t down to the boundary
+    code = run_cli(["heat", "--mode", "euclidean_torus", "--n", "16", "--t", "0.1,0.3",
+                    "--out", str(tmp_path)])
+    assert code == 0
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -427,6 +461,9 @@ def test_extend_manifest(tmp_path):
     assert manifest["s"] == 0.4
     assert manifest["t_values"] == [0.3, 0.1]
     assert manifest["path_agreement"] <= 1e-6
+    checks = json.loads((tmp_path / "extend" / "results.json").read_text())["report"]["checks"]
+    delta = next(c for c in checks if c["name"] == "path_b_quadrature_delta_s=0.4")
+    assert delta["passed"] and delta["tolerance"] == subfrac.extension.QUAD_RTOL
     assert manifest["C_s_used"] == pytest.approx(subfrac.extension_constant(0.4))
     u = subfrac.read_gf1(tmp_path / "extend" / "extend_u_s0.4_t0.3.gf1")
     assert u.spec.mode == "euclidean_torus"

@@ -331,7 +331,8 @@ def test_kernel_mode_passthrough(torus64):
     for u, du in zip(prof.u, prof.du_dt):
         assert np.abs(u.values - 2.5).max() <= 1e-10
         assert np.abs(du.values).max() <= 1e-10
-    for u in extension_solve_tau_grid(dec, params, phi):
+    fields, _ = extension_solve_tau_grid(dec, params, phi)
+    for u in fields:
         assert np.abs(u.values - 2.5).max() <= 1e-12
 
 
@@ -339,7 +340,7 @@ def test_path_a_vs_path_b_heisenberg(heis9, rng):
     op, dec = heis9
     phi = subfrac.random_bump(op.spec, rng)
     params = ExtensionParams(s=0.45, t_values=(0.8, 0.3))
-    assert path_agreement(dec, extension_solve(dec, params, phi), phi) <= 1e-6
+    assert path_agreement(dec, extension_solve(dec, params, phi), phi)[0] <= 1e-6
 
 
 def test_path_a_vs_path_b_torus_mean_zero(torus64, rng):
@@ -348,7 +349,7 @@ def test_path_a_vs_path_b_torus_mean_zero(torus64, rng):
     vals = subfrac.random_bump(op.spec, rng).values
     params = ExtensionParams(s=0.3, t_values=(0.5,))
     for phi in (GridFunction(op.spec, vals - vals.mean()), GridFunction(op.spec, vals)):
-        assert path_agreement(dec, extension_solve(dec, params, phi), phi) <= 1e-6
+        assert path_agreement(dec, extension_solve(dec, params, phi), phi)[0] <= 1e-6
 
 
 def test_tau_grid_one_quadrature_row_per_distinct_eigenvalue(torus64, monkeypatch):
@@ -366,11 +367,39 @@ def test_tau_grid_one_quadrature_row_per_distinct_eigenvalue(torus64, monkeypatc
         return subordination_integral(s, q, k)
 
     monkeypatch.setattr(ext, "subordination_integral", counted)
-    got = extension_solve_tau_grid(dec, ExtensionParams(s=s, t_values=(t,)), phi)[0]
+    got = extension_solve_tau_grid(dec, ExtensionParams(s=s, t_values=(t,)), phi)[0][0]
     q = dec.eigenvalues * t * t / 4.0
     assert rows == [np.unique(q).size] and rows[0] < q.size
     per_eigenvalue = subordination_integral(s, q, 0)[0]
     assert np.array_equal(got.values, dec.apply_values(per_eigenvalue, phi).values)
+
+
+class CountedSpectrum:
+    """A Spectrum that counts apply_values calls and the rows of each."""
+
+    def __init__(self, dec):
+        self.spec, self.eigenvalues, self.dec, self.rows = dec.spec, dec.eigenvalues, dec, []
+
+    def apply_values(self, values, f):
+        self.rows.append(np.shape(values)[0] if np.ndim(values) == 2 else None)
+        return self.dec.apply_values(values, f)
+
+
+def test_one_batched_apply_per_s(heis9, rng):
+    # PATH A takes its 4 |t| fields and PATH B its |t| fields from one apply each
+    op, dec = heis9
+    phi = subfrac.random_bump(op.spec, rng)
+    ts = (0.2, 0.1, 0.05)
+    for s in (0.3, 0.7):
+        params = ExtensionParams(s=s, t_values=ts)
+        counted = CountedSpectrum(dec)
+        profile = extension_solve(counted, params, phi)
+        assert counted.rows == [4 * len(ts)]
+        fields, delta = extension_solve_tau_grid(counted, params, phi)
+        assert counted.rows == [4 * len(ts), len(ts)]
+        assert len(fields) == len(ts) and 0.0 <= delta <= subfrac.extension.QUAD_RTOL
+        for u, ub in zip(profile.u, fields):
+            assert np.linalg.norm(u.values - ub.values) <= 1e-6 * np.linalg.norm(u.values)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -305,6 +306,48 @@ def test_scalar_multiplier_is_evaluation_error(torus_small, rng):
     op, dec = torus_small
     with pytest.raises(EvaluationError, match="one value per eigenvalue"):
         dec.apply_values(1.0, grid_fn(op.spec, rng))
+
+
+def _routes(heis9, rng):
+    """(spectrum, f) on the dense heis9 eigenbasis, the Ritz spectrum of f on
+    heis9, and the FFT diagonal of a 2-D torus."""
+    op, dec = heis9
+    f = grid_fn(op.spec, rng)
+    torus = GridSpec(12, 1.0, 2, "euclidean_torus")
+    return {
+        "dense": (dec, f),
+        "krylov": (krylov_spectrum(op, f, 64), f),
+        "fft": (FourierDiagonal.for_spec(torus), grid_fn(torus, rng)),
+    }
+
+
+@pytest.mark.parametrize("route", ["dense", "krylov", "fft"])
+def test_batched_apply_matches_one_row_at_a_time(heis9, rng, route):
+    spectrum, f = _routes(heis9, rng)[route]
+    lam = spectrum.eigenvalues
+    rows = np.array([np.ones_like(lam), lam, np.exp(-0.3 * lam), lam ** 0.7 / (1.0 + lam),
+                     -np.cos(lam)])
+    batch = spectrum.apply_values(rows, f)
+    assert isinstance(batch, list) and len(batch) == len(rows)
+    for row, got in zip(rows, batch):
+        want = spectrum.apply_values(row, f)
+        assert isinstance(want, GridFunction) and got.spec == f.spec
+        assert np.linalg.norm(got.values - want.values) <= 1e-14 * np.linalg.norm(want.values)
+
+
+@pytest.mark.parametrize("route", ["dense", "krylov", "fft"])
+def test_batched_apply_checks_shape_and_finiteness(heis9, rng, route):
+    spectrum, f = _routes(heis9, rng)[route]
+    lam = spectrum.eigenvalues
+    with pytest.raises(EvaluationError, match="one value per eigenvalue"):
+        spectrum.apply_values(np.ones((2, 2, lam.size)), f)
+    with pytest.raises(EvaluationError, match="one value per eigenvalue"):
+        spectrum.apply_values(np.ones((2, lam.size + 1)), f)
+    rows = np.ones((3, lam.size))
+    k = lam.size // 2
+    rows[2, k] = np.nan
+    with pytest.raises(EvaluationError, match=re.escape(f"lambda={lam[k]!r}")):
+        spectrum.apply_values(rows, f)
 
 
 def test_bounded_multiplier_is_l2_nonexpansive(torus_small, rng):
