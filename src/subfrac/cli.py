@@ -118,6 +118,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"{self.kind} needs at least 3 t values for the boundary limit, "
                 f"got {self.t_values}")
+        # heat takes any order of t, but H_t needs t >= 0 and the kernel
+        # column of the torus checks t > 0
+        if self.kind == "heat":
+            for t in self.t_values:
+                if t < 0:
+                    raise ConfigError(f"heat semigroup needs t >= 0, got {t}")
+                if t == 0 and self.mode == "euclidean_torus":
+                    raise ConfigError(f"the torus kernel column needs t > 0, got {t}")
 
     def flat(self) -> dict:
         return {
@@ -408,9 +416,10 @@ def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=No
     instead of built again.
 
     On the Krylov route the sparse identity checks J^{-s}(A phi) = J^{1-s} phi
-    for each s, with A the assembled matrix: J^{1-s} phi comes from the Ritz
-    spectrum of phi, and J^{-s} from one second spectrum, of as many steps,
-    started from A phi.
+    for each s, with A the assembled matrix: J^{1-s} phi comes from the
+    reorthogonalized Ritz spectrum of phi, and J^{-s} from one second
+    spectrum, of as many steps, started from A phi and built by the plain
+    three-term recurrence, so two algorithms compute the two sides.
     """
     spec = config.grid()
     phi = _phi(config, spec)
@@ -433,7 +442,7 @@ def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=No
         psis = [fractional_power(dec, 1.0 - params.s, phi) for params in sweeps]
         del dec
         a_phi = op.apply(phi)
-        kry = krylov_spectrum(op, a_phi, steps)
+        kry = krylov_spectrum(op, a_phi, steps, reorthogonalize=False)
         identities = [
             _relative_gap(kry.apply_values(positive_power(kry.eigenvalues, -params.s), a_phi), psi)
             for psi, params in zip(psis, sweeps)]

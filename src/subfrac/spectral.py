@@ -37,7 +37,8 @@ class Spectrum(Protocol):
     `apply_values(values, f)` applies diag(values) in the eigenbasis, with
     values[i] the multiplier at eigenvalues[i], and returns a GridFunction.
     A 2-D `values` holds one multiplier per row; the call then returns the
-    list of their GridFunctions, from one pass over f and the eigenbasis.
+    list of their GridFunctions, from one pass over f and the eigenbasis
+    (row by row on a Ritz spectrum).
     """
 
     spec: GridSpec
@@ -144,11 +145,12 @@ class KrylovSpectrum:
     is the tridiagonal (alpha on the diagonal, beta beside it), and theta
     (the eigenvalues, ascending) and the columns of Y are its eigenpairs.
     A `Spectrum` for f alone: apply_values raises EvaluationError for any
-    other vector.  `exhaustive` marks a basis that spans an invariant
-    subspace containing f (N steps, or a breakdown), where the result is
-    exact.  `residual` (the reorthogonalized A v of the last step) and
-    `scale` (the largest ||A v|| seen) let `extended` continue the
-    recurrence.
+    other vector.  `reorthogonalize` records how the basis was built (see
+    krylov_spectrum).  `exhaustive` marks a basis that spans an invariant
+    subspace containing f, where the result is exact: a breakdown, or N
+    reorthogonalized steps.  `residual` (the A v of the last step, less its
+    projection on the basis) and `scale` (the largest ||A v|| seen) let
+    `extended` continue the recurrence.
     """
 
     spec: GridSpec
@@ -159,6 +161,7 @@ class KrylovSpectrum:
     beta: np.ndarray = field(repr=False)
     start: np.ndarray = field(repr=False)
     exhaustive: bool
+    reorthogonalize: bool
     residual: np.ndarray | None = field(default=None, repr=False)
     scale: float = 0.0
 
@@ -170,23 +173,26 @@ class KrylovSpectrum:
                      f: GridFunction) -> GridFunction | list[GridFunction]:
         """Apply diag(values) over the Ritz values: ||f|| V^T Y (values * Y[0]).
 
-        Rows of a 2-D values go through two gemms, over Y and over V.
+        The rows of a 2-D values are applied one at a time, each bitwise its
+        1-D apply: as one (rows x k)(k x N) gemm, OpenBLAS threads the small
+        product and keeps a second thread's buffer resident, which costs CPU
+        and memory and gains no wall time (the reason eigen_probe loops too).
         """
         values = _checked_values(self, values, f)
         if not np.array_equal(f.values, self.start):
             raise EvaluationError("a Krylov spectrum applies only to its start vector")
+        if values.ndim == 2:
+            return [self.apply_values(row, f) for row in values]
         Y = self.ritz_vectors
         norm = np.linalg.norm(self.start)
-        if values.ndim == 1:
-            return GridFunction(self.spec, self.basis.T @ (norm * (Y @ (values * Y[0]))))
-        coef = norm * ((values * Y[0]) @ Y.T)
-        return [GridFunction(self.spec, row) for row in coef @ self.basis]
+        return GridFunction(self.spec, self.basis.T @ (norm * (Y @ (values * Y[0]))))
 
     def extended(self, op: DiscreteOperator, steps: int) -> "KrylovSpectrum":
         """This spectrum continued to min(steps, N) Lanczos steps on op.
 
-        The steps already taken are kept, not recomputed, so the result is
-        bitwise the one krylov_spectrum(op, f, steps) gives.  An exhaustive
+        The steps already taken are kept, not recomputed, and the new ones
+        are taken in the same mode, so the result is bitwise the one
+        krylov_spectrum(op, f, steps, reorthogonalize=...) gives.  An exhaustive
         spectrum, or one already `steps` long, is returned as it is.
         """
         if op.spec != self.spec:
@@ -198,16 +204,17 @@ class KrylovSpectrum:
         V = np.empty((steps, self.basis.shape[1]))
         alpha, beta = np.empty(steps), np.empty(steps - 1)
         V[:done], alpha[:done], beta[:done - 1] = self.basis, self.alpha, self.beta
-        return _lanczos(op, V, alpha, beta, self.start, done, self.residual, self.scale)
+        return _lanczos(op, V, alpha, beta, self.start, done, self.residual, self.scale,
+                        self.reorthogonalize)
 
 
 def _ritz_spectrum(spec: GridSpec, V: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
-                   start: np.ndarray, exhaustive: bool, residual: np.ndarray | None = None,
-                   scale: float = 0.0) -> KrylovSpectrum:
+                   start: np.ndarray, exhaustive: bool, reorthogonalize: bool,
+                   residual: np.ndarray | None = None, scale: float = 0.0) -> KrylovSpectrum:
     theta, Y = scipy.linalg.eigh_tridiagonal(alpha, beta)
     return KrylovSpectrum(spec=spec, eigenvalues=_clamped(theta), ritz_vectors=Y, basis=V,
                           alpha=alpha, beta=beta, start=start, exhaustive=exhaustive,
-                          residual=residual, scale=scale)
+                          reorthogonalize=reorthogonalize, residual=residual, scale=scale)
 
 
 def _krylov_steps(op: DiscreteOperator, steps: int) -> int:
@@ -226,13 +233,13 @@ def _krylov_steps(op: DiscreteOperator, steps: int) -> int:
 
 
 def _lanczos(op: DiscreteOperator, V: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
-             start: np.ndarray, done: int, w: np.ndarray | None,
-             scale: float) -> KrylovSpectrum:
+             start: np.ndarray, done: int, w: np.ndarray | None, scale: float,
+             reorthogonalize: bool) -> KrylovSpectrum:
     """Lanczos steps done .. len(V) - 1, filling V, alpha and beta in place.
 
     The first `done` rows of V and entries of alpha (done - 1 of beta) are
-    already filled, and w is the reorthogonalized residual of step done - 1
-    (None when done = 0, with V[0] the normalized start vector).
+    already filled, and w is the residual of step done - 1 (None when
+    done = 0, with V[0] the normalized start vector).
     """
     A = op.matrix
     steps = V.shape[0]
@@ -240,34 +247,47 @@ def _lanczos(op: DiscreteOperator, V: np.ndarray, alpha: np.ndarray, beta: np.nd
         if j > 0:
             beta[j - 1] = np.linalg.norm(w)
             if beta[j - 1] <= KRYLOV_BREAKDOWN * scale:
-                return _ritz_spectrum(op.spec, V[:j], alpha[:j], beta[:j - 1], start, True)
+                return _ritz_spectrum(op.spec, V[:j], alpha[:j], beta[:j - 1], start, True,
+                                      reorthogonalize)
             V[j] = w / beta[j - 1]
         w = A @ V[j]
         scale = max(scale, np.linalg.norm(w))
-        # the three-term recurrence, O(N), then one classical Gram-Schmidt
-        # pass over the whole basis to remove what roundoff left of it
+        # the three-term recurrence, O(N), then (reorthogonalized) one
+        # classical Gram-Schmidt pass over the whole basis to remove what
+        # roundoff left of it
         if j > 0:
             w -= beta[j - 1] * V[j - 1]
         a = V[j] @ w
         w -= a * V[j]
-        basis = V[:j + 1]
-        h = basis @ w
-        w -= h @ basis
-        alpha[j] = a + h[j]
-    return _ritz_spectrum(op.spec, V, alpha, beta, start, steps == op.spec.n_nodes, w, scale)
+        if reorthogonalize:
+            basis = V[:j + 1]
+            h = basis @ w
+            w -= h @ basis
+            a += h[j]
+        alpha[j] = a
+    # without orthogonality, N steps need not span the whole space
+    exhaustive = reorthogonalize and steps == op.spec.n_nodes
+    return _ritz_spectrum(op.spec, V, alpha, beta, start, exhaustive, reorthogonalize, w, scale)
 
 
-def krylov_spectrum(op: DiscreteOperator, f: GridFunction, steps: int) -> KrylovSpectrum:
+def krylov_spectrum(op: DiscreteOperator, f: GridFunction, steps: int, *,
+                    reorthogonalize: bool = True) -> KrylovSpectrum:
     """Ritz spectrum of f after min(steps, N) Lanczos steps on the assembled operator.
 
-    Full reorthogonalization: each step takes the three-term recurrence and
-    then one classical Gram-Schmidt pass against the whole basis, so the
-    basis stays orthonormal to roundoff.  The process stops early at an
-    invariant subspace.  The basis holds steps x N doubles, and a request
-    above DENSE_LIMIT^2 of them, the memory of the dense route at its limit,
-    raises CapacityError.  The ceiling bounds one basis; a doubling by
-    `extended` briefly holds the old half-length basis beside the new one,
-    1.5 bases in all.
+    With `reorthogonalize` (full reorthogonalization), each step takes the
+    three-term recurrence and then one classical Gram-Schmidt pass against
+    the whole basis, so the basis stays orthonormal to roundoff, and N steps
+    give the exact spectrum.  Without it, step j takes the plain three-term
+    recurrence alone, O(N) vector work instead of O(j N): the basis loses
+    orthogonality once Ritz values converge, but the Ritz approximation of
+    m(J) f stays close to the best polynomial one (Musco, Musco and Sidford,
+    SODA 2018), and only a breakdown makes it exact.  Either way the
+    process stops early at an invariant subspace, and a 2-D apply_values
+    applies its rows one at a time.  The basis holds steps x N doubles, and
+    a request above DENSE_LIMIT^2 of them, the memory of the dense route at
+    its limit, raises CapacityError.  The ceiling bounds one basis; a
+    doubling by `extended` briefly holds the old half-length basis beside
+    the new one, 1.5 bases in all.
     """
     if f.spec != op.spec:
         raise GridMismatchError("start vector grid does not match the operator")
@@ -278,7 +298,8 @@ def krylov_spectrum(op: DiscreteOperator, f: GridFunction, steps: int) -> Krylov
         raise ConfigError(f"Krylov start vector must be finite and nonzero, norm {norm}")
     V = np.empty((steps, op.spec.n_nodes))
     V[0] = start / norm
-    return _lanczos(op, V, np.empty(steps), np.empty(steps - 1), start, 0, None, 0.0)
+    return _lanczos(op, V, np.empty(steps), np.empty(steps - 1), start, 0, None, 0.0,
+                    reorthogonalize)
 
 
 def eigen_probe(op: DiscreteOperator, dec: Spectrum) -> tuple[float, float]:

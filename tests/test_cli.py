@@ -244,6 +244,21 @@ def test_heat_takes_any_t_sweep(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("mode, t, message", [
+    ("euclidean_torus", "0.1,-0.1", "heat semigroup needs t >= 0"),
+    ("heisenberg", "-0.1", "heat semigroup needs t >= 0"),
+    ("euclidean_torus", "0.1,0", "the torus kernel column needs t > 0"),
+])
+def test_bad_heat_sweep_exits_two_before_any_output(tmp_path, capsys, mode, t, message):
+    # rejected with the config, so no spectrum.csv or heat_t*.gf1 is left
+    # without its results.json
+    code = run_cli(["heat", "--mode", mode, "--n", "7" if mode == "heisenberg" else "16",
+                    "--t", t, "--out", str(tmp_path)])
+    assert code == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "heat").exists()
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("mode, key, value", [
     ("heisenberg", "dims", "2"),
@@ -322,6 +337,20 @@ def test_heisenberg_limit_past_the_dense_wall(tmp_path, monkeypatch):
     assert not (tmp_path / "limit" / "spectrum.csv").exists()
 
 
+def test_sparse_identity_with_an_exhaustive_basis(tmp_path):
+    # on the 5^3 grid phi's basis reaches N = 125 steps and is exact, and
+    # the plain basis of A phi has as many steps but no orthogonality
+    code = run_cli(["limit", "--mode", "heisenberg", "--n", "5", "--L", "2",
+                    "--s", "0.1,0.5,0.9", "--out", str(tmp_path)])
+    assert code == 0
+    checks = _checks(tmp_path, "limit")
+    for s in ("0.1", "0.5", "0.9"):
+        assert checks[f"krylov_steps_s={s}"]["achieved"] == 125
+        assert checks[f"krylov_delta_s={s}"]["achieved"] == 0.0
+        check = checks[f"sparse_identity_s={s}"]
+        assert check["passed"] and check["tolerance"] == 1e-12
+
+
 def test_krylov_limit_holds_one_basis_at_a_time(tmp_path, monkeypatch):
     # the basis of A phi in the sparse identity is built only after every
     # spectrum of phi, each doubling included, has been freed
@@ -333,11 +362,11 @@ def test_krylov_limit_holds_one_basis_at_a_time(tmp_path, monkeypatch):
     build, extend = cli.krylov_spectrum, spectral.KrylovSpectrum.extended
     of_phi, alive_at_psi = [], []
 
-    def tracked_build(op, f, steps):
+    def tracked_build(op, f, steps, **kwargs):
         if of_phi:  # every build after phi's first one is the A phi basis
             alive_at_psi.append(sum(ref() is not None for ref in of_phi))
-            return build(op, f, steps)
-        kry = build(op, f, steps)
+            return build(op, f, steps, **kwargs)
+        kry = build(op, f, steps, **kwargs)
         of_phi.append(weakref.ref(kry))
         return kry
 
@@ -355,20 +384,23 @@ def test_krylov_limit_holds_one_basis_at_a_time(tmp_path, monkeypatch):
 
 
 def test_sparse_identity_builds_one_basis_for_every_s(tmp_path, monkeypatch):
-    # phi's spectrum and one spectrum of A phi, however many s values
+    # phi's reorthogonalized spectrum and one plain spectrum of A phi,
+    # however many s values
     import subfrac.cli as cli
 
-    build, calls = cli.krylov_spectrum, []
+    build, calls, modes = cli.krylov_spectrum, [], []
 
-    def counted(op, f, steps):
+    def counted(op, f, steps, **kwargs):
         calls.append(steps)
-        return build(op, f, steps)
+        modes.append(kwargs)
+        return build(op, f, steps, **kwargs)
 
     monkeypatch.setattr(cli, "krylov_spectrum", counted)
     code = run_cli(["limit", "--mode", "heisenberg", "--n", "7", "--L", "2",
                     "--s", "0.1,0.5,0.9", "--out", str(tmp_path)])
     assert code == 0
     assert len(calls) == 2
+    assert modes == [{}, {"reorthogonalize": False}]
     checks = _checks(tmp_path, "limit")
     for s in ("0.1", "0.5", "0.9"):
         check = checks[f"sparse_identity_s={s}"]

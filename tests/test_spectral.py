@@ -133,11 +133,19 @@ def test_non_finite_operator_is_config_error(bad):
 
 @pytest.fixture(scope="module")
 def krylov_routes(heis9, heis15):
-    """(dense decomposition, 512-step Ritz spectrum of phi, phi) per grid."""
+    """(dense decomposition, 512-step Ritz spectrum of f, f) per route.
+
+    The route named after its grid is reorthogonalized and starts from phi,
+    as `limit` does; its `_plain` twin takes the plain recurrence from A phi,
+    as the sparse identity does.
+    """
     routes = {}
     for name, (op, dec) in (("heis9", heis9), ("heis15", heis15)):
         phi = random_bump(op.spec, np.random.default_rng(77))
+        a_phi = op.apply(phi)
         routes[name] = (dec, krylov_spectrum(op, phi, 512), phi)
+        routes[f"{name}_plain"] = (
+            dec, krylov_spectrum(op, a_phi, 512, reorthogonalize=False), a_phi)
     return routes
 
 
@@ -165,11 +173,11 @@ KRYLOV_CALLS = {
 
 
 @pytest.mark.parametrize("call", sorted(KRYLOV_CALLS))
-@pytest.mark.parametrize("grid", ["heis9", "heis15"])
-def test_dense_and_krylov_spectra_agree(krylov_routes, grid, call):
+@pytest.mark.parametrize("route", ["heis9", "heis15", "heis9_plain", "heis15_plain"])
+def test_dense_and_krylov_spectra_agree(krylov_routes, route, call):
     # the functional calculus sees only the Spectrum members, so the dense
-    # eigenbasis and the Ritz spectrum of phi must give the same m(J) phi
-    dec, kry, phi = krylov_routes[grid]
+    # eigenbasis and the Ritz spectrum of f must give the same m(J) f
+    dec, kry, phi = krylov_routes[route]
     for dense, ritz in zip(KRYLOV_CALLS[call](dec, phi), KRYLOV_CALLS[call](kry, phi)):
         assert np.linalg.norm(ritz - dense) <= 1e-11 * np.linalg.norm(dense)
 
@@ -199,18 +207,23 @@ def test_krylov_eigenvector_start_stops_early(heis9):
 
 
 def test_krylov_extended_is_the_longer_run(heis9, rng):
-    # continuing the recurrence repeats no step and changes no bit
+    # in either mode, continuing the recurrence repeats no step, keeps the
+    # mode and changes no bit; only the reorthogonalized basis is exact at
+    # N steps
     op, _ = heis9
     phi = grid_fn(op.spec, rng)
-    longer = krylov_spectrum(op, phi, 32).extended(op, 64)
-    fresh = krylov_spectrum(op, phi, 64)
-    assert longer.steps == 64 and not longer.exhaustive
-    for name in ("eigenvalues", "basis", "alpha", "beta", "residual"):
-        assert np.array_equal(getattr(longer, name), getattr(fresh, name)), name
-    assert longer.scale == fresh.scale
-    capped = longer.extended(op, 10 * op.spec.n_nodes)
-    assert capped.steps == op.spec.n_nodes and capped.exhaustive
-    assert capped.extended(op, 10 * op.spec.n_nodes) is capped
+    for mode in (True, False):
+        longer = krylov_spectrum(op, phi, 32, reorthogonalize=mode).extended(op, 64)
+        fresh = krylov_spectrum(op, phi, 64, reorthogonalize=mode)
+        assert longer.steps == 64 and not longer.exhaustive
+        assert longer.reorthogonalize is fresh.reorthogonalize is mode
+        for name in ("eigenvalues", "basis", "alpha", "beta", "residual"):
+            assert np.array_equal(getattr(longer, name), getattr(fresh, name)), (mode, name)
+        assert longer.scale == fresh.scale
+        capped = longer.extended(op, 10 * op.spec.n_nodes)
+        assert capped.steps == op.spec.n_nodes and capped.exhaustive is mode
+        assert capped.reorthogonalize is mode
+        assert capped.extended(op, 10 * op.spec.n_nodes) is capped
 
 
 def test_krylov_stays_orthogonal_on_a_clustered_spectrum():
