@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 import warnings
@@ -25,6 +24,7 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError, SubfracError
 from .extension import (
+    QUAD_DOUBLINGS,
     QUAD_NODES,
     QUAD_RTOL,
     QUAD_TAIL,
@@ -39,6 +39,7 @@ from .extension import (
 )
 from .fourier import fourier_decompose
 from .group import (
+    _atomic_open,
     GridFunction,
     GridSpec,
     group_convolve,
@@ -182,9 +183,8 @@ class RunReport:
 
 
 def atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="ascii")
-    os.replace(tmp, path)
+    with _atomic_open(path) as fh:
+        fh.write(text)
 
 
 def report_json(report: RunReport) -> str:
@@ -342,9 +342,10 @@ def run_extend(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=N
         for t, u, du in zip(params.t_values, profile.u, profile.du_dt):
             write_gf1(out_dir / f"extend_u_s{s!r}_t{t!r}.gf1", u)
             write_gf1(out_dir / f"extend_dudt_s{s!r}_t{t!r}.gf1", du)
-        agreement, quad_delta = path_agreement(dec, profile, phi)
+        agreement, quad_delta, doublings = path_agreement(dec, profile, phi)
         report.add_upper(f"path_a_vs_b_s={s}", agreement, 1e-6)
         report.add_upper(f"path_b_quadrature_delta_s={s}", quad_delta, QUAD_RTOL)
+        report.add_upper(f"path_b_quadrature_doublings_s={s}", doublings, QUAD_DOUBLINGS)
         wp = l2_wellposedness_check(profile, phi)
         report.add_upper(
             f"non_expansive_s={s}", float(wp.norm_ratios.max() - 1.0), 1e-12

@@ -165,15 +165,15 @@ def _node_sums(a: float, q: np.ndarray, log_q: np.ndarray, peak: np.ndarray,
     return total
 
 
-def _log_axis_quadrature(a: float, q: np.ndarray) -> tuple[np.ndarray, float]:
+def _log_axis_quadrature(a: float, q: np.ndarray) -> tuple[np.ndarray, float, int]:
     """int exp(a sigma - e^sigma - q e^{-sigma}) dsigma over the real line, per q.
 
     All q >= 0 share one grid, cut where the integrands of the smallest and
     the largest q fall QUAD_TAIL below their peaks; q = 0 needs a > 0.  Level
     j of the trapezoid rule has QUAD_NODES 2^j intervals on that grid, so the
     levels nest: each doubling evaluates only the new midpoints.  Each row is
-    scaled by the integrand's peak, known in closed form.  Returns the values
-    and the last relative refinement delta.
+    scaled by the integrand's peak, known in closed form.  Returns the values,
+    the last relative refinement delta and the number of doublings taken.
     """
     with np.errstate(divide="ignore"):
         log_q = np.log(q)  # -inf at q = 0 drops the q-term
@@ -210,7 +210,7 @@ def _log_axis_quadrature(a: float, q: np.ndarray) -> tuple[np.ndarray, float]:
                  + 0.5 * _node_sums(a, q, log_q, peak, np.array([lo, hi])))
     vals = scale * total
     delta = np.inf
-    for _ in range(QUAD_DOUBLINGS):
+    for doublings in range(1, QUAD_DOUBLINGS + 1):
         mids = lo + h * (np.arange(n) + 0.5)
         h /= 2.0
         n *= 2
@@ -218,12 +218,14 @@ def _log_axis_quadrature(a: float, q: np.ndarray) -> tuple[np.ndarray, float]:
         prev, vals = vals, scale * total
         delta = float(np.max(np.abs(vals - prev) / np.maximum(np.abs(vals), 1e-300)))
         if delta <= QUAD_RTOL:
-            return vals, delta
+            return vals, delta, doublings
     raise AccuracyError("log-axis quadrature did not converge", delta)
 
 
-def subordination_integral(s: float, q, k: int = 0) -> tuple[np.ndarray, float]:
-    """G_k(s, q) for an array of q >= 0 by quadrature; returns (values, last refinement delta).
+def subordination_integral(s: float, q, k: int = 0) -> tuple[np.ndarray, float, int]:
+    """G_k(s, q) for an array of q >= 0 by quadrature.
+
+    Returns the values, the last refinement delta and the number of doublings.
 
     q = 0 is allowed only for k = 0 (where G_0 = 1 exactly by the Gamma
     normalization and is returned without quadrature).
@@ -240,10 +242,10 @@ def subordination_integral(s: float, q, k: int = 0) -> tuple[np.ndarray, float]:
         out[zero] = 1.0
     pos = ~zero
     if not pos.any():
-        return out, 0.0
-    vals, delta = _log_axis_quadrature(s - k, q[pos])
+        return out, 0.0, 0
+    vals, delta, doublings = _log_axis_quadrature(s - k, q[pos])
     out[pos] = vals / _gamma(s)
-    return out, delta
+    return out, delta, doublings
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +265,7 @@ def extension_constant_quadrature(s: float) -> float:
     the log-axis integral with a = 1 - s and q = 0.
     """
     _check_s(s)
-    vals, _ = _log_axis_quadrature(1.0 - s, np.zeros(1))
+    vals = _log_axis_quadrature(1.0 - s, np.zeros(1))[0]
     return float(4.0 ** (1.0 - s) / 2.0 * vals[0] / _gamma(s))
 
 
@@ -309,36 +311,37 @@ def extension_solve(dec: Spectrum, params: ExtensionParams,
 
 
 def extension_solve_tau_grid(dec: Spectrum, params: ExtensionParams,
-                             phi: GridFunction) -> tuple[list, float]:
+                             phi: GridFunction) -> tuple[list, float, int]:
     """PATH B: G_0 by quadrature on one log-axis grid shared by all eigenvalues.
 
     The lambda = 0 kernel mode has q = 0, where subordination_integral gives
     G_0 = 1 exactly, so it passes through as in PATH A.  Repeated eigenvalues
     share one quadrature row, and the fields of the sweep come from one
-    batched apply.  Returns u(t) per t and the largest last refinement delta
-    of the quadratures.
+    batched apply.  Returns u(t) per t, and the largest last refinement delta
+    and the most doublings of the quadratures.
     """
-    rows, delta = [], 0.0
+    rows, delta, doublings = [], 0.0, 0
     for t in params.t_values:
         q, index = np.unique(dec.eigenvalues * t * t / 4.0, return_inverse=True)
-        g0, last = subordination_integral(params.s, q, 0)
+        g0, last, taken = subordination_integral(params.s, q, 0)
         rows.append(g0[index])
-        delta = max(delta, last)
-    return dec.apply_values(np.array(rows), phi), delta
+        delta, doublings = max(delta, last), max(doublings, taken)
+    return dec.apply_values(np.array(rows), phi), delta, doublings
 
 
 def path_agreement(dec: Spectrum, profile: ExtensionProfile,
-                   phi: GridFunction) -> tuple[float, float]:
+                   phi: GridFunction) -> tuple[float, float, int]:
     """Max over the sweep of the relative L2 gap between PATH A and PATH B.
 
-    Returns the gap and PATH B's largest quadrature refinement delta.
+    Returns the gap, and PATH B's largest quadrature refinement delta and
+    most doublings.
     """
-    b, delta = extension_solve_tau_grid(dec, profile.params, phi)
+    b, delta, doublings = extension_solve_tau_grid(dec, profile.params, phi)
     worst = 0.0
     for ua, ub in zip(profile.u, b):
         denom = max(lp_norm(ua, 2), 1e-300)
         worst = max(worst, lp_norm(GridFunction(phi.spec, ua.values - ub.values), 2) / denom)
-    return worst, delta
+    return worst, delta, doublings
 
 
 def pde_residual(profile: ExtensionProfile) -> float:

@@ -10,7 +10,10 @@ product is exact).
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -317,28 +320,59 @@ def random_bump(spec: GridSpec, rng: np.random.Generator) -> GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# GF1 file format
+# output files and the GF1 format
 # ---------------------------------------------------------------------------
+
+@contextmanager
+def _atomic_open(path, mode: str = "w"):
+    """Write `path` through `path`.tmp, moved onto it only once the block completes.
+
+    A text mode writes ASCII.  A write that raises leaves `path` as it was
+    and removes the temp file.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "ascii") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
 
 def write_gf1(path, f: GridFunction) -> None:
     """One ASCII header line, then N little-endian float64 in x3-fastest order."""
     spec = f.spec
     header = f"GF1 {spec.dims} {spec.n_per_axis} {spec.extent!r} {spec.mode}\n"
-    with open(path, "wb") as fh:
+    with _atomic_open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(f.values.astype("<f8").tobytes())
 
 
 def read_gf1(path) -> GridFunction:
+    """The GridFunction of a write_gf1 file.
+
+    Raises ConfigError on a header that is not ASCII, not five fields or not
+    numeric where it must be, and on a payload of any size but N float64.
+    """
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").rstrip("\n")
+        try:
+            header = fh.readline().decode("ascii").rstrip("\n")
+        except UnicodeDecodeError:
+            raise ConfigError("not a GF1 file: the header is not ASCII") from None
         parts = header.split(" ")
         if len(parts) != 5 or parts[0] != "GF1":
             raise ConfigError(f"not a GF1 file: header {header!r}")
-        dims, n, L, mode = int(parts[1]), int(parts[2]), float(parts[3]), parts[4]
-        spec = GridSpec(n_per_axis=n, extent=L, dims=dims, mode=mode)
-        raw = fh.read(8 * spec.n_nodes)
-        if len(raw) != 8 * spec.n_nodes:
-            raise ConfigError(f"GF1 payload truncated: wanted {spec.n_nodes} float64")
-        values = np.frombuffer(raw, dtype="<f8").copy()
+        try:
+            dims, n, L = int(parts[1]), int(parts[2]), float(parts[3])
+        except ValueError:
+            raise ConfigError(f"GF1 header has a non-numeric field: {header!r}") from None
+        spec = GridSpec(n_per_axis=n, extent=L, dims=dims, mode=parts[4])
+        # sized from the file before reading, so a bad header allocates nothing
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != 8 * spec.n_nodes:
+            raise ConfigError(
+                f"GF1 payload has {size} bytes; {spec.n_nodes} float64 need {8 * spec.n_nodes}")
+        values = np.frombuffer(fh.read(), dtype="<f8").copy()
     return GridFunction(spec, values)

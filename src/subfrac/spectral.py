@@ -17,9 +17,10 @@ from typing import Protocol
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas
 
 from .errors import CapacityError, ConfigError, EvaluationError, GridMismatchError
-from .group import GridFunction, GridSpec
+from .group import GridFunction, GridSpec, _atomic_open
 from .stencils import DiscreteOperator
 
 DENSE_LIMIT = 6000
@@ -72,11 +73,18 @@ def _checked_values(spectrum: Spectrum, values, f: GridFunction) -> np.ndarray:
 
 @dataclass
 class SpectralDecomposition:
-    """Ascending eigenvalues >= 0 and the orthonormal eigenbasis of an operator."""
+    """Ascending eigenvalues >= 0 and the orthonormal eigenbasis of an operator.
+
+    The eigenbasis is held in Fortran order, as scipy's eigh returns it; a
+    C-ordered one is converted once, here.
+    """
 
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray = field(repr=False)
     spec: GridSpec
+
+    def __post_init__(self):
+        self.eigenvectors = np.asfortranarray(self.eigenvectors, dtype=float)
 
     @property
     def n(self) -> int:
@@ -86,14 +94,25 @@ class SpectralDecomposition:
                      f: GridFunction) -> GridFunction | list[GridFunction]:
         """Apply diag(values) in the eigenbasis: Q (values * Q^T f).
 
-        Rows of a 2-D values share the one Q^T f and go through one gemm.
+        Q^T f and the 1-D product are dgemv calls; the rows of a 2-D values
+        share the one Q^T f and go through one dgemm, except a single row,
+        which takes the 1-D dgemv and so is bitwise the 1-D apply.  The
+        products run in scipy's BLAS, whose LAPACK built Q: the numpy and
+        scipy wheels each load their own OpenBLAS with its own thread pool,
+        and waking numpy's pool beside scipy's for these O(N^2) products
+        costs more than the products do.  f2py hands the Fortran-ordered Q
+        to BLAS without a copy.
         """
         values = _checked_values(self, values, f)
         Q = self.eigenvectors
-        c = Q.T @ f.values
+        c = blas.dgemv(1.0, Q, f.values, trans=1)
         if values.ndim == 1:
-            return GridFunction(self.spec, Q @ (values * c))
-        return [GridFunction(self.spec, row) for row in (values * c) @ Q.T]
+            return GridFunction(self.spec, blas.dgemv(1.0, Q, values * c))
+        if values.shape[0] == 1:
+            return [GridFunction(self.spec, blas.dgemv(1.0, Q, values[0] * c))]
+        # Q (values * c)^T is N x rows in Fortran order, so its transpose has
+        # one contiguous row per output
+        return [GridFunction(self.spec, row) for row in blas.dgemm(1.0, Q, (values * c).T).T]
 
 
 def spectral_decompose(op: DiscreteOperator) -> SpectralDecomposition:
@@ -381,7 +400,7 @@ def heat_time_derivative_check(dec: Spectrum, t: float,
 
 def export_spectrum_csv(dec: Spectrum, path) -> None:
     """CSV `index,eigenvalue` of the ascending eigenvalues at full float64 precision."""
-    with open(path, "w", encoding="ascii") as fh:
+    with _atomic_open(path) as fh:
         fh.write("index,eigenvalue\n")
         for i, lam in enumerate(np.sort(dec.eigenvalues)):
             fh.write(f"{i},{lam:.17g}\n")

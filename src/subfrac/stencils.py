@@ -24,7 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, GridMismatchError
-from .group import GridFunction, GridSpec, dilate
+from .group import GridFunction, GridSpec, _atomic_open, dilate
 
 FIELD_DEGREE = {"X1": 1, "X2": 1, "T": 2}
 
@@ -279,7 +279,7 @@ def assemble_operator(kind: str, spec: GridSpec) -> DiscreteOperator:
 def export_matrix_market(op: DiscreteOperator, path) -> None:
     """Coordinate text export, 1-indexed lower triangle, symmetric convention."""
     coo = sp.tril(op.matrix).tocoo()
-    with open(path, "w", encoding="ascii") as fh:
+    with _atomic_open(path) as fh:
         fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
         fh.write(f"{op.matrix.shape[0]} {op.matrix.shape[1]} {coo.nnz}\n")
         for i, j, v in zip(coo.row, coo.col, coo.data):

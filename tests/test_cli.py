@@ -496,6 +496,10 @@ def test_extend_manifest(tmp_path):
     checks = json.loads((tmp_path / "extend" / "results.json").read_text())["report"]["checks"]
     delta = next(c for c in checks if c["name"] == "path_b_quadrature_delta_s=0.4")
     assert delta["passed"] and delta["tolerance"] == subfrac.extension.QUAD_RTOL
+    doublings = next(c for c in checks if c["name"] == "path_b_quadrature_doublings_s=0.4")
+    assert doublings["passed"] and doublings["tolerance"] == subfrac.extension.QUAD_DOUBLINGS
+    assert 1 <= doublings["achieved"] <= subfrac.extension.QUAD_DOUBLINGS
+    assert doublings["achieved"] == int(doublings["achieved"])
     assert manifest["C_s_used"] == pytest.approx(subfrac.extension_constant(0.4))
     u = subfrac.read_gf1(tmp_path / "extend" / "extend_u_s0.4_t0.3.gf1")
     assert u.spec.mode == "euclidean_torus"

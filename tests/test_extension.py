@@ -137,7 +137,7 @@ def test_subordination_integral_bessel_family():
     for s in (0.25, 0.6):
         for q in (1e-4, 0.1, 4.0):
             for k in (0, 1, 2):
-                got, _ = subordination_integral(s, np.array([q]), k)
+                got = subordination_integral(s, np.array([q]), k)[0]
                 want = 2.0 / gamma(s) * q ** ((s - k) / 2.0) * kv(s - k, 2.0 * np.sqrt(q))
                 assert got[0] == pytest.approx(want, rel=1e-9)
 
@@ -158,7 +158,7 @@ def test_subordination_integral_tiny_q():
     # s - k < 0 with a tiny q: the peak of the log-axis integrand must not
     # cancel to zero
     for k, q in ((1, 1e-300), (2, 1e-150)):
-        got, _ = subordination_integral(0.5, np.array([q]), k)
+        got = subordination_integral(0.5, np.array([q]), k)[0]
         want = 2.0 / gamma(0.5) * q ** ((0.5 - k) / 2.0) * kv(0.5 - k, 2.0 * np.sqrt(q))
         assert got[0] == pytest.approx(want, rel=1e-9)
 
@@ -177,7 +177,7 @@ def test_quadrature_engine_is_exact():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for k, s, q in EXACT_CASES:
-            got, _ = subordination_integral(s, np.array([q]), k)
+            got = subordination_integral(s, np.array([q]), k)[0]
             want = 2.0 / gamma(s) * q ** ((s - k) / 2.0) * kv(s - k, 2.0 * np.sqrt(q))
             assert got[0] == pytest.approx(want, rel=1e-12), (k, s, q)
         for s in (0.01, 0.5, 0.99):
@@ -200,7 +200,7 @@ def test_quadrature_levels_nest(monkeypatch):
 
     monkeypatch.setattr(ext, "_node_sums", counted)
     q = np.array([1e-3, 1.0, 10.0])
-    got, _ = subordination_integral(0.5, q, 0)
+    got = subordination_integral(0.5, q, 0)[0]
     nodes = np.sort(seen)
     k = int(np.log2((nodes.size - 1) // 16))
     assert k >= 2 and nodes.size == 16 * 2 ** k + 1
@@ -221,9 +221,9 @@ def test_closed_form_matches_quadrature():
     for s in (0.1, 0.5, 0.9):
         for t in (0.05, 0.5, 2.0):
             q = lam * t * t / 4.0
-            g0, _ = subordination_integral(s, q, 0)
-            g1, _ = subordination_integral(s, q, 1)
-            g2, _ = subordination_integral(s, q, 2)
+            g0 = subordination_integral(s, q, 0)[0]
+            g1 = subordination_integral(s, q, 1)[0]
+            g2 = subordination_integral(s, q, 2)[0]
             F, dF, ddF = extension_multiplier_values(s, t, lam)
             np.testing.assert_allclose(F, g0, rtol=1e-9, atol=1e-300)
             np.testing.assert_allclose(dF, -(lam * t / 2.0) * g1, rtol=1e-9, atol=1e-300)
@@ -331,7 +331,7 @@ def test_kernel_mode_passthrough(torus64):
     for u, du in zip(prof.u, prof.du_dt):
         assert np.abs(u.values - 2.5).max() <= 1e-10
         assert np.abs(du.values).max() <= 1e-10
-    fields, _ = extension_solve_tau_grid(dec, params, phi)
+    fields = extension_solve_tau_grid(dec, params, phi)[0]
     for u in fields:
         assert np.abs(u.values - 2.5).max() <= 1e-12
 
@@ -395,9 +395,10 @@ def test_one_batched_apply_per_s(heis9, rng):
         counted = CountedSpectrum(dec)
         profile = extension_solve(counted, params, phi)
         assert counted.rows == [4 * len(ts)]
-        fields, delta = extension_solve_tau_grid(counted, params, phi)
+        fields, delta, doublings = extension_solve_tau_grid(counted, params, phi)
         assert counted.rows == [4 * len(ts), len(ts)]
         assert len(fields) == len(ts) and 0.0 <= delta <= subfrac.extension.QUAD_RTOL
+        assert 1 <= doublings <= subfrac.extension.QUAD_DOUBLINGS
         for u, ub in zip(profile.u, fields):
             assert np.linalg.norm(u.values - ub.values) <= 1e-6 * np.linalg.norm(u.values)
 

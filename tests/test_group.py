@@ -319,3 +319,81 @@ def test_gf1_rejects_other_files(tmp_path):
     path.write_bytes(b"hello world\n")
     with pytest.raises(ConfigError):
         subfrac.read_gf1(path)
+
+
+def _gf1_bytes():
+    return b"GF1 1 5 1.0 euclidean_box\n" + np.arange(5.0).astype("<f8").tobytes()
+
+
+def test_gf1_rejects_trailing_data(tmp_path):
+    path = tmp_path / "long.gf1"
+    path.write_bytes(_gf1_bytes())
+    assert np.array_equal(subfrac.read_gf1(path).values, np.arange(5.0))
+    path.write_bytes(_gf1_bytes() + bytes(16))
+    with pytest.raises(ConfigError, match="payload has 56 bytes"):
+        subfrac.read_gf1(path)
+
+
+def test_gf1_rejects_a_non_numeric_header_field(tmp_path):
+    path = tmp_path / "bad.gf1"
+    path.write_bytes(_gf1_bytes().replace(b"GF1 1 5", b"GF1 x 5", 1))
+    with pytest.raises(ConfigError, match="non-numeric"):
+        subfrac.read_gf1(path)
+
+
+def test_gf1_rejects_a_non_ascii_header(tmp_path):
+    path = tmp_path / "bad.gf1"
+    path.write_bytes(_gf1_bytes().replace(b"euclidean_box", "euclidean_böx".encode(), 1))
+    with pytest.raises(ConfigError, match="not ASCII"):
+        subfrac.read_gf1(path)
+
+
+class FailingFile:
+    """A file whose first write goes through and whose second raises."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            raise OSError("no space left")
+        return self.fh.write(data)
+
+
+@pytest.mark.parametrize("writer", ["write_gf1", "export_spectrum_csv", "export_matrix_market"])
+def test_a_failed_write_keeps_the_old_file(tmp_path, monkeypatch, writer):
+    import subfrac.group as group
+
+    spec = GridSpec(5, 1.0, dims=1, mode="euclidean_box")
+    op = subfrac.assemble_operator("euclid", spec)
+    write = {
+        "write_gf1": lambda path: subfrac.write_gf1(path, GridFunction(spec, np.ones(5))),
+        "export_spectrum_csv":
+            lambda path: subfrac.export_spectrum_csv(subfrac.spectral_decompose(op), path),
+        "export_matrix_market": lambda path: subfrac.export_matrix_market(op, path),
+    }[writer]
+    path = tmp_path / "out"
+    path.write_bytes(b"old contents")
+    opened = []
+
+    def failing_open(file, *args, **kwargs):
+        opened.append(file)
+        return FailingFile(open(file, *args, **kwargs))
+
+    monkeypatch.setattr(group, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="no space left"):
+        write(path)
+    assert opened == [tmp_path / "out.tmp"]
+    assert path.read_bytes() == b"old contents"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    monkeypatch.undo()
+    write(path)
+    assert path.read_bytes() != b"old contents"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]

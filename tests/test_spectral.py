@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg.blas
 import scipy.sparse as sp
 
 import subfrac
@@ -361,6 +362,72 @@ def test_batched_apply_checks_shape_and_finiteness(heis9, rng, route):
     rows[2, k] = np.nan
     with pytest.raises(EvaluationError, match=re.escape(f"lambda={lam[k]!r}")):
         spectrum.apply_values(rows, f)
+
+
+class BlasRecorder:
+    """Stands in for the BLAS module of `spectral`, recording the routines called."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        routine = getattr(scipy.linalg.blas, name)
+
+        def recorded(*args, **kwargs):
+            self.calls.append(name)
+            return routine(*args, **kwargs)
+
+        return recorded
+
+
+def _dense_rows(lam):
+    return np.array([np.ones_like(lam), lam, np.exp(-0.3 * lam), -np.cos(lam)])
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_dense_apply_runs_in_scipy_blas(heis9, rng, monkeypatch, order):
+    # Q^T f and the synthesis go through scipy's dgemv, and a batch of rows
+    # through one dgemm; one row takes the 1-D dgemv, so it is bitwise the
+    # 1-D apply.  A C-ordered Q is converted once, on construction.
+    import subfrac.spectral as spectral
+
+    op, dec = heis9
+    assert dec.eigenvectors.flags.f_contiguous
+    dec = dataclasses.replace(dec, eigenvectors=np.array(dec.eigenvectors, order=order))
+    assert dec.eigenvectors.flags.f_contiguous
+    Q, f = dec.eigenvectors, grid_fn(op.spec, rng)
+    rows = _dense_rows(dec.eigenvalues)
+    blas = BlasRecorder()
+    monkeypatch.setattr(spectral, "blas", blas)
+
+    one_d = dec.apply_values(rows[1], f)
+    assert blas.calls == ["dgemv", "dgemv"]
+    one_row = dec.apply_values(rows[1:2], f)
+    assert blas.calls[2:] == ["dgemv", "dgemv"]
+    assert len(one_row) == 1 and np.array_equal(one_row[0].values, one_d.values)
+    batch = dec.apply_values(rows, f)
+    assert blas.calls[4:] == ["dgemv", "dgemm"]
+    for row, got in zip(rows, batch):
+        want = Q @ (row * (Q.T @ f.values))
+        assert np.linalg.norm(got.values - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_dense_apply_makes_no_copy_of_the_eigenbasis(heis9, rng, order):
+    import tracemalloc
+
+    op, dec = heis9
+    dec = dataclasses.replace(dec, eigenvectors=np.array(dec.eigenvectors, order=order))
+    f = grid_fn(op.spec, rng)
+    rows = _dense_rows(dec.eigenvalues)
+    for values in (rows[1], rows[1:2], rows):
+        tracemalloc.start()
+        try:
+            dec.apply_values(values, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dec.n ** 2 * 8 / 2
 
 
 def test_bounded_multiplier_is_l2_nonexpansive(torus_small, rng):
