@@ -64,7 +64,12 @@ from .spectral import (
     spectral_decompose,
     export_spectrum_csv,
 )
-from .stencils import apply_multi_index, assemble_operator, export_matrix_market
+from .stencils import (
+    _interior_mask,
+    apply_multi_index,
+    assemble_operator,
+    export_matrix_market,
+)
 
 EXPERIMENT_KINDS = ("assemble", "spectrum", "frac", "heat", "extend", "limit", "verify-all")
 # the kinds that solve the extension problem over the t sweep, and those of
@@ -93,6 +98,9 @@ class ExperimentConfig:
     out: str = "runs"
 
     def __post_init__(self):
+        if self.kind not in EXPERIMENT_KINDS:
+            raise ConfigError(f"unknown experiment kind {self.kind!r}; expected one of "
+                              f"{EXPERIMENT_KINDS}")
         for key, values in (("s", self.s_values), ("t", self.t_values)):
             if not values:
                 raise ConfigError(f"the {key} sweep is empty")
@@ -503,12 +511,7 @@ def run_verify_all(config: ExperimentConfig, report: RunReport, out_dir: Path) -
         ab = apply_multi_index(["X1", "X2"], f).values
         ba = apply_multi_index(["X2", "X1"], f).values
         tf = apply_multi_index(["T"], f).values
-        n = spec.n_per_axis
-        inner = np.full(spec.n_nodes, True).reshape((n,) * 3)
-        inner[:2] = inner[-2:] = False
-        inner[:, :2] = inner[:, -2:] = False
-        inner[:, :, :2] = inner[:, :, -2:] = False
-        inner = inner.ravel()
+        inner = _interior_mask(spec, 2)
         report.add_upper(
             "commutator_equals_T",
             float(np.abs((ab - ba - tf)[inner]).max()),

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .group import GridFunction, GridSpec, homogeneous_norm, lp_norm
+from .group import GridFunction, GridSpec, _atomic_open, homogeneous_norm, lp_norm
 from .spectral import Spectrum, delta_function, heat_kernel_column, positive_power
 from .stencils import apply_multi_index
 
@@ -39,13 +39,17 @@ class DecayFit:
     residual: float
 
 
+def _finite_positive(x: np.ndarray) -> bool:
+    return bool(np.all((x > 0) & (x < np.inf)))
+
+
 def fit_loglog(t_samples: Sequence[float], norms: Sequence[float]) -> DecayFit:
     t = np.asarray(t_samples, dtype=float)
     y = np.asarray(norms, dtype=float)
     if t.size < 2:
         raise ConfigError("need at least two samples to fit a slope")
-    if (t <= 0).any() or (y <= 0).any():
-        raise ConfigError("log-log fit needs positive samples and norms")
+    if not (_finite_positive(t) and _finite_positive(y)):
+        raise ConfigError("log-log fit needs finite positive samples and norms")
     x = np.log(t)
     ly = np.log(y)
     slope, intercept = np.polyfit(x, ly, 1)
@@ -217,8 +221,10 @@ def measure_ball_volumes(r_values: Sequence[float], lattice_h: float,
     search of the sorted x3 terms, shared by every column.
     """
     r = np.asarray(sorted(r_values), dtype=float)
-    if (r <= 0).any():
-        raise ConfigError("radii must be positive")
+    if not _finite_positive(r):
+        raise ConfigError(f"radii must be finite and positive, got {r_values}")
+    if not 0 < lattice_h < np.inf:
+        raise ConfigError(f"lattice_h must be finite and > 0, got {lattice_h}")
     if norm not in ("heisenberg", "euclidean"):
         raise ConfigError(f"unknown norm {norm!r}")
     rmax = r.max()
@@ -323,7 +329,7 @@ def write_fit_report(fit: DecayFit, target: float, tolerance: float,
                      csv_path, json_path) -> bool:
     """CSV `t,norm` plus JSON {slope, target, ci, pass}; returns the pass flag."""
     ok = abs(fit.fitted_slope - target) <= tolerance
-    with open(csv_path, "w", encoding="ascii") as fh:
+    with _atomic_open(csv_path) as fh:
         fh.write("t,norm\n")
         for t, v in zip(fit.t_samples, fit.norms):
             fh.write(f"{t:.17g},{v:.17g}\n")
@@ -335,7 +341,7 @@ def write_fit_report(fit: DecayFit, target: float, tolerance: float,
         "residual": fit.residual,
         "pass": bool(ok),
     }
-    with open(json_path, "w", encoding="ascii") as fh:
+    with _atomic_open(json_path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return ok

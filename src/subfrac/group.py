@@ -48,8 +48,8 @@ def group_inverse(x) -> np.ndarray:
 
 def dilate(alpha: float, x) -> np.ndarray:
     """Anisotropic dilation (a*x1, a*x2, a^2*x3); a group automorphism."""
-    if alpha <= 0:
-        raise ConfigError(f"dilation factor must be > 0, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ConfigError(f"dilation factor must be finite and > 0, got {alpha}")
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     out[..., 0] = alpha * x[..., 0]

@@ -1,6 +1,6 @@
 """Discrete left-invariant vector fields and sub-Laplacian assembly.
 
-Two stencil schemes coexist:
+Every field is assembled from one table, STENCILS, of difference schemes:
 
 * centered (N x N) — antisymmetric in the interior and exact on polynomials of
   degree <= 2; used for the algebraic identities (commutators, homogeneity,
@@ -31,6 +31,13 @@ FIELD_DEGREE = {"X1": 1, "X2": 1, "T": 2}
 OPERATOR_FIELDS = {
     "j1": ("X1", "X2"),
     "j3": ("X1", "X2", "T"),
+}
+
+# (offset, weight) pairs of each difference scheme: row x of the field with
+# coefficient c along axis k holds weight * c(x) / h at column x + offset * e_k
+STENCILS = {
+    "centered": ((1, 0.5), (-1, -0.5)),
+    "forward": ((1, 1.0), (0, -1.0)),
 }
 
 
@@ -103,101 +110,48 @@ def _flat_index(idx: Sequence[np.ndarray], n: int) -> np.ndarray:
     return flat
 
 
+def _interior_mask(spec: GridSpec, margin: int) -> np.ndarray:
+    """Nodes at least `margin` steps from every face of the grid."""
+    n = spec.n_per_axis
+    idx = _multi_index_arrays(n, spec.dims)
+    return np.logical_and.reduce([(a >= margin) & (a < n - margin) for a in idx])
+
+
 def build_vector_field(kind: str, scheme: str, spec: GridSpec) -> VectorFieldMatrix:
     """Sparse stencil matrix for X1, X2, T or partial_k.
 
-    centered: rows = grid nodes, Dirichlet clipping (box) or wraparound
-    (torus).  forward: coefficient at the left node of the pair; box modes get
-    ghost rows so the adjoint carries the boundary edges.
+    Box columns are clipped at the Dirichlet boundary; torus columns wrap.
+    forward rows in box modes sit on the ghost-extended (n+1)^dims grid (a
+    low-side layer at index -1), so the adjoint carries the boundary edges.
     """
-    if scheme not in ("centered", "forward"):
+    if scheme not in STENCILS:
         raise ConfigError(f"unknown scheme {scheme!r}")
     terms = _field_terms(kind, spec)
-    n = spec.n_per_axis
-    dims = spec.dims
-    h = spec.spacing
-    N = spec.n_nodes
-
-    if scheme == "centered":
-        idx = _multi_index_arrays(n, dims)
-        rows_flat = _flat_index(idx, n)
-        coords = spec.node_coordinates()
-        entries_r, entries_c, entries_v = [], [], []
-
-        def add(target_idx, vals):
-            if spec.periodic:
-                cols = _flat_index([np.mod(t, n) for t in target_idx], n)
-                keep = np.full(N, True)
-            else:
-                keep = np.full(N, True)
-                for t in target_idx:
-                    keep &= (t >= 0) & (t < n)
-                cols = _flat_index([np.clip(t, 0, n - 1) for t in target_idx], n)
-            entries_r.append(rows_flat[keep])
-            entries_c.append(cols[keep])
-            entries_v.append(np.broadcast_to(vals, (N,))[keep])
-
-        for axis, coeff in terms:
-            c = np.full(N, 1.0) if coeff is None else coeff(coords)
-            plus = [idx[a] + (1 if a == axis else 0) for a in range(dims)]
-            minus = [idx[a] - (1 if a == axis else 0) for a in range(dims)]
-            add(plus, c / (2.0 * h))
-            add(minus, -c / (2.0 * h))
-        mat = sp.csr_matrix(
-            (np.concatenate(entries_v), (np.concatenate(entries_r), np.concatenate(entries_c))),
-            shape=(N, N),
-        )
-        return VectorFieldMatrix(kind=kind, scheme="centered", matrix=mat, spec=spec)
-
-    # forward scheme
-    if spec.periodic:
-        idx = _multi_index_arrays(n, dims)
-        rows_flat = _flat_index(idx, n)
-        n_rows = N
-        coords = spec.node_coordinates()
-    else:
-        # ghost layer at index -1 on every axis; rows indexed on the (n+1)^dims grid
-        idx = _multi_index_arrays(n, dims, lo=-1)
-        rows_flat = _flat_index([a + 1 for a in idx], n + 1)
-        n_rows = (n + 1) ** dims
-        coords = np.stack(
-            [-spec.extent + h * a.astype(float) for a in idx], axis=-1
-        )
-
-    entries_r, entries_c, entries_v = [], [], []
-
-    def add_fwd(target_idx, vals):
-        if spec.periodic:
-            cols = _flat_index([np.mod(t, n) for t in target_idx], n)
-            keep = vals != 0
-        else:
-            keep = vals != 0
-            for t in target_idx:
-                keep &= (t >= 0) & (t < n)
-            cols = _flat_index([np.clip(t, 0, n - 1) for t in target_idx], n)
-        entries_r.append(rows_flat[keep])
-        entries_c.append(cols[keep])
-        entries_v.append(vals[keep])
-
+    n, h = spec.n_per_axis, spec.spacing
+    lo = -1 if scheme == "forward" and not spec.periodic else 0
+    idx = _multi_index_arrays(n, spec.dims, lo=lo)
+    rows = _flat_index([a - lo for a in idx], n - lo)
+    coords = np.stack([-spec.extent + h * a for a in idx], axis=-1)
+    entries = []
     for axis, coeff in terms:
-        c = np.full(rows_flat.size, 1.0) if coeff is None else coeff(coords)
-        plus = [idx[a] + (1 if a == axis else 0) for a in range(len(idx))]
-        here = list(idx)
-        add_fwd(plus, c / h)
-        add_fwd(here, -c / h)
-    mat = sp.csr_matrix(
-        (np.concatenate(entries_v), (np.concatenate(entries_r), np.concatenate(entries_c))),
-        shape=(n_rows, N),
-    )
-    return VectorFieldMatrix(kind=kind, scheme="forward", matrix=mat, spec=spec)
+        c = np.full(rows.size, 1.0) if coeff is None else coeff(coords)
+        for offset, weight in STENCILS[scheme]:
+            target = [a + offset if k == axis else a for k, a in enumerate(idx)]
+            if spec.periodic:
+                target = [np.mod(t, n) for t in target]
+            vals = weight * c / h
+            keep = np.logical_and.reduce([vals != 0] + [(t >= 0) & (t < n) for t in target])
+            entries.append((rows[keep], _flat_index([t[keep] for t in target], n), vals[keep]))
+    r, cols, vals = (np.concatenate(e) for e in zip(*entries))
+    mat = sp.csr_matrix((vals, (r, cols)), shape=(rows.size, spec.n_nodes))
+    return VectorFieldMatrix(kind=kind, scheme=scheme, matrix=mat, spec=spec)
 
 
-def apply_multi_index(index: Sequence[str], f: GridFunction,
-                      scheme: str = "centered") -> GridFunction:
+def apply_multi_index(index: Sequence[str], f: GridFunction) -> GridFunction:
     """Left-to-right composition X_{j1} ... X_{jb} f; empty index is the identity."""
     out = f
     for kind in reversed(list(index)):
-        out = build_vector_field(kind, scheme, f.spec).apply(out)
+        out = build_vector_field(kind, "centered", f.spec).apply(out)
     return out
 
 
@@ -209,46 +163,33 @@ def check_homogeneity(kind: str, f: Callable, alpha: float, spec: GridSpec,
     is taken on the dilated lattice (steps a*h along x1/x2, a^2*h along x3) so
     both sides share one stencil scale.
     """
-    if alpha <= 0:
-        raise ConfigError("alpha must be > 0")
+    if not 0 < alpha < np.inf:
+        raise ConfigError(f"alpha must be finite and > 0, got {alpha}")
+    if kind not in FIELD_DEGREE:
+        raise ConfigError(f"field {kind!r} has no homogeneity degree; expected one of "
+                          f"{tuple(FIELD_DEGREE)}")
     if degree is None:
         degree = FIELD_DEGREE[kind]
     terms = _field_terms(kind, spec)
-    h = spec.spacing
-    coords = spec.node_coordinates()
-    n = spec.n_per_axis
-    interior = np.full(spec.n_nodes, True)
-    idx = _multi_index_arrays(n, spec.dims)
-    for a in idx:
-        interior &= (a >= 1) & (a <= n - 2)
-    pts = coords[interior]
+    pts = spec.node_coordinates()[_interior_mask(spec, 1)]
+
+    def centered(func, x, steps):
+        """The centered field stencil of func at the points x, step steps[axis]."""
+        out = np.zeros(len(x))
+        for axis, coeff in terms:
+            e = np.zeros(3)
+            e[axis] = steps[axis]
+            c = 1.0 if coeff is None else coeff(x)
+            out += c * (func(*(x + e).T) - func(*(x - e).T)) / (2.0 * steps[axis])
+        return out
 
     def g(x1, x2, x3):
-        d = dilate(alpha, np.stack([x1, x2, x3], axis=-1))
-        return f(d[..., 0], d[..., 1], d[..., 2])
+        return f(*dilate(alpha, np.stack([x1, x2, x3], axis=-1)).T)
 
-    # lattice stencil applied to g = f o delta_a
-    lhs = np.zeros(len(pts))
-    for (axis, coeff) in terms:
-        e = np.zeros(3)
-        e[axis] = h
-        fp = g(*(pts + e).T)
-        fm = g(*(pts - e).T)
-        c = np.full(len(pts), 1.0) if coeff is None else coeff(pts)
-        lhs += c * (fp - fm) / (2.0 * h)
-
-    dil_pts = dilate(alpha, pts)
-    rhs = np.zeros(len(dil_pts))
-    for (axis, coeff) in terms:
-        step = alpha * h if axis != 2 else alpha * alpha * h
-        e = np.zeros(3)
-        e[axis] = step
-        fp = f(*(dil_pts + e).T)
-        fm = f(*(dil_pts - e).T)
-        c = np.full(len(dil_pts), 1.0) if coeff is None else coeff(dil_pts)
-        rhs += c * (fp - fm) / (2.0 * step)
-    rhs *= alpha ** degree
-
+    # the lattice stencil of g = f o delta_a against the dilated-lattice stencil of f
+    h = spec.spacing
+    lhs = centered(g, pts, (h, h, h))
+    rhs = centered(f, dilate(alpha, pts), dilate(alpha, (h, h, h))) * alpha ** degree
     scale = max(np.abs(rhs).max(initial=0.0), 1.0)
     return float(np.abs(lhs - rhs).max(initial=0.0) / scale)
 

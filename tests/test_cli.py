@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import subfrac
 from subfrac.cli import (
+    ExperimentConfig,
     _parse_floats,
     _read_config_file,
     build_parser,
@@ -110,6 +111,13 @@ def test_limit_fallback_is_reported(tmp_path, monkeypatch, capsys):
     assert not checks["boundary_limit_fallback_s=0.5"]["passed"]
     assert not report["passed"]
     assert "FAIL boundary_limit_fallback_s=0.5" in capsys.readouterr().out
+
+
+def test_unknown_kind_is_rejected_before_any_output(tmp_path):
+    out = tmp_path / "runs"
+    with pytest.raises(ConfigError, match="unknown experiment kind"):
+        run(ExperimentConfig(kind="bogus", out=str(out)))
+    assert not out.exists()
 
 
 def test_parse_floats_rejects_non_finite(tmp_path):

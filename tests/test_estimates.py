@@ -42,6 +42,16 @@ def test_fit_validation():
         fit_loglog([0.1, -0.2], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("t, norms", [
+    ([1.0, 2.0, 3.0], [1.0, np.nan, 2.0]),
+    ([1.0, np.inf, 3.0], [1.0, 1.5, 2.0]),
+    ([1.0, 2.0, 3.0], [1.0, np.inf, 2.0]),
+], ids=["nan-norm", "inf-t", "inf-norm"])
+def test_fit_rejects_non_finite_samples(t, norms):
+    with pytest.raises(ConfigError, match="finite"):
+        fit_loglog(t, norms)
+
+
 def test_fit_report_files(tmp_path):
     t = np.geomspace(0.1, 1, 5)
     fit = fit_loglog(t, t ** -0.5)
@@ -187,6 +197,23 @@ def test_volume_growth_slope():
 def test_volume_growth_euclid_control():
     fit = volume_growth_fit(np.geomspace(1.0, 4.0, 6), 0.05, norm="euclidean")
     assert abs(fit.fitted_slope - 3.0) <= 0.2
+
+
+@pytest.mark.parametrize("r_values, lattice_h", [
+    ([1.0, 2.0], 0.0),
+    ([1.0, 2.0], np.nan),
+    ([1.0, 2.0], -0.1),
+    ([1.0, np.nan], 0.1),
+    ([1.0, np.inf], 0.1),
+], ids=["zero-h", "nan-h", "negative-h", "nan-radius", "inf-radius"])
+def test_ball_volumes_reject_a_bad_lattice_or_radius(r_values, lattice_h):
+    with pytest.raises(ConfigError, match="finite"):
+        measure_ball_volumes(r_values, lattice_h)
+
+
+def test_volume_growth_rejects_a_negative_lattice_step():
+    with pytest.raises(ConfigError, match="lattice_h must be finite and > 0"):
+        volume_growth_fit([1.0, 2.0], -0.1)
 
 
 def test_volume_growth_undersampled():

@@ -76,6 +76,12 @@ def test_dilate_examples():
         dilate(-2.0, (1, 1, 1))
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+def test_dilate_rejects_a_non_finite_factor(alpha):
+    with pytest.raises(ConfigError, match="finite"):
+        dilate(alpha, (1, 1, 1))
+
+
 def test_norm_examples():
     assert homogeneous_norm((1, 0, 0)) == 1.0
     assert homogeneous_norm((0, 0, 1)) == 2.0  # 16^(1/4)
@@ -367,7 +373,8 @@ class FailingFile:
         return self.fh.write(data)
 
 
-@pytest.mark.parametrize("writer", ["write_gf1", "export_spectrum_csv", "export_matrix_market"])
+@pytest.mark.parametrize(
+    "writer", ["write_gf1", "export_spectrum_csv", "export_matrix_market", "write_fit_report"])
 def test_a_failed_write_keeps_the_old_file(tmp_path, monkeypatch, writer):
     import subfrac.group as group
 
@@ -378,6 +385,9 @@ def test_a_failed_write_keeps_the_old_file(tmp_path, monkeypatch, writer):
         "export_spectrum_csv":
             lambda path: subfrac.export_spectrum_csv(subfrac.spectral_decompose(op), path),
         "export_matrix_market": lambda path: subfrac.export_matrix_market(op, path),
+        # CSV then JSON onto one path: the CSV's second row is the write that fails
+        "write_fit_report": lambda path: subfrac.write_fit_report(
+            subfrac.fit_loglog([1.0, 2.0], [1.0, 0.5]), -1.0, 0.1, path, path),
     }[writer]
     path = tmp_path / "out"
     path.write_bytes(b"old contents")

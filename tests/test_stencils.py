@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import sympy
@@ -170,6 +172,17 @@ def test_homogeneity_negative_control():
 
     # asserting degree 2 for X1 (true degree 1) must produce an O(1) deviation
     assert check_homogeneity("X1", f, 2.0, spec, degree=2) > 0.1
+
+
+@pytest.mark.parametrize("kind, alpha, spec", [
+    ("X3", 2.0, heis()),
+    ("partial_1", 2.0, GridSpec(9, 2.0, 1, "euclidean_box")),
+    ("X1", float("nan"), heis()),
+    ("X1", float("inf"), heis()),
+], ids=["unknown-field", "euclidean-field", "nan-alpha", "inf-alpha"])
+def test_homogeneity_rejects_what_it_cannot_check(kind, alpha, spec):
+    with pytest.raises(ConfigError):
+        check_homogeneity(kind, lambda x1, x2, x3: x1 * x2 + x3, alpha, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -361,3 +374,53 @@ def test_matrix_market_round_trip(tmp_path):
         dense[i, j] = v
         dense[j, i] = v
     assert np.array_equal(dense, op.matrix.toarray())
+
+
+# ---------------------------------------------------------------------------
+# golden assembly: sha256 of the forward-scheme operators and of the dense
+# centered fields, so a stencil change that moves any bit of either fails here
+# ---------------------------------------------------------------------------
+
+GOLDEN_GRIDS = {
+    "heis7": GridSpec(7, 2.0, 3, "heisenberg"),
+    "box2d": GridSpec(7, 1.5, 2, "euclidean_box"),
+    "torus3d": GridSpec(6, 1.0, 3, "euclidean_torus"),
+}
+
+GOLDEN_OPERATORS = {
+    ("heis7", "j1"): "d99565364c80bf956bb8489746f6a026bc953e0881caeead41b886f21b173019",
+    ("heis7", "j3"): "19dcccce2825335665bcad636184715341980b40360d7070206d1bdbcbbd4717",
+    ("box2d", "euclid"): "4b1112ca36b75fcdbedd62aee7095da58a25a9bf1fd9f9f50e6b5a8248f26b1a",
+    ("torus3d", "euclid"): "536b091b87cf625fb7559570318980086ef8886db325448b6b96f0fb210770a6",
+}
+
+GOLDEN_FIELDS = {
+    ("heis7", "X1"): "c45750ec80cd7f077f2720d25b5df584955230d6bc802182f1324d449525210b",
+    ("heis7", "X2"): "e96250b4253d9a2a34328d7594cf8a99dbaa07bf4d95546b2f744f3d9806cd73",
+    ("heis7", "T"): "2e9be99f02df5ca4fafa92f16d98a6af56519515143d98a8bee3afd3a0cb85c3",
+    ("box2d", "partial_1"): "3ad1a3e6bb376830af2328a34daeaae4956bb45f51cb85e991ce40b206c991c3",
+    ("box2d", "partial_2"): "a1c101d990eb6a4b1587ab3a86c9caadd1534ceea315d6cfe3c00b4206e63da9",
+    ("torus3d", "partial_1"): "8311294f0f8a3e7b9180ec0debe44cf7f90ff63e8db433a39f60816c4c67bb0a",
+    ("torus3d", "partial_2"): "61cad2e5e8ad35233349770cc8b4ecfef3a284271e46a505ee60201f55c283c7",
+    ("torus3d", "partial_3"): "1553cc278db77ce63db6c4d21c6fbf1f7809932317bef0c8c4ddca6e803aea4b",
+}
+
+
+def _sha256(*arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("grid, kind", sorted(GOLDEN_OPERATORS))
+def test_assembled_operator_matches_its_golden_digest(grid, kind):
+    A = assemble_operator(kind, GOLDEN_GRIDS[grid]).matrix
+    got = _sha256(A.data, A.indices.astype(np.int64), A.indptr.astype(np.int64))
+    assert got == GOLDEN_OPERATORS[grid, kind]
+
+
+@pytest.mark.parametrize("grid, kind", sorted(GOLDEN_FIELDS))
+def test_centered_field_matches_its_golden_digest(grid, kind):
+    M = build_vector_field(kind, "centered", GOLDEN_GRIDS[grid]).matrix
+    assert _sha256(M.toarray()) == GOLDEN_FIELDS[grid, kind]
