@@ -290,11 +290,12 @@ def run_spectrum(config: ExperimentConfig, report: RunReport, out_dir: Path):
     return dec
 
 
-def run_frac(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=None) -> None:
+def run_frac(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=None,
+             phi=None) -> None:
     spec = config.grid()
     if dec is None:
         dec = run_spectrum(config, report, out_dir)
-    phi = _phi(config, spec)
+    phi = _phi(config, spec) if phi is None else phi
     for s in config.s_values:
         out = fractional_power(dec, s, phi)
         write_gf1(out_dir / f"frac_s{s!r}.gf1", out)
@@ -305,11 +306,12 @@ def run_frac(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=Non
         )
 
 
-def run_heat(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=None) -> None:
+def run_heat(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=None,
+             phi=None) -> None:
     spec = config.grid()
     if dec is None:
         dec = run_spectrum(config, report, out_dir)
-    phi = _phi(config, spec)
+    phi = _phi(config, spec) if phi is None else phi
     ident = heat_apply(dec, 0.0, phi)
     report.add_upper(
         "heat_identity_at_t0",
@@ -335,12 +337,13 @@ def run_heat(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=Non
             report.add_upper(f"kernel_mass_gap_t={t}", abs(integral(col) - 1.0), 1e-9)
 
 
-def run_extend(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=None) -> list:
+def run_extend(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=None,
+               phi=None) -> list:
     """The extend checks of each s; returns the extension profile of each s."""
     spec = config.grid()
     if dec is None:
         dec = run_spectrum(config, report, out_dir)
-    phi = _phi(config, spec)
+    phi = _phi(config, spec) if phi is None else phi
     res_tol = 1e-5 if spec.mode == "heisenberg" else 1e-6
     profiles = []
     for s in config.s_values:
@@ -415,14 +418,15 @@ def _krylov_limit_spectrum(op, phi: GridFunction, sweeps: list):
 
 
 def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=None,
-              profiles=None) -> None:
+              profiles=None, phi=None) -> None:
     """The boundary limit of each s.
 
     Without a decomposition handed in, a Dirichlet grid (lambda_min > 0)
     takes the Krylov route; a torus, whose zero mode the Ritz values resolve
     slowly, takes the FFT diagonalization of run_spectrum.  `profiles`, one
     per s, are extension profiles of dec and this run's phi, to be read
-    instead of built again.
+    instead of built again, and `phi` is that seeded phi when the caller
+    built it already.
 
     On the Krylov route the sparse identity checks J^{-s}(A phi) = J^{1-s} phi
     for each s, with A the assembled matrix: J^{1-s} phi comes from the
@@ -431,7 +435,7 @@ def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=No
     three-term recurrence, so two algorithms compute the two sides.
     """
     spec = config.grid()
-    phi = _phi(config, spec)
+    phi = _phi(config, spec) if phi is None else phi
     sweeps = [ExtensionParams(s=s, t_values=config.t_values) for s in config.s_values]
     krylov = dec is None and spec.mode != "euclidean_torus"
     if krylov:
@@ -547,10 +551,12 @@ def run_verify_all(config: ExperimentConfig, report: RunReport, out_dir: Path) -
         report.add("volume_growth_euclid_control", control.fitted_slope, 3.0, 0.2)
 
     dec = run_spectrum(config, report, out_dir)
-    run_frac(config, report, out_dir, dec)
-    run_heat(config, report, out_dir, dec)
-    profiles = run_extend(config, report, out_dir, dec)
-    run_limit(config, report, out_dir, dec, profiles)
+    # one seeded phi for every stage, as each would build the same one
+    phi = _phi(config, spec)
+    run_frac(config, report, out_dir, dec, phi)
+    run_heat(config, report, out_dir, dec, phi)
+    profiles = run_extend(config, report, out_dir, dec, phi)
+    run_limit(config, report, out_dir, dec, profiles, phi)
 
 
 RUNNERS = {

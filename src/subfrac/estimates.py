@@ -51,6 +51,8 @@ def fit_loglog(t_samples: Sequence[float], norms: Sequence[float]) -> DecayFit:
     if not (_finite_positive(t) and _finite_positive(y)):
         raise ConfigError("log-log fit needs finite positive samples and norms")
     x = np.log(t)
+    if np.ptp(x) == 0:
+        raise ConfigError(f"log-log fit needs two distinct samples, got only {t[0]:g}")
     ly = np.log(y)
     slope, intercept = np.polyfit(x, ly, 1)
     pred = slope * x + intercept
@@ -221,6 +223,8 @@ def measure_ball_volumes(r_values: Sequence[float], lattice_h: float,
     search of the sorted x3 terms, shared by every column.
     """
     r = np.asarray(sorted(r_values), dtype=float)
+    if r.size == 0:
+        raise ConfigError("need at least one radius")
     if not _finite_positive(r):
         raise ConfigError(f"radii must be finite and positive, got {r_values}")
     if not 0 < lattice_h < np.inf:

@@ -469,6 +469,23 @@ def test_verify_all_limit_reads_the_extend_profiles(tmp_path, monkeypatch, mode)
         assert max(sizes) < 16 * 16
 
 
+def test_verify_all_builds_phi_once(tmp_path, monkeypatch):
+    # frac, heat, extend and limit share the one seeded phi of the job
+    import subfrac.cli as cli
+
+    build, specs = cli._phi, []
+
+    def counted(config, spec):
+        specs.append(spec)
+        return build(config, spec)
+
+    monkeypatch.setattr(cli, "_phi", counted)
+    code = run_cli(["verify-all", "--mode", "euclidean_torus", "--n", "16", "--L", "10",
+                    "--out", str(tmp_path)])
+    assert code == 0
+    assert len(specs) == 1
+
+
 def test_limit_spec_example_defaults(tmp_path):
     # the documented one-liner, with no --L: defaults must make it pass
     code = run_cli([

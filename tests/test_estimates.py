@@ -42,6 +42,13 @@ def test_fit_validation():
         fit_loglog([0.1, -0.2], [1.0, 1.0])
 
 
+def test_fit_rejects_equal_samples(capfd):
+    # one distinct sample leaves the slope undetermined; LAPACK must not see it
+    with pytest.raises(ConfigError, match="two distinct samples"):
+        fit_loglog([1, 1, 1], [1, 2, 3])
+    assert capfd.readouterr() == ("", "")
+
+
 @pytest.mark.parametrize("t, norms", [
     ([1.0, 2.0, 3.0], [1.0, np.nan, 2.0]),
     ([1.0, np.inf, 3.0], [1.0, 1.5, 2.0]),
@@ -209,6 +216,16 @@ def test_volume_growth_euclid_control():
 def test_ball_volumes_reject_a_bad_lattice_or_radius(r_values, lattice_h):
     with pytest.raises(ConfigError, match="finite"):
         measure_ball_volumes(r_values, lattice_h)
+
+
+def test_ball_volumes_reject_no_radii():
+    with pytest.raises(ConfigError, match="at least one radius"):
+        measure_ball_volumes([], 0.1)
+
+
+def test_volume_growth_rejects_no_radii():
+    with pytest.raises(ConfigError, match="at least one radius"):
+        volume_growth_fit([], 0.1)
 
 
 def test_volume_growth_rejects_a_negative_lattice_step():

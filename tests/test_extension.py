@@ -314,7 +314,7 @@ def test_initial_value_on_torus(torus64):
 def test_solution_on_eigenvector_is_scalar_multiplier(torus64):
     op, dec = torus64
     k = 5
-    v = GridFunction(op.spec, dec.eigenvectors[:, k])
+    v = GridFunction(op.spec, dec.eigenvector(k))
     lam = dec.eigenvalues[k]
     params = ExtensionParams(s=0.3, t_values=(0.7,))
     u = extension_solve(dec, params, v).u[0]
@@ -446,10 +446,10 @@ def test_dt_multiplier_fd_error_is_second_order():
 def test_dt_negative_on_positive_modes(torus64):
     op, dec = torus64
     k = 7
-    v = GridFunction(op.spec, dec.eigenvectors[:, k])
+    v = GridFunction(op.spec, dec.eigenvector(k))
     for t in (0.1, 0.5, 2.0):
         du = extension_solve(dec, ExtensionParams(s=0.5, t_values=(t,)), v).du_dt[0]
-        coeff = dec.eigenvectors[:, k] @ du.values
+        coeff = dec.eigenvector(k) @ du.values
         assert coeff < 0.0
 
 
@@ -466,7 +466,7 @@ def test_dtt_half_s_exponential():
 
 def test_pde_residual_single_mode(torus64):
     op, dec = torus64
-    v = GridFunction(op.spec, dec.eigenvectors[:, 3])
+    v = GridFunction(op.spec, dec.eigenvector(3))
     params = ExtensionParams(s=0.5, t_values=(1.0,))
     assert pde_residual(extension_solve(dec, params, v)) <= 1e-8
 

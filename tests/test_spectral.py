@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.linalg.blas
 import scipy.sparse as sp
 
@@ -39,6 +40,11 @@ def grid_fn(spec, rng):
     return GridFunction(spec, rng.standard_normal(spec.n_nodes))
 
 
+def dense_basis(dec):
+    """The N x N eigenbasis of a SpectralDecomposition, one accessor column at a time."""
+    return np.column_stack([dec.eigenvector(k) for k in range(dec.n)])
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 # ---------------------------------------------------------------------------
@@ -55,12 +61,13 @@ def test_zero_operator():
     op = DiscreteOperator(kind="euclid", matrix=sp.csr_matrix((5, 5)), fields_used=[], spec=spec)
     dec = spectral_decompose(op)
     assert np.array_equal(dec.eigenvalues, np.zeros(5))
-    assert np.abs(dec.eigenvectors.T @ dec.eigenvectors - np.eye(5)).max() <= 1e-12
+    Q = dense_basis(dec)
+    assert np.abs(Q.T @ Q - np.eye(5)).max() <= 1e-12
 
 
 def test_orthonormality_and_reconstruction(heis9):
     op, dec = heis9
-    Q = dec.eigenvectors
+    Q = dense_basis(dec)
     assert np.abs(Q.T @ Q - np.eye(dec.n)).max() <= 1e-10
     A = op.matrix.toarray()
     recon = (Q * dec.eigenvalues) @ Q.T
@@ -70,7 +77,7 @@ def test_orthonormality_and_reconstruction(heis9):
 def test_eigenbasis_orthogonal_to_roundoff(heis9):
     # the divide-and-conquer driver; the MRRR driver (evr) gives 4.5e-13 here
     _, dec = heis9
-    Q = dec.eigenvectors
+    Q = dense_basis(dec)
     assert np.abs(Q.T @ Q - np.eye(dec.n)).max() <= 1e-13
 
 
@@ -78,8 +85,9 @@ def test_eigen_probe_passes_and_flags_broken_bases(heis9, torus_small):
     op, dec = heis9
     orthogonality, residual = eigen_probe(op, dec)
     assert orthogonality <= 1e-12 and residual <= 1e-12
-    scaled = np.r_[1.001, np.ones(dec.n - 1)]
-    skewed = dataclasses.replace(dec, eigenvectors=dec.eigenvectors * scaled)
+    first = dec.blocks[0]
+    scaled = np.r_[1.001, np.ones(len(first) - 1)]
+    skewed = dataclasses.replace(dec, blocks=(first * scaled, *dec.blocks[1:]))
     assert eigen_probe(op, skewed)[0] >= 1e-6
     shifted = dataclasses.replace(dec, eigenvalues=dec.eigenvalues * (1.0 + 1e-6))
     assert eigen_probe(op, shifted)[1] >= 1e-8
@@ -126,6 +134,96 @@ def _box_operator_with_entry(bad) -> DiscreteOperator:
 def test_non_finite_operator_is_config_error(bad):
     with pytest.raises(ConfigError, match="non-finite"):
         spectral_decompose(_box_operator_with_entry(bad))
+
+
+# ---------------------------------------------------------------------------
+# the split by the grid's involution, against one plain eigh
+# ---------------------------------------------------------------------------
+
+SPLIT_GRIDS = {
+    "heis7-j1": ("j1", GridSpec(7, 2.0, 3, "heisenberg")),
+    "heis7-j3": ("j3", GridSpec(7, 2.0, 3, "heisenberg")),
+    "heis9-j1": ("j1", GridSpec(9, 2.0, 3, "heisenberg")),
+    "heis9-j3": ("j3", GridSpec(9, 2.0, 3, "heisenberg")),
+    "box1d": ("euclid", GridSpec(9, 1.0, 1, "euclidean_box")),
+    "box2d": ("euclid", GridSpec(9, 1.0, 2, "euclidean_box")),
+    "box3d": ("euclid", GridSpec(7, 1.0, 3, "euclidean_box")),
+    "torus2d": ("euclid", GridSpec(12, 1.0, 2, "euclidean_torus")),
+}
+
+
+def _scaled_rows(lam, lam_max):
+    """lam / lam_max and exp(-lam / lam_max): multipliers whose error stays at roundoff."""
+    return np.array([lam / lam_max, np.exp(-lam / lam_max)])
+
+
+def _matches_plain_eigh(op, dec, f):
+    """Eigenvalue and apply gaps of dec against scipy's eigh of the dense matrix."""
+    w, Q = scipy.linalg.eigh(op.matrix.toarray())
+    w = np.clip(w, 0.0, None)
+    lam_gap = np.abs(dec.eigenvalues - w).max() / w[-1]
+    want = [Q @ (row * (Q.T @ f.values)) for row in _scaled_rows(w, w[-1])]
+    got = dec.apply_values(_scaled_rows(dec.eigenvalues, w[-1]), f)
+    got_1d = dec.apply_values(_scaled_rows(dec.eigenvalues, w[-1])[1], f)
+    apply_gap = max(np.linalg.norm(g.values - v) / np.linalg.norm(v)
+                    for g, v in zip([*got, got_1d], [*want, want[1]]))
+    return lam_gap, apply_gap
+
+
+@pytest.mark.parametrize("name", list(SPLIT_GRIDS))
+def test_split_matches_one_plain_eigh(name, rng):
+    kind, spec = SPLIT_GRIDS[name]
+    op = assemble_operator(kind, spec)
+    dec = spectral_decompose(op)
+    assert len(dec.blocks) == 2
+    assert sum(len(Q) for Q in dec.blocks) == dec.n
+    lam_gap, apply_gap = _matches_plain_eigh(op, dec, grid_fn(spec, rng))
+    assert lam_gap <= 1e-12 and apply_gap <= 1e-12
+
+
+def _perturbed(op, node, size):
+    """op with size * max|A| added to its diagonal entry at node: still symmetric and PSD."""
+    bump = sp.csr_matrix(([size * abs(op.matrix).max()], ([node], [node])), shape=op.matrix.shape)
+    return DiscreteOperator(op.kind, (op.matrix + bump).tocsr(), op.fields_used, op.spec)
+
+
+def test_an_operator_that_breaks_the_involution_takes_one_block(rng):
+    op = assemble_operator("euclid", SPLIT_GRIDS["box2d"][1])
+    f = grid_fn(op.spec, rng)
+    # node 3 and its mirror differ by the bump in A - P A P: roundoff-sized,
+    # under SPLIT_TOL, it keeps the split; a real one takes the one block U = I
+    for size, blocks in ((0.1 * subfrac.spectral.SPLIT_TOL, 2), (0.5, 1)):
+        bumped = _perturbed(op, 3, size)
+        dec = spectral_decompose(bumped)
+        assert len(dec.blocks) == blocks
+        orthogonality, residual = eigen_probe(bumped, dec)
+        assert orthogonality <= 1e-12 and residual <= 1e-12
+        lam_gap, apply_gap = _matches_plain_eigh(bumped, dec, f)
+        assert lam_gap <= 1e-12 and apply_gap <= 1e-12
+    # one block with U = I: bitwise the plain evd eigh
+    w, Q = scipy.linalg.eigh(bumped.matrix.toarray(order="F"), driver="evd")
+    assert np.array_equal(dec.blocks[0], Q)
+    assert np.array_equal(dec.positions, np.arange(dec.n))
+
+
+def test_split_decompose_peak_stays_under_one_plain_eigh(heis9):
+    # two half-order eigh calls hold about a third of what one full-order
+    # evd eigh does: the N x N matrix it overwrites with Q, and its workspace
+    import tracemalloc
+
+    op, _ = heis9
+
+    def peak(decompose):
+        tracemalloc.start()
+        try:
+            decompose()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    plain = peak(lambda: scipy.linalg.eigh(op.matrix.toarray(order="F"), driver="evd",
+                                           overwrite_a=True, check_finite=False))
+    assert peak(lambda: spectral_decompose(op)) < plain / 2
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +297,7 @@ def test_krylov_capped_at_n_reproduces_dense(heis9, rng):
 def test_krylov_eigenvector_start_stops_early(heis9):
     op, dec = heis9
     k = 100
-    phi = GridFunction(op.spec, 3.0 * dec.eigenvectors[:, k])
+    phi = GridFunction(op.spec, 3.0 * dec.eigenvector(k))
     kry = krylov_spectrum(op, phi, 64)
     assert kry.steps == 1 and kry.exhaustive
     assert abs(kry.eigenvalues[0] - dec.eigenvalues[k]) <= 1e-12 * dec.eigenvalues[-1]
@@ -386,27 +484,29 @@ def _dense_rows(lam):
 
 @pytest.mark.parametrize("order", ["F", "C"])
 def test_dense_apply_runs_in_scipy_blas(heis9, rng, monkeypatch, order):
-    # Q^T f and the synthesis go through scipy's dgemv, and a batch of rows
-    # through one dgemm; one row takes the 1-D dgemv, so it is bitwise the
-    # 1-D apply.  A C-ordered Q is converted once, on construction.
+    # each block's Q^T f and synthesis go through scipy's dgemv, and a batch
+    # of rows through one dgemm; one row takes the 1-D dgemv, so it is
+    # bitwise the 1-D apply.  A C-ordered block is converted once, on
+    # construction.
     import subfrac.spectral as spectral
 
     op, dec = heis9
-    assert dec.eigenvectors.flags.f_contiguous
-    dec = dataclasses.replace(dec, eigenvectors=np.array(dec.eigenvectors, order=order))
-    assert dec.eigenvectors.flags.f_contiguous
-    Q, f = dec.eigenvectors, grid_fn(op.spec, rng)
+    assert len(dec.blocks) == 2
+    assert all(Q.flags.f_contiguous for Q in dec.blocks)
+    dec = dataclasses.replace(dec, blocks=[np.array(Q, order=order) for Q in dec.blocks])
+    assert all(Q.flags.f_contiguous for Q in dec.blocks)
+    Q, f = dense_basis(dec), grid_fn(op.spec, rng)
     rows = _dense_rows(dec.eigenvalues)
     blas = BlasRecorder()
     monkeypatch.setattr(spectral, "blas", blas)
 
     one_d = dec.apply_values(rows[1], f)
-    assert blas.calls == ["dgemv", "dgemv"]
+    assert blas.calls == ["dgemv", "dgemv"] * 2
     one_row = dec.apply_values(rows[1:2], f)
-    assert blas.calls[2:] == ["dgemv", "dgemv"]
+    assert blas.calls[4:] == ["dgemv", "dgemv"] * 2
     assert len(one_row) == 1 and np.array_equal(one_row[0].values, one_d.values)
     batch = dec.apply_values(rows, f)
-    assert blas.calls[4:] == ["dgemv", "dgemm"]
+    assert blas.calls[8:] == ["dgemv", "dgemm"] * 2
     for row, got in zip(rows, batch):
         want = Q @ (row * (Q.T @ f.values))
         assert np.linalg.norm(got.values - want) <= 1e-14 * np.linalg.norm(want)
@@ -417,7 +517,7 @@ def test_dense_apply_makes_no_copy_of_the_eigenbasis(heis9, rng, order):
     import tracemalloc
 
     op, dec = heis9
-    dec = dataclasses.replace(dec, eigenvectors=np.array(dec.eigenvectors, order=order))
+    dec = dataclasses.replace(dec, blocks=[np.array(Q, order=order) for Q in dec.blocks])
     f = grid_fn(op.spec, rng)
     rows = _dense_rows(dec.eigenvalues)
     for values in (rows[1], rows[1:2], rows):
@@ -428,6 +528,8 @@ def test_dense_apply_makes_no_copy_of_the_eigenbasis(heis9, rng, order):
         finally:
             tracemalloc.stop()
         assert peak < dec.n ** 2 * 8 / 2
+        # nor of any one block
+        assert peak < min(Q.nbytes for Q in dec.blocks) / 2
 
 
 def test_bounded_multiplier_is_l2_nonexpansive(torus_small, rng):
@@ -453,7 +555,7 @@ def test_fractional_s1_is_operator(heis9, rng):
 def test_fractional_on_eigenvector(heis9):
     op, dec = heis9
     k = dec.n // 3
-    v = GridFunction(op.spec, dec.eigenvectors[:, k])
+    v = GridFunction(op.spec, dec.eigenvector(k))
     out = fractional_power(dec, 0.37, v)
     assert np.abs(out.values - dec.eigenvalues[k] ** 0.37 * v.values).max() <= 1e-10
 
@@ -590,7 +692,7 @@ def test_kernel_requires_positive_t(torus_small):
 def test_derivative_check_single_mode(torus64):
     # scalar case: residual is the centered-difference truncation (delta*lam)^2/6
     op, dec = torus64
-    v = GridFunction(op.spec, dec.eigenvectors[:, 1])
+    v = GridFunction(op.spec, dec.eigenvector(1))
     assert heat_time_derivative_check(dec, 0.5, v) <= 1e-8
 
 
