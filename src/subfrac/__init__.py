@@ -28,7 +28,6 @@ from .group import (
     group_inverse,
     group_mul,
     homogeneous_norm,
-    inner_product,
     integral,
     lp_norm,
     random_bump,
@@ -54,7 +53,6 @@ from .spectral import (
     fractional_power,
     heat_apply,
     heat_kernel_column,
-    heat_time_derivative_check,
     krylov_spectrum,
     spectral_decompose,
 )
@@ -71,7 +69,6 @@ from .extension import (
     l2_wellposedness_check,
     path_agreement,
     pde_residual,
-    scalar_extension_multiplier,
     scalar_ode_residual,
     subordination_integral,
 )
@@ -81,13 +78,8 @@ from .estimates import (
     GaussianBoundResult,
     fit_loglog,
     gaussian_bound_check,
-    kernel_decay_target_slope,
     kernel_norm_decay,
     kernel_reconstruction_gap,
     measure_ball_volumes,
     volume_growth_fit,
-    weighted_kernel_norm,
-    weighted_norm_decay,
-    weighted_norm_target_slope,
-    write_fit_report,
 )

@@ -82,25 +82,44 @@ LIMIT_KINDS = ("limit", "verify-all")
 KRYLOV_START = 32
 KRYLOV_RTOL = 1e-10
 
+# the grid and operator of each mode, where the config leaves them out.
+# Euclidean grids default to a wide extent so the standard sweeps sit in the
+# asymptotic regime of smooth seeded data; a box needs an odd n, so that the
+# origin is a node
+MODE_DEFAULTS = {
+    "heisenberg": {"op": "j1", "n": 9, "L": 2.0, "dims": 3},
+    "euclidean_box": {"op": "euclid", "n": 65, "L": 10.0, "dims": 1},
+    "euclidean_torus": {"op": "euclid", "n": 64, "L": 10.0, "dims": 1},
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings; op, n, L and dims left as None take MODE_DEFAULTS[mode]."""
+
     kind: str
     mode: str = "heisenberg"
-    op: str = "j1"
-    n: int = 9
-    L: float = 2.0
-    dims: int = 3
+    op: str | None = None
+    n: int | None = None
+    L: float | None = None
+    dims: int | None = None
     s_values: tuple = (0.5,)
     t_values: tuple = (0.2, 0.1, 0.05)
     tol: float = 0.0  # boundary-limit bound; 0 means the default of the mode
     seed: int = 1234
     out: str = "runs"
+    spec: GridSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; expected one of "
                               f"{EXPERIMENT_KINDS}")
+        if self.mode not in MODE_DEFAULTS:
+            raise ConfigError(f"unknown mode {self.mode!r}; expected one of "
+                              f"{tuple(MODE_DEFAULTS)}")
+        for key, value in MODE_DEFAULTS[self.mode].items():
+            if getattr(self, key) is None:
+                object.__setattr__(self, key, value)
         for key, values in (("s", self.s_values), ("t", self.t_values)):
             if not values:
                 raise ConfigError(f"the {key} sweep is empty")
@@ -127,6 +146,10 @@ class ExperimentConfig:
             raise ConfigError(
                 f"{self.kind} needs at least 3 t values for the boundary limit, "
                 f"got {self.t_values}")
+        if self.kind == "frac":
+            for s in self.s_values:
+                if s <= 0:
+                    raise ConfigError(f"fractional power needs s > 0, got {s}")
         # heat takes any order of t, but H_t needs t >= 0 and the kernel
         # column of the torus checks t > 0
         if self.kind == "heat":
@@ -135,6 +158,9 @@ class ExperimentConfig:
                     raise ConfigError(f"heat semigroup needs t >= 0, got {t}")
                 if t == 0 and self.mode == "euclidean_torus":
                     raise ConfigError(f"the torus kernel column needs t > 0, got {t}")
+        # a bad grid is refused here too, before run() makes the output directory
+        object.__setattr__(self, "spec", GridSpec(n_per_axis=self.n, extent=self.L,
+                                                  dims=self.dims, mode=self.mode))
 
     def flat(self) -> dict:
         return {
@@ -153,9 +179,6 @@ class ExperimentConfig:
     def hash(self) -> str:
         blob = "\n".join(f"{k}={v}" for k, v in sorted(self.flat().items()))
         return hashlib.sha256(blob.encode("ascii")).hexdigest()
-
-    def grid(self) -> GridSpec:
-        return GridSpec(n_per_axis=self.n, extent=self.L, dims=self.dims, mode=self.mode)
 
 
 @dataclass
@@ -254,7 +277,7 @@ def _phi(config: ExperimentConfig, spec: GridSpec) -> GridFunction:
 
 
 def run_assemble(config: ExperimentConfig, report: RunReport, out_dir: Path) -> None:
-    spec = config.grid()
+    spec = config.spec
     op = assemble_operator(config.op, spec)
     export_matrix_market(op, out_dir / "operator.mtx")
     sym_gap = abs(op.matrix - op.matrix.T).max()
@@ -271,7 +294,7 @@ def run_spectrum(config: ExperimentConfig, report: RunReport, out_dir: Path):
 
     Either way, the probes check the result against the assembled matrix.
     """
-    spec = config.grid()
+    spec = config.spec
     op = assemble_operator(config.op, spec)
     if spec.mode == "euclidean_torus":
         dec = fourier_decompose(op)
@@ -292,7 +315,7 @@ def run_spectrum(config: ExperimentConfig, report: RunReport, out_dir: Path):
 
 def run_frac(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=None,
              phi=None) -> None:
-    spec = config.grid()
+    spec = config.spec
     if dec is None:
         dec = run_spectrum(config, report, out_dir)
     phi = _phi(config, spec) if phi is None else phi
@@ -308,7 +331,7 @@ def run_frac(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=Non
 
 def run_heat(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=None,
              phi=None) -> None:
-    spec = config.grid()
+    spec = config.spec
     if dec is None:
         dec = run_spectrum(config, report, out_dir)
     phi = _phi(config, spec) if phi is None else phi
@@ -340,7 +363,7 @@ def run_heat(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=Non
 def run_extend(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=None,
                phi=None) -> list:
     """The extend checks of each s; returns the extension profile of each s."""
-    spec = config.grid()
+    spec = config.spec
     if dec is None:
         dec = run_spectrum(config, report, out_dir)
     phi = _phi(config, spec) if phi is None else phi
@@ -434,7 +457,7 @@ def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=No
     spectrum, of as many steps, started from A phi and built by the plain
     three-term recurrence, so two algorithms compute the two sides.
     """
-    spec = config.grid()
+    spec = config.spec
     phi = _phi(config, spec) if phi is None else phi
     sweeps = [ExtensionParams(s=s, t_values=config.t_values) for s in config.s_values]
     krylov = dec is None and spec.mode != "euclidean_torus"
@@ -484,7 +507,7 @@ def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=No
 
 
 def run_verify_all(config: ExperimentConfig, report: RunReport, out_dir: Path) -> None:
-    spec = config.grid()
+    spec = config.spec
     rng = np.random.default_rng(config.seed)
 
     if spec.mode == "heisenberg":
@@ -665,34 +688,14 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                     raise ConfigError(f"{args.config}: bad value for {key!r}: {exc}") from exc
             else:
                 raise ConfigError(f"unknown config key {key!r}")
-    for key in ("mode", "op", "n", "L", "dims", "tol", "seed", "out"):
+    for key in ("mode", "op", "n", "L", "dims", "s", "t", "tol", "seed", "out"):
         val = getattr(args, key, None)
         if val is not None:
             base[key] = val
-    if getattr(args, "s", None) is not None:
-        base["s"] = args.s
-    if getattr(args, "t", None) is not None:
-        base["t"] = args.t
     base.pop("kind", None)
-    mode = base.get("mode", "heisenberg")
-    defaults = ExperimentConfig(kind=args.kind)
-    dims = base.get("dims", 3 if mode == "heisenberg" else 1)
-    # euclidean boxes default to a wide extent so the standard sweeps sit in
-    # the asymptotic regime of smooth seeded data
-    default_L = defaults.L if mode == "heisenberg" else 10.0
-    return ExperimentConfig(
-        kind=args.kind,
-        mode=mode,
-        op=base.get("op", "euclid" if mode != "heisenberg" else "j1"),
-        n=base.get("n", defaults.n if mode == "heisenberg" else 64),
-        L=base.get("L", default_L),
-        dims=dims,
-        s_values=base.get("s", defaults.s_values),
-        t_values=base.get("t", defaults.t_values),
-        tol=base.get("tol", 0.0),
-        seed=base.get("seed", defaults.seed),
-        out=base.get("out", defaults.out),
-    )
+    sweeps = {"s": "s_values", "t": "t_values"}
+    return ExperimentConfig(kind=args.kind,
+                            **{sweeps.get(key, key): value for key, value in base.items()})
 
 
 def main(argv=None) -> int:

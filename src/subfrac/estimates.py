@@ -7,18 +7,16 @@ least squares, and the fitted slope is compared against the predicted rate.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-from .group import GridFunction, GridSpec, _atomic_open, homogeneous_norm, lp_norm
+from .group import GridSpec, homogeneous_norm, lp_norm
 from .spectral import Spectrum, delta_function, heat_kernel_column, positive_power
-from .stencils import apply_multi_index
 
 # largest spread of the Gaussian-bound log gaps over t that counts as stable
 GAUSSIAN_STABILITY_WINDOW = 2.0
@@ -114,13 +112,6 @@ def kernel_norm_decay(dec: Spectrum, s: float, p: int,
         col = dec.apply_values(svals * np.exp(-t * lam), delta)
         norms.append(lp_norm(col, p))
     return fit_loglog(t_values, norms)
-
-
-def kernel_decay_target_slope(spec: GridSpec, s: float, p: int) -> float:
-    N = 4 if spec.mode == "heisenberg" else spec.dims
-    if p == 1:
-        return -s
-    return -s - N / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -259,41 +250,6 @@ def volume_growth_fit(r_values: Sequence[float], lattice_h: float,
 
 
 # ---------------------------------------------------------------------------
-# weighted kernel norms
-# ---------------------------------------------------------------------------
-
-def weighted_kernel_norm(dec: Spectrum, t: float, alpha: int,
-                         index: Sequence[str], p: int) -> float:
-    """||(1 + |x|)^alpha X^I h_t||_p with |I| <= 1, p in {1, 2}, alpha in {0, 1, 2}."""
-    if len(index) > 1:
-        raise ConfigError("|I| >= 2 is out of scope for weighted kernel norms")
-    if p not in (1, 2):
-        raise ConfigError(f"p must be 1 or 2, got {p}")
-    if alpha not in (0, 1, 2):
-        raise ConfigError(f"alpha must be 0, 1 or 2, got {alpha}")
-    col = heat_kernel_column(dec, t)
-    v = apply_multi_index(index, col)
-    spec = dec.spec
-    dist = _norm_for_mode(spec, _displacements(spec))
-    weighted = GridFunction(spec, (1.0 + dist) ** alpha * v.values)
-    return lp_norm(weighted, p)
-
-
-def weighted_norm_decay(dec: Spectrum, alpha: int, index: Sequence[str],
-                        p: int, t_values: Sequence[float]) -> DecayFit:
-    """Fit the weighted kernel norm over t; small-t slope -|I|/2 - N/(2p')."""
-    check_t_window(dec.spec, t_values)
-    norms = [weighted_kernel_norm(dec, t, alpha, index, p) for t in t_values]
-    return fit_loglog(t_values, norms)
-
-
-def weighted_norm_target_slope(spec: GridSpec, index: Sequence[str], p: int) -> float:
-    N = 4 if spec.mode == "heisenberg" else spec.dims
-    p_conj_inv = 1.0 - 1.0 / p  # 1/p' with p' conjugate
-    return -len(index) / 2.0 - N / 2.0 * p_conj_inv
-
-
-# ---------------------------------------------------------------------------
 # multiplier-kernel reconstruction, exercised through m(lambda) = lambda^s e^{-lambda}
 # ---------------------------------------------------------------------------
 
@@ -323,29 +279,3 @@ def kernel_reconstruction_gap(dec: Spectrum, s: float, t: float) -> float:
     l1_direct = w * np.abs(direct.values[window]).sum()
     l1_recon = scale * w * np.abs(recon.values[window]).sum()
     return abs(l1_recon - l1_direct) / max(l1_direct, 1e-300)
-
-
-# ---------------------------------------------------------------------------
-# fit report export
-# ---------------------------------------------------------------------------
-
-def write_fit_report(fit: DecayFit, target: float, tolerance: float,
-                     csv_path, json_path) -> bool:
-    """CSV `t,norm` plus JSON {slope, target, ci, pass}; returns the pass flag."""
-    ok = abs(fit.fitted_slope - target) <= tolerance
-    with _atomic_open(csv_path) as fh:
-        fh.write("t,norm\n")
-        for t, v in zip(fit.t_samples, fit.norms):
-            fh.write(f"{t:.17g},{v:.17g}\n")
-    payload = {
-        "slope": fit.fitted_slope,
-        "target": target,
-        "ci": fit.slope_ci,
-        "tolerance": tolerance,
-        "residual": fit.residual,
-        "pass": bool(ok),
-    }
-    with _atomic_open(json_path) as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return ok

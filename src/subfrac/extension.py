@@ -98,6 +98,9 @@ def extension_multiplier_values(s: float, t: float,
     F, dF, ddF = np.ones_like(lam), np.zeros_like(lam), np.zeros_like(lam)
     q = lam * t * t / 4.0
     pos = q >= np.finfo(float).tiny
+    if not pos.any():
+        # every mode passes through; t may be so small that t * t is 0
+        return F, dF, ddF
     q, lam = q[pos], lam[pos]
     z = 2.0 * np.sqrt(q)
     # kve(nu, z) = K_nu(z) e^z; the factor e^{-z} underflows to 0 harmlessly
@@ -109,20 +112,6 @@ def extension_multiplier_values(s: float, t: float,
     dF[pos] = -(2.0 / t) * qg1  # -(lam t/2) G_1
     ddF[pos] = lam * qg2 - (2.0 / (t * t)) * qg1  # (lam^2 t^2/4) G_2 - (lam/2) G_1
     return F, dF, ddF
-
-
-def scalar_extension_multiplier(s: float, t: float, lam: float) -> float:
-    """F_s(t, lambda) for one spectral point.
-
-    F_s(0, .) = 1 (Gamma normalization), and the lambda = 0 kernel mode
-    passes through with F = 1 at every t, as in extension_multiplier_values.
-    """
-    if t < 0 or lam < 0:
-        raise ConfigError("t and lambda must be >= 0")
-    if t == 0.0:
-        return 1.0
-    F, _, _ = extension_multiplier_values(s, t, np.array([lam]))
-    return float(F[0])
 
 
 def scalar_ode_residual(s: float, lam: float, t: float) -> float:
@@ -371,7 +360,6 @@ class BoundaryLimitResult:
     rel_error: float
     sweep_t: tuple
     sweep_values: list
-    monotone: bool
     used_fallback: bool
 
 
@@ -421,9 +409,8 @@ def boundary_limit(dec: Spectrum, profile: ExtensionProfile,
     reference = dec.apply_values(-extension_constant(s) * positive_power(dec.eigenvalues, s), phi)
 
     dists = [np.linalg.norm(w.values - ext_vals) for w in sweep]
-    monotone = all(d1 > d2 for d1, d2 in zip(dists, dists[1:]))
-    used_fallback = False
-    if not monotone:
+    used_fallback = not all(d1 > d2 for d1, d2 in zip(dists, dists[1:]))
+    if used_fallback:
         warnings.warn(
             "boundary-limit sweep is not monotone toward the extrapolant; "
             f"falling back to the raw value at t={params.t_values[-1]} "
@@ -431,7 +418,6 @@ def boundary_limit(dec: Spectrum, profile: ExtensionProfile,
             RuntimeWarning,
         )
         ext_vals = sweep[-1].values
-        used_fallback = True
 
     extrapolated = GridFunction(phi.spec, ext_vals)
     # J^s phi = 0 (phi in the kernel) makes the relative error ill-posed;
@@ -446,7 +432,6 @@ def boundary_limit(dec: Spectrum, profile: ExtensionProfile,
         rel_error=lp_norm(gap, 2) / denom,
         sweep_t=params.t_values,
         sweep_values=sweep,
-        monotone=monotone,
         used_fallback=used_fallback,
     )
 

@@ -165,15 +165,6 @@ class GridFunction:
     def shaped(self) -> np.ndarray:
         return self.spec.shaped(self.values)
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.spec, self.values.copy())
-
-
-def require_same_spec(f: GridFunction, g: GridFunction) -> GridSpec:
-    if f.spec != g.spec:
-        raise GridMismatchError(f"grid mismatch: {f.spec} vs {g.spec}")
-    return f.spec
-
 
 def integral(f: GridFunction) -> float:
     """Haar (= Lebesgue) integral as the plain Riemann sum h^dims * sum."""
@@ -182,7 +173,7 @@ def integral(f: GridFunction) -> float:
 
 def lp_norm(f: GridFunction, p) -> float:
     """Haar-weighted discrete L^p norm for p in {1, 2, inf}."""
-    if p == np.inf or p == "inf":
+    if p == np.inf:
         return float(np.abs(f.values).max(initial=0.0))
     w = f.spec.spacing ** f.spec.dims
     if p == 1:
@@ -190,12 +181,6 @@ def lp_norm(f: GridFunction, p) -> float:
     if p == 2:
         return float(np.sqrt(w * np.square(f.values).sum()))
     raise ConfigError(f"unsupported p={p!r}; expected 1, 2 or inf")
-
-
-def inner_product(f: GridFunction, g: GridFunction) -> float:
-    """Haar-weighted L^2 pairing."""
-    require_same_spec(f, g)
-    return float(f.spec.spacing ** f.spec.dims * (f.values @ g.values))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +195,9 @@ def group_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     interpolation along x3 with zero extension outside the box.  Euclidean
     modes reduce to ordinary (torus-periodic or zero-padded) convolution.
     """
-    spec = require_same_spec(f, g)
+    spec = f.spec
+    if g.spec != spec:
+        raise GridMismatchError(f"grid mismatch: {f.spec} vs {g.spec}")
     h = spec.spacing
     if spec.mode == "euclidean_torus":
         # re-index g so the coordinate origin (center node) sits at array index 0,

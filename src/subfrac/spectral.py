@@ -492,21 +492,6 @@ def heat_kernel_column(dec: Spectrum, t: float) -> GridFunction:
     return heat_apply(dec, t, delta_function(dec.spec))
 
 
-def heat_time_derivative_check(dec: Spectrum, t: float,
-                               f: GridFunction, rel_step: float = 1e-4) -> float:
-    """Relative residual of d/dt H_t f = -J H_t f by centered differences in t."""
-    if t <= 0:
-        raise ConfigError("t must be > 0")
-    dt = rel_step * t
-    fwd = heat_apply(dec, t + dt, f).values
-    bwd = heat_apply(dec, t - dt, f).values
-    lam = dec.eigenvalues
-    gen = dec.apply_values(lam * np.exp(-t * lam), f).values  # J H_t f
-    num = np.linalg.norm((fwd - bwd) / (2.0 * dt) + gen)
-    den = np.linalg.norm(gen)
-    return float(num / den) if den > 0 else float(num)
-
-
 def export_spectrum_csv(dec: Spectrum, path) -> None:
     """CSV `index,eigenvalue` of the ascending eigenvalues at full float64 precision."""
     with _atomic_open(path) as fh:

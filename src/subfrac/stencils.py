@@ -46,7 +46,6 @@ class VectorFieldMatrix:
     """Sparse stencil realization of one left-invariant field."""
 
     kind: str
-    scheme: str
     matrix: sp.csr_matrix = field(repr=False)
     spec: GridSpec
 
@@ -67,7 +66,6 @@ class DiscreteOperator:
 
     kind: str
     matrix: sp.csr_matrix = field(repr=False)
-    fields_used: list
     spec: GridSpec
 
     def apply(self, f: GridFunction) -> GridFunction:
@@ -144,7 +142,7 @@ def build_vector_field(kind: str, scheme: str, spec: GridSpec) -> VectorFieldMat
             entries.append((rows[keep], _flat_index([t[keep] for t in target], n), vals[keep]))
     r, cols, vals = (np.concatenate(e) for e in zip(*entries))
     mat = sp.csr_matrix((vals, (r, cols)), shape=(rows.size, spec.n_nodes))
-    return VectorFieldMatrix(kind=kind, scheme=scheme, matrix=mat, spec=spec)
+    return VectorFieldMatrix(kind=kind, matrix=mat, spec=spec)
 
 
 def apply_multi_index(index: Sequence[str], f: GridFunction) -> GridFunction:
@@ -214,7 +212,7 @@ def assemble_operator(kind: str, spec: GridSpec) -> DiscreteOperator:
         A = A + f.matrix.T @ f.matrix
     # symmetrize exactly; B^T B is symmetric up to roundoff in the sparse product
     A = ((A + A.T) * 0.5).tocsr()
-    return DiscreteOperator(kind=kind, matrix=A, fields_used=fields, spec=spec)
+    return DiscreteOperator(kind=kind, matrix=A, spec=spec)
 
 
 def export_matrix_market(op: DiscreteOperator, path) -> None:

@@ -495,6 +495,26 @@ def test_limit_spec_example_defaults(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("kind", ["spectrum", "limit"])
+def test_box_mode_runs_on_its_defaults(tmp_path, kind):
+    # a box needs an odd n, so its default grid differs from the torus's 64
+    assert run_cli([kind, "--mode", "euclidean_box", "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / kind / "results.json").read_text())["report"]
+    assert report["config"]["n"] == "65"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "5", "--s", "0.5,-0.5"], "fractional power needs s > 0, got -0.5"),
+    (["--n", "4"], "box modes need odd n_per_axis"),
+], ids=["nonpositive-s", "even-box-n"])
+def test_bad_frac_config_exits_two_before_any_output(tmp_path, capsys, flags, message):
+    # rejected with the config, so no eigh is paid for and no empty frac/, or
+    # frac_s*.gf1 without its results.json, is left behind
+    assert run_cli(["frac", "--mode", "heisenberg", *flags, "--out", str(tmp_path)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "frac").exists()
+
+
 def test_heat_subcommand(tmp_path, capsys):
     code = run_cli([
         "heat", "--mode", "euclidean_torus", "--n", "32", "--L", "10",

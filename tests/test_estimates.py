@@ -5,20 +5,20 @@ import pytest
 
 import subfrac
 from subfrac import (
+    GridFunction,
     GridSpec,
+    apply_multi_index,
     assemble_operator,
     fit_loglog,
     gaussian_bound_check,
-    kernel_decay_target_slope,
+    heat_kernel_column,
+    integral,
     kernel_norm_decay,
     kernel_reconstruction_gap,
+    lp_norm,
     measure_ball_volumes,
     spectral_decompose,
     volume_growth_fit,
-    weighted_kernel_norm,
-    weighted_norm_decay,
-    weighted_norm_target_slope,
-    write_fit_report,
 )
 from subfrac.errors import ConfigError
 
@@ -59,21 +59,6 @@ def test_fit_rejects_non_finite_samples(t, norms):
         fit_loglog(t, norms)
 
 
-def test_fit_report_files(tmp_path):
-    t = np.geomspace(0.1, 1, 5)
-    fit = fit_loglog(t, t ** -0.5)
-    ok = write_fit_report(fit, -0.5, 0.1, tmp_path / "fit.csv", tmp_path / "fit.json")
-    assert ok
-    lines = (tmp_path / "fit.csv").read_text().splitlines()
-    assert lines[0] == "t,norm"
-    assert len(lines) == 6
-    import json
-
-    payload = json.loads((tmp_path / "fit.json").read_text())
-    assert payload["pass"] is True
-    assert payload["slope"] == pytest.approx(-0.5)
-
-
 # ---------------------------------------------------------------------------
 # kernel norm decay
 # ---------------------------------------------------------------------------
@@ -83,9 +68,9 @@ def test_kernel_decay_euclid_torus(torus256):
     ts = np.geomspace(0.05, 0.5, 7)
     fit1 = kernel_norm_decay(dec, 0.5, 1, ts)
     assert abs(fit1.fitted_slope - (-0.5)) <= 0.1
+    # p = 2 targets -s - N/4, with homogeneous dimension N = 1 on the 1-D torus
     fit2 = kernel_norm_decay(dec, 0.5, 2, ts)
-    assert abs(fit2.fitted_slope - kernel_decay_target_slope(op.spec, 0.5, 2)) <= 0.1
-    assert kernel_decay_target_slope(op.spec, 0.5, 2) == -0.75
+    assert abs(fit2.fitted_slope - (-0.75)) <= 0.1
 
 
 def test_kernel_decay_small_s_limit(torus256):
@@ -239,46 +224,35 @@ def test_volume_growth_undersampled():
 
 
 # ---------------------------------------------------------------------------
-# weighted kernel norms
+# heat-kernel norms
 # ---------------------------------------------------------------------------
 
 def test_weighted_mass_is_flat(heis15):
     op, dec = heis15
     ts = np.geomspace(0.15, 1.5, 7)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fit = weighted_norm_decay(dec, 0, [], 1, ts)
+    fit = fit_loglog(ts, [lp_norm(heat_kernel_column(dec, t), 1) for t in ts])
     assert abs(fit.fitted_slope) <= 0.1
     # |.|_1 picks up the discrete undershoot wiggles on top of the unit mass
-    assert weighted_kernel_norm(dec, 0.3, 0, [], 1) == pytest.approx(1.0, abs=2e-2)
+    assert lp_norm(heat_kernel_column(dec, 0.3), 1) == pytest.approx(1.0, abs=2e-2)
 
 
 def test_weighted_x1_slope(heis15_fine):
+    # ||X^I h_t||_p falls as t^(-|I|/2 - N/(2p')); -1/2 for I = (X1), p = 1
     op, dec = heis15_fine
     ts = np.geomspace(0.08, 0.8, 7)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        fit = weighted_norm_decay(dec, 0, ["X1"], 1, ts)
-    assert weighted_norm_target_slope(op.spec, ["X1"], 1) == -0.5
+    norms = [lp_norm(apply_multi_index(["X1"], heat_kernel_column(dec, t)), 1) for t in ts]
+    fit = fit_loglog(ts, norms)
     assert abs(fit.fitted_slope - (-0.5)) <= 0.15
 
 
 def test_weighted_euclid_closed_form(torus256):
-    # 1-D Gaussian first moment: int (1+|x|) h_t = 1 + 2 sqrt(t/pi)
+    # 1-D Gaussian first moment: int (1+|x|) h_t = 1 + 2 sqrt(t/pi); the
+    # kernel is centered at the node x = 0
     op, dec = torus256
+    weight = 1.0 + np.abs(op.spec.node_coordinates()[:, 0])
     for t in (0.1, 0.3):
-        got = weighted_kernel_norm(dec, t, 1, [], 1)
+        got = integral(GridFunction(op.spec, weight * heat_kernel_column(dec, t).values))
         assert got == pytest.approx(1.0 + 2.0 * np.sqrt(t / np.pi), rel=5e-3)
-
-
-def test_weighted_kernel_norm_validation(torus256):
-    op, dec = torus256
-    with pytest.raises(ConfigError):
-        weighted_kernel_norm(dec, 0.1, 0, ["partial_1", "partial_1"], 1)
-    with pytest.raises(ConfigError):
-        weighted_kernel_norm(dec, 0.1, 0, [], 3)
-    with pytest.raises(ConfigError):
-        weighted_kernel_norm(dec, 0.1, 5, [], 1)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from subfrac import (
     lp_norm,
     path_agreement,
     pde_residual,
-    scalar_extension_multiplier,
     scalar_ode_residual,
     subordination_integral,
 )
@@ -33,6 +32,11 @@ def bessel_F(s, t, lam):
     """Independent closed form: F = 2^{1-s}/Gamma(s) (t sqrt(lam))^s K_s(t sqrt(lam))."""
     z = t * np.sqrt(lam)
     return 2.0 ** (1 - s) / gamma(s) * z ** s * kv(s, z)
+
+
+def multiplier(s, t, lam):
+    """F_s(t, lambda) at one spectral point, from the closed-form multipliers."""
+    return float(extension_multiplier_values(s, t, np.array([lam]))[0][0])
 
 
 def torus_bump(spec):
@@ -67,21 +71,15 @@ def test_constant_domain():
 # scalar multiplier
 # ---------------------------------------------------------------------------
 
-def test_multiplier_at_t0_is_one():
-    for s in (0.2, 0.5, 0.8):
-        for lam in (0.0, 0.5, 10.0):
-            assert scalar_extension_multiplier(s, 0.0, lam) == 1.0
-
-
 def test_multiplier_bessel_half():
     # K_{1/2} closed form: F = e^{-t sqrt(lam)}
-    got = scalar_extension_multiplier(0.5, 1.0, 1.0)
+    got = multiplier(0.5, 1.0, 1.0)
     assert got == pytest.approx(np.exp(-1.0), rel=1e-9)
 
 
 def test_multiplier_lambda_zero_scalar_convention():
     # the kernel mode passes through at every t, as on the operator paths
-    assert scalar_extension_multiplier(0.5, 1.0, 0.0) == 1.0
+    assert multiplier(0.5, 1.0, 0.0) == 1.0
 
 
 def test_multiplier_matches_bessel_oracle(rng):
@@ -89,7 +87,7 @@ def test_multiplier_matches_bessel_oracle(rng):
         s = rng.uniform(0.05, 0.95)
         t = rng.uniform(0.01, 3.0)
         lam = rng.uniform(0.05, 50.0)
-        got = scalar_extension_multiplier(s, t, lam)
+        got = multiplier(s, t, lam)
         assert got == pytest.approx(bessel_F(s, t, lam), rel=1e-9, abs=1e-12)
 
 
@@ -112,11 +110,11 @@ def test_derivative_multiplier_vanishes_at_kernel_mode():
 
 @given(
     st.floats(min_value=0.05, max_value=0.95),
-    st.floats(min_value=0.0, max_value=10.0),
+    st.floats(min_value=0.0, max_value=10.0, exclude_min=True),
     st.floats(min_value=0.0, max_value=500.0),
 )
 def test_multiplier_in_unit_interval(s, t, lam):
-    v = scalar_extension_multiplier(s, t, lam)
+    v = multiplier(s, t, lam)
     assert 0.0 <= v <= 1.0
 
 
@@ -127,8 +125,8 @@ def test_multiplier_in_unit_interval(s, t, lam):
     st.floats(min_value=0.01, max_value=100.0),
 )
 def test_multiplier_nonincreasing_in_t(s, t, factor, lam):
-    early = scalar_extension_multiplier(s, t, lam)
-    late = scalar_extension_multiplier(s, t * (1.0 + factor), lam)
+    early = multiplier(s, t, lam)
+    late = multiplier(s, t * (1.0 + factor), lam)
     assert late <= early + 1e-10
 
 
@@ -249,6 +247,12 @@ def test_multipliers_need_finite_positive_t():
             extension_multiplier_values(0.5, bad, np.array([1.0]))
 
 
+def test_multipliers_pass_every_mode_when_t_squared_underflows():
+    # t * t is 0 in floating point, so every q is 0 and every mode passes through
+    F, dF, ddF = extension_multiplier_values(0.5, 5e-324, np.array([0.0, 1.0, 500.0]))
+    assert (F == 1.0).all() and (dF == 0.0).all() and (ddF == 0.0).all()
+
+
 def test_scalar_ode_residual_random(rng):
     # the diagonalized extension equation F'' + ((1-2s)/t) F' = lam F
     for _ in range(20):
@@ -318,7 +322,7 @@ def test_solution_on_eigenvector_is_scalar_multiplier(torus64):
     lam = dec.eigenvalues[k]
     params = ExtensionParams(s=0.3, t_values=(0.7,))
     u = extension_solve(dec, params, v).u[0]
-    F = scalar_extension_multiplier(0.3, 0.7, lam)
+    F = multiplier(0.3, 0.7, lam)
     assert np.abs(u.values - F * v.values).max() <= 1e-9
 
 
@@ -508,7 +512,7 @@ def test_boundary_limit_torus(torus64):
         params = ExtensionParams(s=s, t_values=(0.2, 0.1, 0.05))
         res = boundary_limit(dec, extension_solve(dec, params, phi), phi)
         assert res.rel_error <= 1e-3
-        assert res.monotone and not res.used_fallback
+        assert not res.used_fallback
 
 
 def test_boundary_limit_error_shrinks_with_sweep(torus64):
@@ -550,7 +554,7 @@ def test_boundary_limit_fallback_wiring(torus64, monkeypatch):
     monkeypatch.setattr(ext, "_extrapolate_three", lambda ts, ws, dws, s: np.array(ws[0]))
     with pytest.warns(RuntimeWarning):
         res = ext.boundary_limit(dec, extension_solve(dec, params, phi), phi)
-    assert res.used_fallback and not res.monotone
+    assert res.used_fallback
     assert np.array_equal(res.extrapolated.values, res.sweep_values[-1].values)
 
 

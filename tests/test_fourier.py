@@ -20,7 +20,7 @@ from subfrac import (
     gaussian_bump,
     heat_apply,
     heat_kernel_column,
-    inner_product,
+    integral,
     kernel_norm_decay,
     lp_norm,
     random_bump,
@@ -189,7 +189,7 @@ SPECTRUM_CALLS = {
         sp.apply_values(np.sin(sp.eigenvalues) / np.maximum(sp.eigenvalues, 1.0), phi).values
     ],
     "spectral_pairing": lambda sp, phi, g, rng: [
-        inner_product(sp.apply_values(sp.eigenvalues, phi), g)
+        integral(GridFunction(g.spec, sp.apply_values(sp.eigenvalues, phi).values * g.values))
     ],
     "extension_solve": _extension_u_and_du,
     "boundary_limit": _limit_extrapolated,

@@ -374,7 +374,7 @@ class FailingFile:
 
 
 @pytest.mark.parametrize(
-    "writer", ["write_gf1", "export_spectrum_csv", "export_matrix_market", "write_fit_report"])
+    "writer", ["write_gf1", "export_spectrum_csv", "export_matrix_market"])
 def test_a_failed_write_keeps_the_old_file(tmp_path, monkeypatch, writer):
     import subfrac.group as group
 
@@ -385,9 +385,6 @@ def test_a_failed_write_keeps_the_old_file(tmp_path, monkeypatch, writer):
         "export_spectrum_csv":
             lambda path: subfrac.export_spectrum_csv(subfrac.spectral_decompose(op), path),
         "export_matrix_market": lambda path: subfrac.export_matrix_market(op, path),
-        # CSV then JSON onto one path: the CSV's second row is the write that fails
-        "write_fit_report": lambda path: subfrac.write_fit_report(
-            subfrac.fit_loglog([1.0, 2.0], [1.0, 0.5]), -1.0, 0.1, path, path),
     }[writer]
     path = tmp_path / "out"
     path.write_bytes(b"old contents")

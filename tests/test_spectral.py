@@ -17,7 +17,6 @@ from subfrac import (
     fractional_power,
     heat_apply,
     heat_kernel_column,
-    heat_time_derivative_check,
     integral,
     krylov_spectrum,
     lp_norm,
@@ -58,7 +57,7 @@ def test_dirichlet_3node_eigenvalues():
 
 def test_zero_operator():
     spec = GridSpec(5, 1.0, 1, "euclidean_box")
-    op = DiscreteOperator(kind="euclid", matrix=sp.csr_matrix((5, 5)), fields_used=[], spec=spec)
+    op = DiscreteOperator(kind="euclid", matrix=sp.csr_matrix((5, 5)), spec=spec)
     dec = spectral_decompose(op)
     assert np.array_equal(dec.eigenvalues, np.zeros(5))
     Q = dense_basis(dec)
@@ -117,7 +116,7 @@ def test_capacity_error():
 def test_non_psd_operator_is_config_error():
     spec = GridSpec(9, 1.0, 1, "euclidean_box")
     op = assemble_operator("euclid", spec)
-    negated = DiscreteOperator(op.kind, -op.matrix, op.fields_used, spec)
+    negated = DiscreteOperator(op.kind, -op.matrix, spec)
     with pytest.raises(ConfigError, match="not PSD"):
         spectral_decompose(negated)
 
@@ -127,7 +126,7 @@ def _box_operator_with_entry(bad) -> DiscreteOperator:
     op = assemble_operator("euclid", spec)
     matrix = op.matrix.copy()
     matrix.data[3] = bad
-    return DiscreteOperator(op.kind, matrix, op.fields_used, spec)
+    return DiscreteOperator(op.kind, matrix, spec)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -184,7 +183,7 @@ def test_split_matches_one_plain_eigh(name, rng):
 def _perturbed(op, node, size):
     """op with size * max|A| added to its diagonal entry at node: still symmetric and PSD."""
     bump = sp.csr_matrix(([size * abs(op.matrix).max()], ([node], [node])), shape=op.matrix.shape)
-    return DiscreteOperator(op.kind, (op.matrix + bump).tocsr(), op.fields_used, op.spec)
+    return DiscreteOperator(op.kind, (op.matrix + bump).tocsr(), op.spec)
 
 
 def test_an_operator_that_breaks_the_involution_takes_one_block(rng):
@@ -366,7 +365,7 @@ def test_krylov_rejects_bad_start_and_non_psd():
         krylov_spectrum(op, GridFunction(spec, np.ones(9)), 0)
     with pytest.raises(GridMismatchError):
         krylov_spectrum(op, GridFunction(GridSpec(9, 2.0, 1, "euclidean_box"), np.ones(9)), 4)
-    negated = DiscreteOperator(op.kind, -op.matrix, op.fields_used, spec)
+    negated = DiscreteOperator(op.kind, -op.matrix, spec)
     with pytest.raises(ConfigError, match="not PSD"):
         krylov_spectrum(negated, GridFunction(spec, np.ones(9)), 4)
 
@@ -689,28 +688,38 @@ def test_kernel_requires_positive_t(torus_small):
 # time derivative of the semigroup
 # ---------------------------------------------------------------------------
 
+def _heat_time_derivative_check(dec, t, f, rel_step=1e-4):
+    """Relative residual of d/dt H_t f = -J H_t f by centered differences in t."""
+    dt = rel_step * t
+    fwd = heat_apply(dec, t + dt, f).values
+    bwd = heat_apply(dec, t - dt, f).values
+    lam = dec.eigenvalues
+    gen = dec.apply_values(lam * np.exp(-t * lam), f).values  # J H_t f
+    return float(np.linalg.norm((fwd - bwd) / (2.0 * dt) + gen) / np.linalg.norm(gen))
+
+
 def test_derivative_check_single_mode(torus64):
     # scalar case: residual is the centered-difference truncation (delta*lam)^2/6
     op, dec = torus64
     v = GridFunction(op.spec, dec.eigenvector(1))
-    assert heat_time_derivative_check(dec, 0.5, v) <= 1e-8
+    assert _heat_time_derivative_check(dec, 0.5, v) <= 1e-8
 
 
 def test_derivative_check_random(torus64, rng):
     op, dec = torus64
     f = grid_fn(op.spec, rng)
-    assert heat_time_derivative_check(dec, 0.5, f) <= 1e-6
+    assert _heat_time_derivative_check(dec, 0.5, f) <= 1e-6
 
 
 def test_derivative_check_second_order(torus64, rng):
     op, dec = torus64
     f = grid_fn(op.spec, rng)
-    r1 = heat_time_derivative_check(dec, 0.4, f, rel_step=1e-3)
-    r2 = heat_time_derivative_check(dec, 0.4, f, rel_step=5e-4)
+    r1 = _heat_time_derivative_check(dec, 0.4, f, rel_step=1e-3)
+    r2 = _heat_time_derivative_check(dec, 0.4, f, rel_step=5e-4)
     assert r2 <= r1 / 4 * 1.5  # second order in the step, with margin
     # doubling t at fixed delta/t ratio doubles the absolute step: residual
     # stays within the second-order factor 4 (up to spectral reweighting)
-    r_t = heat_time_derivative_check(dec, 0.8, f, rel_step=1e-3)
+    r_t = _heat_time_derivative_check(dec, 0.8, f, rel_step=1e-3)
     assert r_t <= 4.5 * r1
 
 
@@ -718,12 +727,17 @@ def test_derivative_check_second_order(torus64, rng):
 # spectral pairing
 # ---------------------------------------------------------------------------
 
+def _pairing(f, g):
+    """Haar-weighted L^2 pairing."""
+    return integral(GridFunction(f.spec, f.values * g.values))
+
+
 def test_pairing_parseval(heis9, rng):
     op, dec = heis9
     f = grid_fn(op.spec, rng)
     g = grid_fn(op.spec, rng)
-    ip = subfrac.inner_product(f, g)
-    pairing = subfrac.inner_product(dec.apply_values(np.ones_like(dec.eigenvalues), f), g)
+    ip = _pairing(f, g)
+    pairing = _pairing(dec.apply_values(np.ones_like(dec.eigenvalues), f), g)
     assert pairing == pytest.approx(ip, rel=1e-11)
 
 
@@ -731,15 +745,15 @@ def test_pairing_identity_multiplier(heis9, rng):
     op, dec = heis9
     f = grid_fn(op.spec, rng)
     g = grid_fn(op.spec, rng)
-    lhs = subfrac.inner_product(dec.apply_values(dec.eigenvalues, f), g)
-    rhs = subfrac.inner_product(op.apply(f), g)
+    lhs = _pairing(dec.apply_values(dec.eigenvalues, f), g)
+    rhs = _pairing(op.apply(f), g)
     assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
 def test_pairing_psd(heis9, rng):
     op, dec = heis9
     f = grid_fn(op.spec, rng)
-    assert subfrac.inner_product(dec.apply_values(dec.eigenvalues, f), f) >= 0.0
+    assert _pairing(dec.apply_values(dec.eigenvalues, f), f) >= 0.0
 
 
 # ---------------------------------------------------------------------------
