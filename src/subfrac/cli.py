@@ -368,15 +368,25 @@ def run_extend(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=N
         dec = run_spectrum(config, report, out_dir)
     phi = _phi(config, spec) if phi is None else phi
     res_tol = 1e-5 if spec.mode == "heisenberg" else 1e-6
-    profiles = []
-    for s in config.s_values:
-        params = ExtensionParams(s=s, t_values=config.t_values)
-        profile = extension_solve(dec, params, phi)
-        profiles.append(profile)
+    sweeps = [ExtensionParams(s=s, t_values=config.t_values) for s in config.s_values]
+    profiles = [extension_solve(dec, params, phi) for params in sweeps]
+    # PATH B for the whole sweep: one quadrature grid and one batched apply
+    agreements, quad_deltas, doublings = path_agreement(dec, profiles, phi)
+    grid = {
+        "initial_nodes": QUAD_NODES + 1,  # QUAD_NODES intervals
+        "rtol": QUAD_RTOL,
+        "tail": QUAD_TAIL,
+        # the shared grid of the sweep; 0 nodes when no mode needed quadrature
+        "final_nodes": QUAD_NODES * 2 ** doublings + 1 if doublings else 0,
+        "doublings": doublings,
+        "final_delta": max(quad_deltas),
+    }
+    for params, profile, agreement, quad_delta in zip(sweeps, profiles, agreements,
+                                                      quad_deltas):
+        s = params.s
         for t, u, du in zip(params.t_values, profile.u, profile.du_dt):
             write_gf1(out_dir / f"extend_u_s{s!r}_t{t!r}.gf1", u)
             write_gf1(out_dir / f"extend_dudt_s{s!r}_t{t!r}.gf1", du)
-        agreement, quad_delta, doublings = path_agreement(dec, profile, phi)
         report.add_upper(f"path_a_vs_b_s={s}", agreement, 1e-6)
         report.add_upper(f"path_b_quadrature_delta_s={s}", quad_delta, QUAD_RTOL)
         report.add_upper(f"path_b_quadrature_doublings_s={s}", doublings, QUAD_DOUBLINGS)
@@ -388,11 +398,7 @@ def run_extend(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=N
         manifest = {
             "s": s,
             "t_values": list(params.t_values),
-            "quadrature": {
-                "initial_nodes": QUAD_NODES + 1,  # QUAD_NODES intervals
-                "rtol": QUAD_RTOL,
-                "tail": QUAD_TAIL,
-            },
+            "quadrature": grid,
             "path_agreement": agreement,
             "C_s_used": extension_constant(s),
             "config_hash": config.hash(),

@@ -15,13 +15,25 @@ F_s and its t-derivatives into the one-parameter family
 with F = G_0, dF/dt = -(lambda t/2) G_1 and
 d2F/dt2 = (lambda^2 t^2/4) G_2 - (lambda/2) G_1.  PATH A evaluates these in
 closed form with the modified Bessel function K (Caffarelli-Silvestre 2007,
-Stinga-Torrea 2010).  The validation routes evaluate the integrals instead, by
-the trapezoid rule on the log axis rho = e^sigma, where the integrand decays
-exponentially at both ends and the rule converges geometrically; the grid is
-cut where the integrand falls QUAD_TAIL log-units below its peak, and its
-levels nest: the first has QUAD_NODES intervals, and each doubling adds only
-the midpoints, until successive levels agree to QUAD_RTOL (Trefethen and
-Weideman, SIAM Review 56, 2014).
+Stinga-Torrea 2010).
+
+PATH B evaluates the first formula instead, the heat-semigroup integral, by
+the trapezoid rule on the log axis tau = e^sigma:
+
+    F_s(t, lambda) = lambda^s/Gamma(s) int exp(-lambda e^sigma)
+                     exp(s sigma - (t^2/4) e^{-sigma}) dsigma.
+
+The first factor depends only on lambda and the second only on the pair
+(s, t), so one table exp(-lambda e^sigma) over the distinct eigenvalues
+serves the whole sweep: at each level it is built one block of nodes at a
+time and contracted with the weights of every pair by one dgemm.  The
+integrand decays exponentially at both ends and the rule converges
+geometrically; the grid is cut where the integrands fall QUAD_TAIL log-units
+below their peaks, and its levels nest: the first has QUAD_NODES intervals,
+and each doubling adds only the midpoints, until successive levels agree to
+QUAD_RTOL for every pair (Trefethen and Weideman, SIAM Review 56, 2014).
+subordination_integral(s, q, k) and the C(s) cross-check are the one-pair
+case of the same engine, where each row is scaled by its integrand's peak.
 
 The boundary limit t^{1-2s} d_t u -> -C(s) J^s phi carries the constant
 C(s) = 4^{1-s} Gamma(1-s) / (2 Gamma(s)), validated against direct quadrature
@@ -35,6 +47,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import blas
 from scipy.special import gamma as _gamma
 from scipy.special import kve
 
@@ -47,6 +60,8 @@ QUAD_NODES = 400
 QUAD_RTOL = 1e-10
 QUAD_TAIL = 40.0
 QUAD_DOUBLINGS = 6
+# nodes per block of the quadrature table, which bounds it to 512 bytes a row
+_NODE_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -89,21 +104,25 @@ def extension_multiplier_values(s: float, t: float,
     u(t) -> phi as t -> 0 holds including the mean on a torus.  Modes whose
     q = lam t^2/4 lies below the normal double range, where K_{2-s} can
     overflow, pass through the same way; their F differs from 1 by O(q^s).
-    F is clamped into [0, 1].
+    Modes so far out that e^{-2 sqrt q} underflows, q = inf among them, are
+    the mirror case: F and both derivatives are exactly 0 (and kve, NaN past
+    z ~ 1e10, is not evaluated there).  F is clamped into [0, 1].
     """
     _check_s(s)
     if not 0.0 < t < np.inf:
         raise ConfigError(f"multipliers need a finite t > 0, got {t}")
     lam = np.asarray(lam, dtype=float)
-    F, dF, ddF = np.ones_like(lam), np.zeros_like(lam), np.zeros_like(lam)
-    q = lam * t * t / 4.0
-    pos = q >= np.finfo(float).tiny
+    with np.errstate(over="ignore"):
+        q = lam * t * t / 4.0
+    z = 2.0 * np.sqrt(np.maximum(q, 0.0))
+    far = np.exp(-z) == 0.0
+    F, dF, ddF = np.where(far, 0.0, 1.0), np.zeros_like(lam), np.zeros_like(lam)
+    pos = (q >= np.finfo(float).tiny) & ~far
     if not pos.any():
-        # every mode passes through; t may be so small that t * t is 0
+        # every mode passes through or vanishes; t may be so small that t * t is 0
         return F, dF, ddF
-    q, lam = q[pos], lam[pos]
-    z = 2.0 * np.sqrt(q)
-    # kve(nu, z) = K_nu(z) e^z; the factor e^{-z} underflows to 0 harmlessly
+    q, lam, z = q[pos], lam[pos], z[pos]
+    # kve(nu, z) = K_nu(z) e^z, so the factor e^{-z} is taken apart
     c = 2.0 / _gamma(s) * np.exp(-z)
     g0 = c * q ** (s / 2.0) * kve(s, z)
     qg1 = c * q ** ((1.0 + s) / 2.0) * kve(1.0 - s, z)
@@ -128,113 +147,190 @@ def scalar_ode_residual(s: float, lam: float, t: float) -> float:
 # log-axis quadrature (the validation routes)
 # ---------------------------------------------------------------------------
 
-def _node_sums(a: float, q: np.ndarray, log_q: np.ndarray, peak: np.ndarray,
-               sig: np.ndarray) -> np.ndarray:
-    """Per q, the sum over the ascending nodes sig of exp(a sigma - e^sigma - q e^{-sigma} - peak).
+def _exponent(a, log_c, log_x, sig):
+    """a sigma - c e^{-sigma} - x e^sigma, broadcast, with both exponentials in log form.
 
-    The q-term is the outer product q e^{-sigma}, so the only 2-D exp is the
-    final one, taken in place.  On the columns where e^{-sigma} overflows (a
-    prefix of the ascending nodes) the q-term keeps the exact log form
-    exp(log q - sigma) instead; q = 0 then drops it as log q = -inf.  A
-    q-term that overflows to inf, where one grid serves a wide range of q,
-    correctly gives the node the value 0.
+    Neither can overflow while the integrand is above the cutoff, and one
+    that overflows past it correctly gives -inf; c = 0 or x = 0 (log -inf)
+    drops its term.
     """
-    with np.errstate(over="ignore"):
-        decay = np.exp(-sig)
-        cut = np.count_nonzero(np.isinf(decay))
-        head = a * sig - np.exp(sig)
-        buf = np.multiply.outer(q, decay[cut:])
-        buf += peak[:, None]
-        np.subtract(head[cut:], buf, out=buf)
-        np.exp(buf, out=buf)
-        total = buf.sum(axis=1)
-        if cut:
-            expo = head[:cut] - np.exp(log_q[:, None] - sig[:cut]) - peak[:, None]
-            total += np.exp(expo).sum(axis=1)
-    return total
+    return a * sig - np.exp(log_c - sig) - np.exp(log_x + sig)
 
 
-def _log_axis_quadrature(a: float, q: np.ndarray) -> tuple[np.ndarray, float, int]:
-    """int exp(a sigma - e^sigma - q e^{-sigma}) dsigma over the real line, per q.
+def _peaks(a, c, x):
+    """Per case, the crest sigma and the log-peak of exp(a sigma - c e^{-sigma} - x e^sigma).
 
-    All q >= 0 share one grid, cut where the integrands of the smallest and
-    the largest q fall QUAD_TAIL below their peaks; q = 0 needs a > 0.  Level
-    j of the trapezoid rule has QUAD_NODES 2^j intervals on that grid, so the
-    levels nest: each doubling evaluates only the new midpoints.  Each row is
-    scaled by the integrand's peak, known in closed form.  Returns the values,
-    the last relative refinement delta and the number of doublings taken.
+    e^sigma solves x y^2 - a y - c = 0; for a < 0 the textbook root cancels
+    when x c is tiny, so take its rationalized form.  All arguments are 1-D
+    arrays of one length, one entry per case.
     """
-    with np.errstate(divide="ignore"):
-        log_q = np.log(q)  # -inf at q = 0 drops the q-term
-
-    def g(sig, lq):
-        # the q-term in log form: exp(log q - sigma) cannot overflow while the
-        # march is still above the cutoff
-        return a * sig - np.exp(sig) - np.exp(lq - sig)
-
-    def crest(qq):
-        # the peak e^sigma solves x^2 - a x - q = 0; for a < 0 the textbook
-        # root cancels to 0 when q is tiny, so take its rationalized form
-        root = np.sqrt(a * a + 4.0 * qq)
-        return np.log((a + root) / 2.0 if a >= 0 else 2.0 * qq / (root - a))
-
-    edges = []
-    for qe, lq in ((q.min(), log_q.min()), (q.max(), log_q.max())):
-        s0 = crest(qe)
-        floor = g(s0, lq) - QUAD_TAIL
-        lo = hi = s0
-        while g(lo, lq) > floor:
-            lo -= 1.0
-        while g(hi, lq) > floor:
-            hi += 1.0
-        edges += [lo, hi]
-    lo, hi = min(edges) - 0.5, max(edges) + 0.5
-
-    peak = g(crest(q), log_q)
-    scale = np.exp(peak)
-    n = QUAD_NODES
-    h = (hi - lo) / n
-    inner = lo + h * np.arange(1, n)
-    total = h * (_node_sums(a, q, log_q, peak, inner)
-                 + 0.5 * _node_sums(a, q, log_q, peak, np.array([lo, hi])))
-    vals = scale * total
-    delta = np.inf
-    for doublings in range(1, QUAD_DOUBLINGS + 1):
-        mids = lo + h * (np.arange(n) + 0.5)
-        h /= 2.0
-        n *= 2
-        total = total / 2.0 + h * _node_sums(a, q, log_q, peak, mids)
-        prev, vals = vals, scale * total
-        delta = float(np.max(np.abs(vals - prev) / np.maximum(np.abs(vals), 1e-300)))
-        if delta <= QUAD_RTOL:
-            return vals, delta, doublings
-    raise AccuracyError("log-axis quadrature did not converge", delta)
+    log_c, log_x = np.log(c), np.log(x)
+    root = 2.0 * np.sqrt(a * a / 4.0 + x * c)
+    up = a >= 0
+    crest = np.empty(a.shape)
+    crest[up] = np.log(a[up] + root[up]) - np.log(2.0) - log_x[up]
+    crest[~up] = np.log(2.0) + log_c[~up] - np.log(root[~up] - a[~up])
+    return crest, _exponent(a, log_c, log_x, crest)
 
 
-def subordination_integral(s: float, q, k: int = 0) -> tuple[np.ndarray, float, int]:
+def _cut(a, c, x, crest, floor, step):
+    """Per case, the first crest + m step (m = 0, 1, 2, ...) where the exponent is <= floor.
+
+    The exponent is concave, so once below the floor it stays below; the
+    steps are tried in growing spans, all cases at once.
+    """
+    log_c, log_x = np.log(c)[:, None], np.log(x)[:, None]
+    span = 64
+    while True:
+        sig = crest[:, None] + step * np.arange(span)
+        above = _exponent(a[:, None], log_c, log_x, sig) > floor[:, None]
+        if not above.all(axis=1).any():
+            return crest + step * np.argmin(above, axis=1)
+        span *= 4
+
+
+def _level_sums(a, log_c, x, log_x, shift, sig, weight):
+    """Per row i and pair p, sum_j weight_j exp(a_p s_j - c_p e^{-s_j} - x_i e^{s_j} - shift_i).
+
+    The table exp(-x e^sigma) is built one block of _NODE_BLOCK nodes at a
+    time, with its exp taken in place, and contracted with the pairs'
+    weights exp(a sigma - c e^{-sigma}) by one dgemm per block.  With one
+    pair (shift given) the pair's weight and each row's shift go into the
+    table's exponent instead, and the contraction is by the quadrature
+    weights alone.  On the nodes where e^sigma overflows (a suffix of the
+    ascending nodes) the table keeps the exact log form exp(log x + sigma).
+    """
+    acc = np.zeros((x.size, a.size), order="F")
+    neg_x = -x
+    for start in range(0, sig.size, _NODE_BLOCK):
+        nodes = sig[start:start + _NODE_BLOCK, None]
+        grow = np.exp(nodes)
+        table = grow * neg_x  # nodes x rows, so table.T is Fortran-ordered for BLAS
+        big = np.isinf(grow[:, 0])
+        if big.any():
+            table[big] = -np.exp(nodes[big] + log_x)
+        pair = a * nodes - np.exp(log_c - nodes)
+        weights = weight[start:start + _NODE_BLOCK, None]
+        if shift is None:
+            weights = weights * np.exp(pair)
+        else:
+            table += pair
+            table -= shift
+        np.exp(table, out=table)
+        acc = blas.dgemm(1.0, table.T, weights, 1.0, acc, overwrite_c=True)
+    return acc
+
+
+def _log_axis_quadrature(a: np.ndarray, x: np.ndarray,
+                         c: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """K[i, p] = int exp(a_p u - e^u - x_i c_p e^{-u}) du over the real line.
+
+    K is Gamma(s) G_k(s, x_i c_p) with a_p = s - k.  The shift u = sigma +
+    log x_i separates it into a table over the rows and weights over the
+    pairs, K = x^a int exp(-x e^sigma) exp(a sigma - c e^{-sigma}) dsigma,
+    so every row x_i > 0 and pair (a_p, c_p >= 0) share one grid, cut where
+    the integrands of the smallest and the largest row of each pair fall
+    QUAD_TAIL below their peaks.  Level j of the trapezoid rule has
+    QUAD_NODES 2^j intervals on that grid, so the levels nest: each doubling
+    evaluates only the new midpoints, until every pair has converged.  With
+    one pair each row is scaled by its integrand's peak, known in closed
+    form.  A (row, pair) whose integrand lies below the smallest double
+    everywhere, such as one with x c = inf, is exactly 0 and is left out of
+    the edge march.  Returns K, the last relative refinement delta of each
+    pair and the number of doublings taken.
+    """
+    with np.errstate(over="ignore", divide="ignore"):
+        log_x, log_c = np.log(x), np.log(c)
+        q = np.multiply.outer(x, c)
+        ok = q < np.inf
+        A, C, X = (np.broadcast_to(v, q.shape)[ok] for v in (a, c, x[:, None]))
+        peak = np.full(q.shape, -np.inf)
+        peak[ok] = _peaks(A, C, X)[1]
+        # the log of each x^a-scaled integrand's largest value
+        lead = np.full(q.shape, -np.inf)
+        lead[ok] = A * np.log(X) + peak[ok]
+        null = ~(lead > np.log(np.finfo(float).smallest_subnormal) - QUAD_TAIL)
+        if null.all():
+            return np.zeros(q.shape), np.zeros(a.size), 0
+
+        # the grid covers the smallest and the largest live row of each pair
+        live = ~null
+        cases = live.any(axis=0)
+        rows = np.broadcast_to(x[:, None], q.shape)
+        ex = np.concatenate([np.where(live, rows, np.inf).min(axis=0)[cases],
+                             np.where(live, rows, -np.inf).max(axis=0)[cases]])
+        ea, ec = np.tile(a[cases], 2), np.tile(c[cases], 2)
+        crest, top = _peaks(ea, ec, ex)
+        floor = top - QUAD_TAIL
+        lo = _cut(ea, ec, ex, crest, floor, -1.0).min() - 0.5
+        hi = _cut(ea, ec, ex, crest, floor, 1.0).max() + 0.5
+
+        if a.size == 1:
+            shift = np.where(null[:, 0], 0.0, peak[:, 0])
+            scale = np.where(null, 0.0, np.exp(lead))
+        else:
+            shift = None
+            scale = np.where(null, 0.0, np.exp(a * log_x[:, None]))
+
+        def level(sig, weight):
+            return _level_sums(a, log_c, x, log_x, shift, sig, weight)
+
+        n = QUAD_NODES
+        h = (hi - lo) / n
+        weight = np.full(n + 1, h)
+        weight[[0, -1]] = h / 2.0
+        total = level(lo + h * np.arange(n + 1), weight)
+        vals = scale * total
+        deltas = np.full(a.size, np.inf)
+        for doublings in range(1, QUAD_DOUBLINGS + 1):
+            mids = lo + h * (np.arange(n) + 0.5)
+            h /= 2.0
+            n *= 2
+            total = total / 2.0 + level(mids, np.full(mids.size, h))
+            prev, vals = vals, scale * total
+            deltas = (np.abs(vals - prev) / np.maximum(np.abs(vals), 1e-300)).max(axis=0)
+            if deltas.max() <= QUAD_RTOL:
+                return vals, deltas, doublings
+    raise AccuracyError("log-axis quadrature did not converge", float(deltas.max()))
+
+
+def subordination_integral(s, q, k: int = 0, scale=None) -> tuple[np.ndarray, float, int]:
     """G_k(s, q) for an array of q >= 0 by quadrature.
 
     Returns the values, the last refinement delta and the number of doublings.
 
     q = 0 is allowed only for k = 0 (where G_0 = 1 exactly by the Gamma
-    normalization and is returned without quadrature).
+    normalization and is returned without quadrature); q = inf gives 0.
+
+    With `scale`, one call covers a sweep of pairs (s_p, scale_p): s and
+    scale are 1-D and of one length, k is 0, and the values are the
+    len(q) x len(scale) array G_0(s_p, q_i scale_p), all on one grid, with
+    one delta per pair.  PATH B passes the eigenvalues as q and t_p^2/4 as
+    the scales.
     """
-    _check_s(s)
+    pairs = np.atleast_1d(np.asarray(s, dtype=float))
+    for sp in pairs:
+        _check_s(sp)
+    c = np.ones(1) if scale is None else np.atleast_1d(np.asarray(scale, dtype=float))
+    if c.shape != pairs.shape or (scale is not None and k != 0):
+        raise ConfigError("a sweep takes k = 0 and one scale per s")
+    if not (c >= 0).all():
+        raise ConfigError("scales must be >= 0")
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    if (q < 0).any():
+    if not (q >= 0).all():
         raise ConfigError("q must be >= 0")
-    out = np.empty_like(q)
+    out = np.ones((q.size, pairs.size))
     zero = q == 0.0
-    if zero.any():
-        if k != 0:
-            raise ConfigError("G_k at q=0 is only defined for k=0")
-        out[zero] = 1.0
+    if zero.any() and k != 0:
+        raise ConfigError("G_k at q=0 is only defined for k=0")
+    deltas, doublings = np.zeros(pairs.size), 0
     pos = ~zero
-    if not pos.any():
-        return out, 0.0, 0
-    vals, delta, doublings = _log_axis_quadrature(s - k, q[pos])
-    out[pos] = vals / _gamma(s)
-    return out, delta, doublings
+    if pos.any():
+        vals, deltas, doublings = _log_axis_quadrature(pairs - k, q[pos], c)
+        out[pos] = vals / _gamma(pairs)
+    if scale is not None:
+        return out, deltas, doublings
+    return out[:, 0], float(deltas[0]), doublings
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +347,11 @@ def extension_constant_quadrature(s: float) -> float:
     """C(s) by direct quadrature of (1/Gamma(s)) int e^{-1/(4u)}/(2 u^{2-s}) du.
 
     With rho = 1/(4u) the integral is (4^{1-s}/2) int rho^{-s} e^{-rho} drho,
-    the log-axis integral with a = 1 - s and q = 0.
+    the log-axis integral with a = 1 - s and x c = 0 (x = 1, c = 0).
     """
     _check_s(s)
-    vals = _log_axis_quadrature(1.0 - s, np.zeros(1))[0]
-    return float(4.0 ** (1.0 - s) / 2.0 * vals[0] / _gamma(s))
+    vals = _log_axis_quadrature(np.array([1.0 - s]), np.ones(1), np.zeros(1))[0]
+    return float(4.0 ** (1.0 - s) / 2.0 * vals[0, 0] / _gamma(s))
 
 
 # ---------------------------------------------------------------------------
@@ -299,38 +395,59 @@ def extension_solve(dec: Spectrum, params: ExtensionParams,
                             lam_f_max=np.array(lam_f_max))
 
 
-def extension_solve_tau_grid(dec: Spectrum, params: ExtensionParams,
-                             phi: GridFunction) -> tuple[list, float, int]:
-    """PATH B: G_0 by quadrature on one log-axis grid shared by all eigenvalues.
+def extension_solve_tau_grid(dec: Spectrum, params, phi: GridFunction) -> tuple:
+    """PATH B: G_0 by quadrature, for a whole sweep on one log-axis grid.
 
-    The lambda = 0 kernel mode has q = 0, where subordination_integral gives
-    G_0 = 1 exactly, so it passes through as in PATH A.  Repeated eigenvalues
-    share one quadrature row, and the fields of the sweep come from one
-    batched apply.  Returns u(t) per t, and the largest last refinement delta
-    and the most doublings of the quadratures.
+    `params` is one ExtensionParams or a sequence of them (the sweep over s).
+    Every pair (s, t) of the sweep and every distinct eigenvalue lambda > 0
+    share one call of subordination_integral: one table exp(-lambda e^sigma)
+    per level, contracted with the weights of all pairs at once.  The
+    lambda = 0 kernel mode has q = 0, where G_0 = 1 exactly, so it passes
+    through as in PATH A; a mode whose q = lambda t^2/4 overflows has
+    G_0 = 0.  The |s| |t| fields come from one batched apply.
+
+    Returns, for one ExtensionParams, u(t) per t, the largest last
+    refinement delta of its pairs and the doublings of the shared grid; for a
+    sequence, the list of those u(t) lists and of those deltas, one per
+    params, and the doublings.
     """
-    rows, delta, doublings = [], 0.0, 0
-    for t in params.t_values:
-        q, index = np.unique(dec.eigenvalues * t * t / 4.0, return_inverse=True)
-        g0, last, taken = subordination_integral(params.s, q, 0)
-        rows.append(g0[index])
-        delta, doublings = max(delta, last), max(doublings, taken)
-    return dec.apply_values(np.array(rows), phi), delta, doublings
+    sweep = [params] if isinstance(params, ExtensionParams) else list(params)
+    s = np.array([p.s for p in sweep for _ in p.t_values])
+    t = np.array([t for p in sweep for t in p.t_values])
+    lam, index = np.unique(dec.eigenvalues, return_inverse=True)
+    with np.errstate(over="ignore"):
+        scale = t * t / 4.0
+    g0, pair_deltas, doublings = subordination_integral(s, lam, 0, scale=scale)
+    fields = dec.apply_values(g0.T[:, index], phi)
+    cuts = np.cumsum([0] + [len(p.t_values) for p in sweep])
+    us = [fields[a:b] for a, b in zip(cuts, cuts[1:])]
+    deltas = [float(pair_deltas[a:b].max()) for a, b in zip(cuts, cuts[1:])]
+    if isinstance(params, ExtensionParams):
+        return us[0], deltas[0], doublings
+    return us, deltas, doublings
 
 
-def path_agreement(dec: Spectrum, profile: ExtensionProfile,
-                   phi: GridFunction) -> tuple[float, float, int]:
+def path_agreement(dec: Spectrum, profile, phi: GridFunction) -> tuple:
     """Max over the sweep of the relative L2 gap between PATH A and PATH B.
 
-    Returns the gap, and PATH B's largest quadrature refinement delta and
-    most doublings.
+    `profile` is one ExtensionProfile or a sequence of them (the sweep over
+    s), whose PATH B runs as one extension_solve_tau_grid call.  Returns the
+    gap and PATH B's largest quadrature refinement delta, per profile for a
+    sequence, and the doublings of the shared grid.
     """
-    b, delta, doublings = extension_solve_tau_grid(dec, profile.params, phi)
-    worst = 0.0
-    for ua, ub in zip(profile.u, b):
-        denom = max(lp_norm(ua, 2), 1e-300)
-        worst = max(worst, lp_norm(GridFunction(phi.spec, ua.values - ub.values), 2) / denom)
-    return worst, delta, doublings
+    profiles = [profile] if isinstance(profile, ExtensionProfile) else list(profile)
+    fields, deltas, doublings = extension_solve_tau_grid(
+        dec, [p.params for p in profiles], phi)
+    gaps = []
+    for prof, b in zip(profiles, fields):
+        worst = 0.0
+        for ua, ub in zip(prof.u, b):
+            denom = max(lp_norm(ua, 2), 1e-300)
+            worst = max(worst, lp_norm(GridFunction(phi.spec, ua.values - ub.values), 2) / denom)
+        gaps.append(worst)
+    if isinstance(profile, ExtensionProfile):
+        return gaps[0], deltas[0], doublings
+    return gaps, deltas, doublings
 
 
 def pde_residual(profile: ExtensionProfile) -> float:

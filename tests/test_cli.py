@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -548,6 +549,46 @@ def test_extend_manifest(tmp_path):
     assert manifest["C_s_used"] == pytest.approx(subfrac.extension_constant(0.4))
     u = subfrac.read_gf1(tmp_path / "extend" / "extend_u_s0.4_t0.3.gf1")
     assert u.spec.mode == "euclidean_torus"
+
+
+def test_extend_manifest_records_the_shared_grid(tmp_path):
+    # one quadrature grid serves the whole s x t sweep; every manifest holds it
+    code = run_cli([
+        "extend", "--mode", "heisenberg", "--n", "5", "--L", "2",
+        "--s", "0.3,0.6", "--t", "0.2,0.1", "--out", str(tmp_path),
+    ])
+    assert code == 0
+    checks = json.loads((tmp_path / "extend" / "results.json").read_text())["report"]["checks"]
+    achieved = {c["name"]: c["achieved"] for c in checks}
+    grids = []
+    for s in (0.3, 0.6):
+        manifest = json.loads((tmp_path / "extend" / f"extend_manifest_s{s}.json").read_text())
+        grid = manifest["quadrature"]
+        assert grid["initial_nodes"] == subfrac.extension.QUAD_NODES + 1
+        assert 1 <= grid["doublings"] == achieved[f"path_b_quadrature_doublings_s={s}"]
+        assert grid["final_nodes"] == subfrac.extension.QUAD_NODES * 2 ** grid["doublings"] + 1
+        assert achieved[f"path_b_quadrature_delta_s={s}"] <= grid["final_delta"]
+        assert grid["final_delta"] <= subfrac.extension.QUAD_RTOL
+        grids.append(grid)
+    assert grids[0] == grids[1]
+    assert grids[0]["final_delta"] == max(
+        achieved[f"path_b_quadrature_delta_s={s}"] for s in (0.3, 0.6))
+
+
+def test_extend_with_overflowing_q_passes(tmp_path):
+    # t^2 overflows, so every mode's q is inf and its multipliers are exactly
+    # 0 on both paths, with no floating-point warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli([
+            "extend", "--mode", "heisenberg", "--n", "5", "--L", "2",
+            "--s", "0.5", "--t", "1e300,1e299", "--out", str(tmp_path),
+        ])
+    assert code == 0
+    u = subfrac.read_gf1(tmp_path / "extend" / "extend_u_s0.5_t1e+300.gf1")
+    assert (u.values == 0.0).all()
+    manifest = json.loads((tmp_path / "extend" / "extend_manifest_s0.5.json").read_text())
+    assert manifest["quadrature"]["final_nodes"] == manifest["quadrature"]["doublings"] == 0
 
 
 def test_verify_all_passes_on_small_heisenberg(tmp_path):

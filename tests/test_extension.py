@@ -145,11 +145,32 @@ def test_subordination_integral_validation(monkeypatch):
         subordination_integral(0.5, np.array([0.0]), 1)
     with pytest.raises(ConfigError):
         subordination_integral(1.2, np.array([1.0]), 0)
+    with pytest.raises(ConfigError):
+        subordination_integral(0.5, np.array([np.nan]), 0)
+    # a sweep takes one scale >= 0 per s, and k = 0
+    for s, k, scale in (([0.5, 0.3], 0, [1.0]), ([0.5], 1, [1.0]), ([0.5], 0, [-1.0]),
+                        ([0.5], 0, [np.nan]), ([0.5, 0.3], 0, None)):
+        with pytest.raises(ConfigError):
+            subordination_integral(s, np.array([1.0]), k, scale=scale)
     monkeypatch.setattr(subfrac.extension, "QUAD_NODES", 4)
     monkeypatch.setattr(subfrac.extension, "QUAD_RTOL", 1e-12)
     monkeypatch.setattr(subfrac.extension, "QUAD_DOUBLINGS", 0)
     with pytest.raises(AccuracyError):
         subordination_integral(0.5, np.array([1.0]), 0)
+
+
+def test_subordination_integral_infinite_q():
+    # q = inf is the mirror of q = 0: every G_k is exactly 0, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (0, 1, 2):
+            got = subordination_integral(0.5, np.array([1.0, np.inf]), k)[0]
+            want = 2.0 / gamma(0.5) * kv(0.5 - k, 2.0)
+            assert got[0] == pytest.approx(want, rel=1e-9) and got[1] == 0.0
+        got = subordination_integral(np.array([0.5, 0.5]), np.array([0.0, 1.0]), 0,
+                                     scale=np.array([1.0, np.inf]))[0]
+        assert got[0, 0] == got[0, 1] == 1.0 and got[1, 1] == 0.0
+        assert got[1, 0] == pytest.approx(2.0 / gamma(0.5) * kv(0.5, 2.0), rel=1e-9)
 
 
 def test_subordination_integral_tiny_q():
@@ -185,32 +206,43 @@ def test_quadrature_engine_is_exact():
 
 def test_quadrature_levels_nest(monkeypatch):
     # a call that converges after k doublings evaluates the integrand at the
-    # QUAD_NODES 2^k + 1 nodes of its finest level, each exactly once
+    # QUAD_NODES 2^k + 1 nodes of its finest level, each exactly once, both
+    # for one pair and for a sweep of pairs on the shared grid
     import subfrac.extension as ext
 
     monkeypatch.setattr(ext, "QUAD_NODES", 16)
-    evaluate = ext._node_sums
+    evaluate = ext._level_sums
     seen = []
 
-    def counted(a, q, log_q, peak, sig):
+    def counted(a, log_c, x, log_x, shift, sig, weight):
         seen.extend(sig)
-        return evaluate(a, q, log_q, peak, sig)
+        return evaluate(a, log_c, x, log_x, shift, sig, weight)
 
-    monkeypatch.setattr(ext, "_node_sums", counted)
+    monkeypatch.setattr(ext, "_level_sums", counted)
     q = np.array([1e-3, 1.0, 10.0])
-    got = subordination_integral(0.5, q, 0)[0]
-    nodes = np.sort(seen)
-    k = int(np.log2((nodes.size - 1) // 16))
-    assert k >= 2 and nodes.size == 16 * 2 ** k + 1
-    assert np.unique(nodes).size == nodes.size
-    np.testing.assert_allclose(np.diff(nodes), (nodes[-1] - nodes[0]) / (16 * 2 ** k),
-                               rtol=1e-9)
-    want = 2.0 / gamma(0.5) * q ** 0.25 * kv(0.5, 2.0 * np.sqrt(q))
-    np.testing.assert_allclose(got, want, rtol=1e-10)
-    # one doubling fewer does not converge, so k is the doubling count
-    monkeypatch.setattr(ext, "QUAD_DOUBLINGS", k - 1)
-    with pytest.raises(AccuracyError):
-        subordination_integral(0.5, q, 0)
+    s, scale = np.array([0.5, 0.3]), np.array([1.0, 0.25])
+    calls = (
+        (lambda: subordination_integral(0.5, q, 0)[0],
+         2.0 / gamma(0.5) * q ** 0.25 * kv(0.5, 2.0 * np.sqrt(q))),
+        (lambda: subordination_integral(s, q, 0, scale=scale)[0],
+         2.0 / gamma(s) * np.outer(q, scale) ** (s / 2.0)
+         * kv(s, 2.0 * np.sqrt(np.outer(q, scale)))),
+    )
+    for call, want in calls:
+        seen.clear()
+        monkeypatch.setattr(ext, "QUAD_DOUBLINGS", 6)
+        got = call()
+        nodes = np.sort(seen)
+        k = int(np.log2((nodes.size - 1) // 16))
+        assert k >= 2 and nodes.size == 16 * 2 ** k + 1
+        assert np.unique(nodes).size == nodes.size
+        np.testing.assert_allclose(np.diff(nodes), (nodes[-1] - nodes[0]) / (16 * 2 ** k),
+                                   rtol=1e-9)
+        np.testing.assert_allclose(got, want, rtol=1e-10)
+        # one doubling fewer does not converge, so k is the doubling count
+        monkeypatch.setattr(ext, "QUAD_DOUBLINGS", k - 1)
+        with pytest.raises(AccuracyError):
+            call()
 
 
 def test_closed_form_matches_quadrature():
@@ -356,26 +388,39 @@ def test_path_a_vs_path_b_torus_mean_zero(torus64, rng):
         assert path_agreement(dec, extension_solve(dec, params, phi), phi)[0] <= 1e-6
 
 
+class CountedQuadrature:
+    """subordination_integral, recording the number of rows and the result of each call."""
+
+    def __init__(self):
+        self.rows, self.results = [], []
+
+    def __call__(self, s, q, k=0, scale=None):
+        result = subordination_integral(s, q, k, scale=scale)
+        self.rows.append(len(q))
+        self.results.append(result)
+        return result
+
+
 def test_tau_grid_one_quadrature_row_per_distinct_eigenvalue(torus64, monkeypatch):
     # the torus spectrum repeats eigenvalues; PATH B integrates each distinct
-    # q once and must give the same numbers as one row per eigenvalue
+    # eigenvalue once for the whole sweep and must give the same numbers as
+    # one row per eigenvalue
     import subfrac.extension as ext
 
     op, dec = torus64
     phi = torus_bump(op.spec)
-    s, t = 0.4, 0.3
-    rows = []
-
-    def counted(s, q, k=0):
-        rows.append(len(q))
-        return subordination_integral(s, q, k)
-
+    sweep = [ExtensionParams(s=s, t_values=(0.3, 0.1)) for s in (0.4, 0.7)]
+    counted = CountedQuadrature()
     monkeypatch.setattr(ext, "subordination_integral", counted)
-    got = extension_solve_tau_grid(dec, ExtensionParams(s=s, t_values=(t,)), phi)[0][0]
-    q = dec.eigenvalues * t * t / 4.0
-    assert rows == [np.unique(q).size] and rows[0] < q.size
-    per_eigenvalue = subordination_integral(s, q, 0)[0]
-    assert np.array_equal(got.values, dec.apply_values(per_eigenvalue, phi).values)
+    fields = extension_solve_tau_grid(dec, sweep, phi)[0]
+    lam = dec.eigenvalues
+    assert counted.rows == [np.unique(lam).size] and counted.rows[0] < lam.size
+    s = np.array([0.4, 0.4, 0.7, 0.7])
+    scale = np.array([0.3, 0.1, 0.3, 0.1]) ** 2 / 4.0
+    per_eigenvalue = subordination_integral(s, lam, 0, scale=scale)[0]
+    got = [u.values for us in fields for u in us]
+    want = [u.values for u in dec.apply_values(per_eigenvalue.T, phi)]
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * np.abs(want).max())
 
 
 class CountedSpectrum:
@@ -389,22 +434,106 @@ class CountedSpectrum:
         return self.dec.apply_values(values, f)
 
 
-def test_one_batched_apply_per_s(heis9, rng):
-    # PATH A takes its 4 |t| fields and PATH B its |t| fields from one apply each
+def test_one_batched_apply_per_s(heis9, rng, monkeypatch):
+    # PATH A takes its 4 |t| fields from one apply per s; PATH B takes the
+    # |s| |t| fields of the whole sweep from one quadrature call and one apply
+    import subfrac.extension as ext
+
     op, dec = heis9
     phi = subfrac.random_bump(op.spec, rng)
     ts = (0.2, 0.1, 0.05)
-    for s in (0.3, 0.7):
-        params = ExtensionParams(s=s, t_values=ts)
-        counted = CountedSpectrum(dec)
-        profile = extension_solve(counted, params, phi)
-        assert counted.rows == [4 * len(ts)]
-        fields, delta, doublings = extension_solve_tau_grid(counted, params, phi)
-        assert counted.rows == [4 * len(ts), len(ts)]
-        assert len(fields) == len(ts) and 0.0 <= delta <= subfrac.extension.QUAD_RTOL
-        assert 1 <= doublings <= subfrac.extension.QUAD_DOUBLINGS
-        for u, ub in zip(profile.u, fields):
+    sweep = [ExtensionParams(s=s, t_values=ts) for s in (0.3, 0.7)]
+    counted = CountedSpectrum(dec)
+    profiles = [extension_solve(counted, params, phi) for params in sweep]
+    assert counted.rows == [4 * len(ts)] * len(sweep)
+    quadrature = CountedQuadrature()
+    monkeypatch.setattr(ext, "subordination_integral", quadrature)
+    fields, deltas, doublings = extension_solve_tau_grid(counted, sweep, phi)
+    assert counted.rows == [4 * len(ts)] * len(sweep) + [len(sweep) * len(ts)]
+    assert quadrature.rows == [np.unique(dec.eigenvalues).size]
+    assert len(fields) == len(deltas) == len(sweep)
+    assert all(0.0 <= d <= subfrac.extension.QUAD_RTOL for d in deltas)
+    assert 1 <= doublings <= subfrac.extension.QUAD_DOUBLINGS
+    for profile, us in zip(profiles, fields):
+        assert len(us) == len(ts)
+        for u, ub in zip(profile.u, us):
             assert np.linalg.norm(u.values - ub.values) <= 1e-6 * np.linalg.norm(u.values)
+
+
+@pytest.mark.parametrize("grid", ["heis9", "torus64"])
+def test_sweep_matches_per_pair_quadrature(grid, request, rng, monkeypatch):
+    # the shared grid of the sweep against subordination_integral(s, q, 0)
+    # of each pair (s, t) on its own grid, with q = lambda t^2/4
+    import subfrac.extension as ext
+
+    op, dec = request.getfixturevalue(grid)
+    phi = subfrac.random_bump(op.spec, rng)
+    ts = (0.2, 0.1, 0.05)
+    sweep = [ExtensionParams(s=s, t_values=ts) for s in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    counted = CountedQuadrature()
+    monkeypatch.setattr(ext, "subordination_integral", counted)
+    fields = extension_solve_tau_grid(dec, sweep, phi)[0]
+    g0 = counted.results[0][0]
+    lam, index = np.unique(dec.eigenvalues, return_inverse=True)
+    pairs = [(params.s, t) for params in sweep for t in ts]
+    assert g0.shape == (lam.size, len(pairs))
+    for col, ((s, t), ub) in enumerate(zip(pairs, (u for us in fields for u in us))):
+        want = subordination_integral(s, lam * t * t / 4.0, 0)[0]
+        np.testing.assert_allclose(g0[:, col], want, rtol=1e-13, atol=0)
+        ua = dec.apply_values(want[index], phi)
+        assert np.linalg.norm(ua.values - ub.values) <= 1e-13 * np.linalg.norm(ua.values)
+
+
+def test_huge_t_modes_vanish_on_both_paths(torus64):
+    # q = lambda t^2/4 overflows to inf: F and its derivatives are exactly 0,
+    # the mirror of the q < tiny pass-through, and the kernel mode still
+    # passes through
+    op, dec = torus64
+    phi = GridFunction(op.spec, torus_bump(op.spec).values + 1.5)
+    params = ExtensionParams(s=0.5, t_values=(1e300, 1e299, 1e154))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in params.t_values:
+            F, dF, ddF = extension_multiplier_values(0.5, t, np.array([0.0, 1e6, 500.0]))
+            assert F[0] == 1.0 and (F[1:] == 0.0).all()
+            assert (dF == 0.0).all() and (ddF == 0.0).all()
+        profile = extension_solve(dec, params, phi)
+        fields, delta, doublings = extension_solve_tau_grid(dec, params, phi)
+    mean = np.full(op.spec.n_nodes, phi.values.mean())
+    for u, ub in zip(profile.u, fields):
+        np.testing.assert_allclose(u.values, mean, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ub.values, mean, rtol=0, atol=1e-12)
+    assert delta == 0.0 and doublings >= 0
+
+
+def test_huge_t_modes_stay_out_of_the_grid(torus64, monkeypatch):
+    # a pair whose every q overflows adds nothing to the shared grid
+    import subfrac.extension as ext
+
+    op, dec = torus64
+    phi = torus_bump(op.spec)
+    evaluate = ext._level_sums
+    spans = []
+
+    def recorded(a, log_c, x, log_x, shift, sig, weight):
+        spans.append((sig.min(), sig.max()))
+        return evaluate(a, log_c, x, log_x, shift, sig, weight)
+
+    monkeypatch.setattr(ext, "_level_sums", recorded)
+    runs = []
+    for ts in ((0.2, 0.1), (1e300, 0.2, 0.1)):
+        spans.clear()
+        sweep = [ExtensionParams(s=s, t_values=ts) for s in (0.3, 0.6)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fields, deltas, doublings = extension_solve_tau_grid(dec, sweep, phi)
+        runs.append((spans[0], doublings, [us[-2:] for us in fields]))
+    (span, doublings, fields), (span_huge, doublings_huge, fields_huge) = runs
+    assert span_huge == span and doublings_huge == doublings
+    for us, us_huge in zip(fields, fields_huge):
+        for u, uh in zip(us, us_huge):
+            np.testing.assert_allclose(uh.values, u.values, rtol=1e-14,
+                                       atol=1e-14 * np.abs(u.values).max())
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ The tracer wraps functions by module attribute name and counts calls by span
 name, so a rename in the package silently zeroes a per-layer metric instead
 of failing.  This runs two traced verify-all jobs, on a torus (the FFT
 route) and on a small Heisenberg grid (the dense route), and checks that the
-spans and counters it relies on are still produced.
+spans and counters it relies on are still produced, and that PATH B makes
+one quadrature call per job.
 """
 
 import importlib.util
@@ -78,6 +79,13 @@ def test_traced_torus_job_feeds_every_layer_metric(tmp_path):
 
         spans = json.loads(stats.read_text())["spans"]
         assert expected <= {span["name"] for span in spans}, name
+        # PATH B integrates the whole s x t sweep in one quadrature call
+        tau_grid = [i for i, span in enumerate(spans)
+                    if span["name"] == "extension.extension_solve_tau_grid"]
+        assert len(tau_grid) == 1, name
+        under = [span for span in spans if span["parent"] == tau_grid[0]
+                 and span["name"] == "extension.subordination_integral"]
+        assert len(under) == 1, name
         report = json.loads((out / "verify-all" / "results.json").read_text())["report"]
         metrics.append(tracer.layer_metrics(spans, 0, len(report["checks"]), 0))
     for key in NONZERO_METRICS:
