@@ -106,7 +106,9 @@ def extension_multiplier_values(s: float, t: float,
     overflow, pass through the same way; their F differs from 1 by O(q^s).
     Modes so far out that e^{-2 sqrt q} underflows, q = inf among them, are
     the mirror case: F and both derivatives are exactly 0 (and kve, NaN past
-    z ~ 1e10, is not evaluated there).  F is clamped into [0, 1].
+    z ~ 1e10, is not evaluated there).  F is clamped into [0, 1].  d2F/dt2
+    is the difference of two terms that, near s = 1/2, cancel as q -> 0;
+    _check_second_derivative tells when that has cost it half its digits.
     """
     _check_s(s)
     if not 0.0 < t < np.inf:
@@ -131,6 +133,31 @@ def extension_multiplier_values(s: float, t: float,
     dF[pos] = -(2.0 / t) * qg1  # -(lam t/2) G_1
     ddF[pos] = lam * qg2 - (2.0 / (t * t)) * qg1  # (lam^2 t^2/4) G_2 - (lam/2) G_1
     return F, dF, ddF
+
+
+def _check_second_derivative(s: float, t: float, lam: np.ndarray, F: np.ndarray,
+                             dF: np.ndarray, ddF: np.ndarray) -> None:
+    """Raise AccuracyError when d2F/dt2 over the spectrum lam has lost half its digits.
+
+    ddF is (lam^2 t^2/4) G_2 less (lam/2) G_1 = -dF/t.  Near s = 1/2 both
+    terms grow like sqrt(lam)/t as q = lam t^2/4 -> 0 while ddF stays near
+    lam F, so the difference loses about log10(1/q)/2 digits.  Each term
+    carries a rounding error of eps times its size.  The check is normwise,
+    against the largest |ddF| + lam F over the spectrum: the noise of a
+    mode with a tiny lambda lies below what a field built from ddF can
+    resolve, and so does not count.  ddF is not replaced by
+    lam F - ((1-2s)/t) dF: that is the ODE, which pde_residual then could
+    not test.
+    """
+    eps = np.finfo(float).eps
+    finite = np.isfinite(ddF).all()
+    shrink = -dF / t  # (lam/2) G_1
+    noise = eps * (np.abs(ddF + shrink) + np.abs(shrink)).max(initial=0.0)
+    size = (np.abs(ddF) + lam * F).max(initial=0.0)
+    if not (finite and noise <= np.sqrt(eps) * size):
+        raise AccuracyError(
+            f"d2F/dt2 at s={s}, t={t} cancels to roundoff; t is too small for this spectrum",
+            noise / size if finite and size > 0 else np.inf)
 
 
 def scalar_ode_residual(s: float, lam: float, t: float) -> float:
@@ -386,6 +413,7 @@ def extension_solve(dec: Spectrum, params: ExtensionParams,
     rows, lam_f_max = [], []
     for t in params.t_values:
         F, dF, ddF = extension_multiplier_values(params.s, t, lam)
+        _check_second_derivative(params.s, t, lam, F, dF, ddF)
         lam_f = lam * F
         rows += [F, dF, ddF, lam_f]
         lam_f_max.append(float(lam_f.max(initial=0.0)))

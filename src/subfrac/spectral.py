@@ -301,19 +301,26 @@ class KrylovSpectrum:
                      f: GridFunction) -> GridFunction | list[GridFunction]:
         """Apply diag(values) over the Ritz values: ||f|| V^T Y (values * Y[0]).
 
-        The rows of a 2-D values are applied one at a time, each bitwise its
-        1-D apply: as one (rows x k)(k x N) gemm, OpenBLAS threads the small
-        product and keeps a second thread's buffer resident, which costs CPU
-        and memory and gains no wall time (the reason eigen_probe loops too).
+        f and values are checked once per call.  Each row then takes two
+        dgemv calls in scipy's BLAS, the one pool the Lanczos steps and the
+        dense route use (see SpectralDecomposition.apply_values): one on Y
+        and one on V^T, the transpose of the C-ordered basis, which is
+        Fortran-ordered and so goes to BLAS without a copy.  The rows of a
+        2-D values are applied one at a time, each bitwise its 1-D apply: as
+        one (rows x k)(k x N) gemm, OpenBLAS threads the small product and
+        keeps a second thread's buffer resident, which saves a few
+        milliseconds but costs CPU and about 0.5 MiB of peak memory on a
+        15^3 grid (the reason eigen_probe loops too).
         """
         values = _checked_values(self, values, f)
         if not np.array_equal(f.values, self.start):
             raise EvaluationError("a Krylov spectrum applies only to its start vector")
-        if values.ndim == 2:
-            return [self.apply_values(row, f) for row in values]
-        Y = self.ritz_vectors
-        norm = np.linalg.norm(self.start)
-        return GridFunction(self.spec, self.basis.T @ (norm * (Y @ (values * Y[0]))))
+        Y, first = self.ritz_vectors, self.ritz_vectors[0]
+        norm = blas.dnrm2(self.start)
+        out = [GridFunction(self.spec,
+                            blas.dgemv(1.0, self.basis.T, blas.dgemv(norm, Y, row * first)))
+               for row in np.atleast_2d(values)]
+        return out if values.ndim == 2 else out[0]
 
     def extended(self, op: DiscreteOperator, steps: int) -> "KrylovSpectrum":
         """This spectrum continued to min(steps, N) Lanczos steps on op.
@@ -367,30 +374,33 @@ def _lanczos(op: DiscreteOperator, V: np.ndarray, alpha: np.ndarray, beta: np.nd
 
     The first `done` rows of V and entries of alpha (done - 1 of beta) are
     already filled, and w is the residual of step done - 1 (None when
-    done = 0, with V[0] the normalized start vector).
+    done = 0, with V[0] the normalized start vector).  Every vector
+    operation is a level-1 or level-2 call in scipy's BLAS that updates w in
+    place, so a step allocates only the product A V[j]; the Gram-Schmidt
+    pass hands V[:j+1]^T, Fortran-ordered, to dgemv without a copy.
     """
     A = op.matrix
     steps = V.shape[0]
     for j in range(done, steps):
         if j > 0:
-            beta[j - 1] = np.linalg.norm(w)
+            beta[j - 1] = blas.dnrm2(w)
             if beta[j - 1] <= KRYLOV_BREAKDOWN * scale:
                 return _ritz_spectrum(op.spec, V[:j], alpha[:j], beta[:j - 1], start, True,
                                       reorthogonalize)
-            V[j] = w / beta[j - 1]
+            np.divide(w, beta[j - 1], out=V[j])
         w = A @ V[j]
-        scale = max(scale, np.linalg.norm(w))
+        scale = max(scale, blas.dnrm2(w))
         # the three-term recurrence, O(N), then (reorthogonalized) one
         # classical Gram-Schmidt pass over the whole basis to remove what
         # roundoff left of it
         if j > 0:
-            w -= beta[j - 1] * V[j - 1]
-        a = V[j] @ w
-        w -= a * V[j]
+            w = blas.daxpy(V[j - 1], w, a=-beta[j - 1])
+        a = blas.ddot(V[j], w)
+        w = blas.daxpy(V[j], w, a=-a)
         if reorthogonalize:
-            basis = V[:j + 1]
-            h = basis @ w
-            w -= h @ basis
+            basis = V[:j + 1].T
+            h = blas.dgemv(1.0, basis, w, trans=1)
+            w = blas.dgemv(-1.0, basis, h, beta=1.0, y=w, overwrite_y=1)
             a += h[j]
         alpha[j] = a
     # without orthogonality, N steps need not span the whole space
@@ -411,21 +421,26 @@ def krylov_spectrum(op: DiscreteOperator, f: GridFunction, steps: int, *,
     m(J) f stays close to the best polynomial one (Musco, Musco and Sidford,
     SODA 2018), and only a breakdown makes it exact.  Either way the
     process stops early at an invariant subspace, and a 2-D apply_values
-    applies its rows one at a time.  The basis holds steps x N doubles, and
-    a request above DENSE_LIMIT^2 of them, the memory of the dense route at
-    its limit, raises CapacityError.  The ceiling bounds one basis; a
-    doubling by `extended` briefly holds the old half-length basis beside
-    the new one, 1.5 bases in all.
+    applies its rows one at a time (a batched gemm keeps a second OpenBLAS
+    thread's buffer resident).  Every vector product runs in scipy's BLAS,
+    the one pool of scipy's eigh_tridiagonal and of the dense route, so
+    numpy's OpenBLAS pool is never woken to contend with it.  The basis is
+    a C-ordered steps x N array whose transpose reaches BLAS as a Fortran
+    array, without a copy.  It holds steps x N doubles, and a request above
+    DENSE_LIMIT^2 of them, the memory of the dense route at its limit,
+    raises CapacityError.  The ceiling bounds one basis; a doubling by
+    `extended` briefly holds the old half-length basis beside the new one,
+    1.5 bases in all.
     """
     if f.spec != op.spec:
         raise GridMismatchError("start vector grid does not match the operator")
     steps = _krylov_steps(op, steps)
     start = f.values.copy()
-    norm = np.linalg.norm(start)
+    norm = blas.dnrm2(start)
     if not 0.0 < norm < np.inf:
         raise ConfigError(f"Krylov start vector must be finite and nonzero, norm {norm}")
     V = np.empty((steps, op.spec.n_nodes))
-    V[0] = start / norm
+    np.divide(start, norm, out=V[0])
     return _lanczos(op, V, np.empty(steps), np.empty(steps - 1), start, 0, None, 0.0,
                     reorthogonalize)
 

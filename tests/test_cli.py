@@ -360,6 +360,29 @@ def test_sparse_identity_with_an_exhaustive_basis(tmp_path):
         assert check["passed"] and check["tolerance"] == 1e-12
 
 
+def test_krylov_limit_times_its_two_spectra_in_provenance(tmp_path):
+    # the doubling loop and the plain A phi spectrum are timed beside the
+    # run, outside the hashed report, which stays bitwise the same
+    argv = ["limit", "--mode", "heisenberg", "--n", "7", "--L", "2", "--seed", "3",
+            "--out", None]
+    reports = []
+    for sub in ("a", "b"):
+        argv[-1] = str(tmp_path / sub)
+        assert run_cli(argv) == 0
+        payload = json.loads((tmp_path / sub / "limit" / "results.json").read_text())
+        clock = payload["provenance"]["wall_clock_s"]
+        assert sorted(clock) == ["limit", "limit_krylov_doubling", "limit_krylov_plain"]
+        assert 0 < clock["limit_krylov_doubling"] + clock["limit_krylov_plain"] < clock["limit"]
+        reports.append(json.dumps(payload["report"], sort_keys=True))
+    assert reports[0] == reports[1] and "limit_krylov" not in reports[0]
+
+
+def test_extend_at_a_t_too_small_for_the_multipliers_exits_two(tmp_path, capsys):
+    code = run_cli(["extend", "--s", "0.5", "--t", "1e-150", "--out", str(tmp_path)])
+    assert code == 2
+    assert "cancels to roundoff" in capsys.readouterr().err
+
+
 def test_krylov_limit_holds_one_basis_at_a_time(tmp_path, monkeypatch):
     # the basis of A phi in the sparse identity is built only after every
     # spectrum of phi, each doubling included, has been freed

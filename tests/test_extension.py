@@ -26,6 +26,7 @@ from subfrac import (
     subordination_integral,
 )
 from subfrac.errors import AccuracyError, ConfigError
+from subfrac.extension import _check_second_derivative
 
 
 def bessel_F(s, t, lam):
@@ -283,6 +284,32 @@ def test_multipliers_pass_every_mode_when_t_squared_underflows():
     # t * t is 0 in floating point, so every q is 0 and every mode passes through
     F, dF, ddF = extension_multiplier_values(0.5, 5e-324, np.array([0.0, 1.0, 500.0]))
     assert (F == 1.0).all() and (dF == 0.0).all() and (ddF == 0.0).all()
+
+
+@pytest.mark.parametrize("t, lam", [(1e-150, 1.0), (2e-155, 500.0)])
+def test_cancelled_second_derivative_is_accuracy_error(t, lam):
+    # at s = 1/2 both terms of d2F/dt2 grow like sqrt(lam)/t while their
+    # difference stays near lam F: these inputs gave 1.8e134 and -inf
+    one = np.array([lam])
+    with pytest.raises(AccuracyError, match="cancels to roundoff"):
+        _check_second_derivative(0.5, t, one, *extension_multiplier_values(0.5, t, one))
+    # the 64-node unit torus has lam from 0 to 16384, both of these among them
+    spec = subfrac.GridSpec(64, 1.0, 1, "euclidean_torus")
+    dec = subfrac.fourier_decompose(subfrac.assemble_operator("euclid", spec))
+    with pytest.raises(AccuracyError, match="cancels to roundoff"):
+        extension_solve(dec, ExtensionParams(s=0.5, t_values=(t,)), torus_bump(spec))
+
+
+def test_second_derivative_with_half_its_digits_passes():
+    # above the threshold the ODE at s = 1/2, F'' = lam F, holds to about
+    # eps * 2 / (t sqrt(lam)) relative; a mode whose own ddF is noise but
+    # far below the spectrum's largest passes
+    lam = np.array([1.0, 500.0])
+    F, dF, ddF = extension_multiplier_values(0.5, 1e-6, lam)
+    _check_second_derivative(0.5, 1e-6, lam, F, dF, ddF)
+    np.testing.assert_allclose(ddF, lam * F, rtol=1e-8)
+    lam = np.array([1e-221, 1.0])
+    _check_second_derivative(0.5, 1.0, lam, *extension_multiplier_values(0.5, 1.0, lam))
 
 
 def test_scalar_ode_residual_random(rng):

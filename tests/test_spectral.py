@@ -531,6 +531,89 @@ def test_dense_apply_makes_no_copy_of_the_eigenbasis(heis9, rng, order):
         assert peak < min(Q.nbytes for Q in dec.blocks) / 2
 
 
+def test_krylov_route_runs_in_scipy_blas(heis9, rng, monkeypatch):
+    # a reorthogonalized step makes two dgemv calls (h = V w, then w -= V^T h),
+    # a plain step none, and each applied row two (on Y, then on V^T)
+    import subfrac.spectral as spectral
+
+    op, _ = heis9
+    f = grid_fn(op.spec, rng)
+    blas = BlasRecorder()
+    monkeypatch.setattr(spectral, "blas", blas)
+    for mode, per_step in ((True, 2), (False, 0)):
+        del blas.calls[:]
+        kry = krylov_spectrum(op, f, 16, reorthogonalize=mode)
+        assert blas.calls.count("dgemv") == 16 * per_step, mode
+        kry = kry.extended(op, 24)
+        assert blas.calls.count("dgemv") == 24 * per_step, mode
+        Y, V = kry.ritz_vectors, kry.basis
+        rows = np.array([kry.eigenvalues, np.exp(-kry.eigenvalues), np.ones(kry.steps)])
+        del blas.calls[:]
+        one_d = kry.apply_values(rows[0], f)
+        assert blas.calls.count("dgemv") == 2
+        batch = kry.apply_values(rows, f)
+        assert blas.calls.count("dgemv") == 2 + 2 * len(rows)
+        assert np.array_equal(batch[0].values, one_d.values)
+        for row, got in zip(rows, batch):
+            want = np.linalg.norm(f.values) * (V.T @ (Y @ (row * Y[0])))
+            assert np.linalg.norm(got.values - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_krylov_extension_allocates_only_the_new_basis(heis9, rng):
+    # doubling a k-step spectrum allocates the 2k x N basis and O(N + k^2)
+    # besides: no k x N temporary, and no copy of the old basis beyond the
+    # one into the new
+    import tracemalloc
+
+    op, _ = heis9
+    f, k, N = grid_fn(op.spec, rng), 32, op.spec.n_nodes
+    for mode in (True, False):
+        kry = krylov_spectrum(op, f, k, reorthogonalize=mode)
+        tracemalloc.start()
+        try:
+            longer = kry.extended(op, 2 * k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert longer.steps == 2 * k
+        assert longer.basis.nbytes <= peak < longer.basis.nbytes + k * N * 8, mode
+
+
+def _reference_lanczos(A, f, steps, reorthogonalize):
+    """The Lanczos recurrence in plain numpy: basis, alpha and beta."""
+    V, alpha, beta = np.zeros((steps, f.size)), np.zeros(steps), np.zeros(steps - 1)
+    V[0] = f / np.linalg.norm(f)
+    for j in range(steps):
+        if j > 0:
+            beta[j - 1] = np.linalg.norm(w)
+            V[j] = w / beta[j - 1]
+        w = A @ V[j]
+        if j > 0:
+            w = w - beta[j - 1] * V[j - 1]
+        alpha[j] = V[j] @ w
+        w = w - alpha[j] * V[j]
+        if reorthogonalize:
+            h = V[:j + 1] @ w
+            w = w - h @ V[:j + 1]
+            alpha[j] += h[j]
+    return V, alpha, beta
+
+
+@pytest.mark.parametrize("mode, steps", [(True, 64), (False, 16)])
+def test_krylov_matches_the_plain_numpy_recurrence(heis9, rng, mode, steps):
+    # the plain recurrence amplifies rounding at the rate it loses
+    # orthogonality, so two sound implementations part after about 20 steps
+    # on heis9; at 16 the basis is still orthogonal to 1e-13
+    op, _ = heis9
+    f = grid_fn(op.spec, rng)
+    kry = krylov_spectrum(op, f, steps, reorthogonalize=mode)
+    V, alpha, beta = _reference_lanczos(op.matrix, f.values, steps, mode)
+    scale = np.abs(alpha).max()
+    assert np.abs(kry.basis - V).max() <= 1e-12
+    assert np.abs(kry.alpha - alpha).max() <= 1e-12 * scale
+    assert np.abs(kry.beta - beta).max() <= 1e-12 * scale
+
+
 def test_bounded_multiplier_is_l2_nonexpansive(torus_small, rng):
     op, dec = torus_small
     f = grid_fn(op.spec, rng)
