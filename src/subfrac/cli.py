@@ -24,6 +24,7 @@ from scipy.linalg import blas
 
 from . import __version__
 from .errors import ConfigError, SubfracError
+from .estimates import volume_growth_fit
 from .extension import (
     QUAD_DOUBLINGS,
     QUAD_NODES,
@@ -41,6 +42,8 @@ from .extension import (
 from .fourier import fourier_decompose
 from .group import (
     _atomic_open,
+    GROUPS,
+    MODES,
     GridFunction,
     GridSpec,
     group_convolve,
@@ -69,6 +72,7 @@ from .stencils import (
     _interior_mask,
     apply_multi_index,
     assemble_operator,
+    check_homogeneity,
     export_matrix_market,
 )
 
@@ -115,19 +119,17 @@ class ExperimentConfig:
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; expected one of "
                               f"{EXPERIMENT_KINDS}")
-        if self.mode not in MODE_DEFAULTS:
-            raise ConfigError(f"unknown mode {self.mode!r}; expected one of "
-                              f"{tuple(MODE_DEFAULTS)}")
+        if self.mode not in MODES:
+            raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         for key, value in MODE_DEFAULTS[self.mode].items():
             if getattr(self, key) is None:
                 object.__setattr__(self, key, value)
         for key, values in (("s", self.s_values), ("t", self.t_values)):
             if not values:
                 raise ConfigError(f"the {key} sweep is empty")
-        if self.mode == "heisenberg" and self.dims != 3:
-            raise ConfigError(f"heisenberg grids are 3-D, got dims={self.dims}")
-        if self.mode != "heisenberg" and self.op != "euclid":
-            raise ConfigError(f"{self.mode} grids carry the euclid operator, got op={self.op}")
+        if self.op not in GROUPS[self.mode].operators:
+            raise ConfigError(f"{self.mode} grids carry the operators "
+                              f"{tuple(GROUPS[self.mode].operators)}, got op={self.op}")
         if not 0.0 <= self.tol < np.inf:
             raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
         if self.seed < 0:
@@ -568,31 +570,33 @@ def run_verify_all(config: ExperimentConfig, report: RunReport, out_dir: Path) -
         report.add_upper("young_1_2_2", max(young_gap, 0.0), 1e-9)
 
         # stencil homogeneity under the dilation structure (exact identity)
-        from .stencils import check_homogeneity
-
         def smooth(x1, x2, x3):
             return np.sin(x1) * np.exp(-0.3 * x2) + np.cos(x3) * x1
 
-        for kind in ("X1", "X2", "T"):
+        for kind in spec.group.fields:
             report.add_upper(
                 f"homogeneity_{kind}", check_homogeneity(kind, smooth, 2.0, spec), 1e-12
             )
 
         # homogeneous-ball volume growth (grid-independent lattice count)
-        from .estimates import volume_growth_fit
-
         fit = volume_growth_fit(np.geomspace(1.0, 4.0, 6), 0.05)
-        report.add("volume_growth_slope", fit.fitted_slope, 4.0, 0.3)
+        report.add("volume_growth_slope", fit.fitted_slope, sum(spec.group.weights), 0.3)
         control = volume_growth_fit(np.geomspace(1.0, 4.0, 6), 0.05, norm="euclidean")
         report.add("volume_growth_euclid_control", control.fitted_slope, 3.0, 0.2)
 
-    dec = run_spectrum(config, report, out_dir)
+    def timed(stage, runner, *args):
+        t0 = time.perf_counter()
+        out = runner(config, report, out_dir, *args)
+        report.wall_clock[stage] = time.perf_counter() - t0
+        return out
+
+    dec = timed("spectrum", run_spectrum)
     # one seeded phi for every stage, as each would build the same one
     phi = _phi(config, spec)
-    run_frac(config, report, out_dir, dec, phi)
-    run_heat(config, report, out_dir, dec, phi)
-    profiles = run_extend(config, report, out_dir, dec, phi)
-    run_limit(config, report, out_dir, dec, profiles, phi)
+    timed("frac", run_frac, dec, phi)
+    timed("heat", run_heat, dec, phi)
+    profiles = timed("extend", run_extend, dec, phi)
+    timed("limit", run_limit, dec, profiles, phi)
 
 
 RUNNERS = {
@@ -663,14 +667,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "experiments and verification batteries.",
     )
     sub = parser.add_subparsers(dest="kind", required=True)
+    operators = tuple(dict.fromkeys(op for g in GROUPS.values() for op in g.operators))
+    dims = sorted({d for g in GROUPS.values() for d in g.dims})
     for kind in EXPERIMENT_KINDS:
         p = sub.add_parser(kind, help=f"run the {kind} experiment")
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--mode", choices=("heisenberg", "euclidean_box", "euclidean_torus"))
-        p.add_argument("--op", choices=("j1", "j3", "euclid"))
+        p.add_argument("--mode", choices=MODES)
+        p.add_argument("--op", choices=operators)
         p.add_argument("--n", type=int)
         p.add_argument("--L", type=float)
-        p.add_argument("--dims", type=int, choices=(1, 2, 3))
+        p.add_argument("--dims", type=int, choices=dims)
         p.add_argument("--s", type=_float_list_arg, help="comma-separated s values in (0,1)")
         p.add_argument("--t", type=_float_list_arg, help="comma-separated descending t values")
         p.add_argument("--tol", type=float,

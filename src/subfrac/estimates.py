@@ -95,9 +95,10 @@ def check_t_window(spec: GridSpec, t_values: Sequence[float]) -> None:
 
 def kernel_norm_decay(dec: Spectrum, s: float, p: int,
                       t_values: Sequence[float]) -> DecayFit:
-    """Fit ||J^s h_t||_p over t; predicted slopes -s (p=1), -s - N/4 (p=2).
+    """Fit ||J^s h_t||_p over t; predicted slopes -s (p=1), -s - Q/4 (p=2).
 
-    N is the homogeneous dimension (4 for heisenberg, dims for euclidean).
+    Q is the homogeneous dimension, the sum of the group's dilation weights
+    (GridSpec.group): 4 on heisenberg, dims on a euclidean grid.
     """
     if p not in (1, 2):
         raise ConfigError(f"p must be 1 or 2, got {p}")
@@ -138,21 +139,16 @@ def _displacements(spec: GridSpec) -> np.ndarray:
     return rel
 
 
-def _norm_for_mode(spec: GridSpec, rel: np.ndarray) -> np.ndarray:
-    if spec.mode == "heisenberg":
-        return homogeneous_norm(rel)
-    return np.sqrt((rel ** 2).sum(axis=1))
+def ball_volume(spec: GridSpec, r: float) -> float:
+    """V(r) = V(1) r^Q, Q the homogeneous dimension of the grid's group.
 
-
-def ball_volume(spec_mode: str, r: float, dims: int = 3) -> float:
-    """V(r): homogeneous r^4 scaling on heisenberg, euclidean ball otherwise.
-
-    The quartic-norm unit ball has V(1) = pi int_0^1 r sqrt(1 - r^4) dr = pi^2/8.
+    The quartic-norm unit ball has V(1) = pi int_0^1 r sqrt(1 - r^4) dr = pi^2/8;
+    a euclidean grid's is the unit ball of R^dims.
     """
-    if spec_mode == "heisenberg":
-        return math.pi ** 2 / 8.0 * r ** 4
-    cd = math.pi ** (dims / 2.0) / math.gamma(dims / 2.0 + 1.0)
-    return cd * r ** dims
+    Q, dims = sum(spec.group.weights), spec.dims
+    if spec.mode == "heisenberg":
+        return math.pi ** 2 / 8.0 * r ** Q
+    return math.pi ** (dims / 2.0) / math.gamma(dims / 2.0 + 1.0) * r ** Q
 
 
 def gaussian_bound_check(dec: Spectrum, t_values: Sequence[float],
@@ -171,7 +167,7 @@ def gaussian_bound_check(dec: Spectrum, t_values: Sequence[float],
     spec = dec.spec
     check_t_window(spec, t_values)
     rel = _displacements(spec)
-    dist = _norm_for_mode(spec, rel)
+    dist = homogeneous_norm(rel) if spec.mode == "heisenberg" else np.sqrt((rel ** 2).sum(axis=1))
     if spec.periodic:
         interior = np.full(spec.n_nodes, True)
     else:
@@ -186,7 +182,7 @@ def gaussian_bound_check(dec: Spectrum, t_values: Sequence[float],
         g = (
             np.log(col[pos])
             + dist[pos] ** 2 / (4.0 * (1.0 + epsilon) * t)
-            + np.log(ball_volume(spec.mode, math.sqrt(t), spec.dims))
+            + np.log(ball_volume(spec, math.sqrt(t)))
         )
         gaps.append(float(g.max()))
     gaps = np.array(gaps)

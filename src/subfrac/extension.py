@@ -161,10 +161,16 @@ def _check_second_derivative(s: float, t: float, lam: np.ndarray, F: np.ndarray,
 
 
 def scalar_ode_residual(s: float, lam: float, t: float) -> float:
-    """Relative residual of F'' + ((1-2s)/t) F' - lambda F = 0 at one point."""
+    """Relative residual of F'' + ((1-2s)/t) F' - lambda F = 0 at one point.
+
+    Raises AccuracyError where F'' has cancelled, as extension_solve does.
+    """
     if lam <= 0 or t <= 0:
         raise ConfigError("scalar ODE residual needs lambda > 0 and t > 0")
-    F, dF, ddF = (v[0] for v in extension_multiplier_values(s, t, np.array([lam])))
+    spectrum = np.array([lam])
+    values = extension_multiplier_values(s, t, spectrum)
+    _check_second_derivative(s, t, spectrum, *values)
+    F, dF, ddF = (v[0] for v in values)
     res = ddF + (1.0 - 2.0 * s) / t * dF - lam * F
     scale = abs(lam * F) + abs(ddF) + abs((1.0 - 2.0 * s) / t * dF)
     return abs(res) / scale if scale > 0 else abs(res)
@@ -423,10 +429,10 @@ def extension_solve(dec: Spectrum, params: ExtensionParams,
                             lam_f_max=np.array(lam_f_max))
 
 
-def extension_solve_tau_grid(dec: Spectrum, params, phi: GridFunction) -> tuple:
-    """PATH B: G_0 by quadrature, for a whole sweep on one log-axis grid.
+def extension_solve_tau_grid(dec: Spectrum, sweep: Sequence[ExtensionParams],
+                             phi: GridFunction) -> tuple:
+    """PATH B: G_0 by quadrature, for a whole sweep over s on one log-axis grid.
 
-    `params` is one ExtensionParams or a sequence of them (the sweep over s).
     Every pair (s, t) of the sweep and every distinct eigenvalue lambda > 0
     share one call of subordination_integral: one table exp(-lambda e^sigma)
     per level, contracted with the weights of all pairs at once.  The
@@ -434,12 +440,10 @@ def extension_solve_tau_grid(dec: Spectrum, params, phi: GridFunction) -> tuple:
     through as in PATH A; a mode whose q = lambda t^2/4 overflows has
     G_0 = 0.  The |s| |t| fields come from one batched apply.
 
-    Returns, for one ExtensionParams, u(t) per t, the largest last
-    refinement delta of its pairs and the doublings of the shared grid; for a
-    sequence, the list of those u(t) lists and of those deltas, one per
-    params, and the doublings.
+    Returns the list of u(t) per t for each params, the largest last
+    refinement delta of each params' pairs, and the doublings of the shared
+    grid.
     """
-    sweep = [params] if isinstance(params, ExtensionParams) else list(params)
     s = np.array([p.s for p in sweep for _ in p.t_values])
     t = np.array([t for p in sweep for t in p.t_values])
     lam, index = np.unique(dec.eigenvalues, return_inverse=True)
@@ -450,20 +454,18 @@ def extension_solve_tau_grid(dec: Spectrum, params, phi: GridFunction) -> tuple:
     cuts = np.cumsum([0] + [len(p.t_values) for p in sweep])
     us = [fields[a:b] for a, b in zip(cuts, cuts[1:])]
     deltas = [float(pair_deltas[a:b].max()) for a, b in zip(cuts, cuts[1:])]
-    if isinstance(params, ExtensionParams):
-        return us[0], deltas[0], doublings
     return us, deltas, doublings
 
 
-def path_agreement(dec: Spectrum, profile, phi: GridFunction) -> tuple:
-    """Max over the sweep of the relative L2 gap between PATH A and PATH B.
+def path_agreement(dec: Spectrum, profiles: Sequence[ExtensionProfile],
+                   phi: GridFunction) -> tuple:
+    """Max over each profile's t sweep of the relative L2 gap between PATH A and PATH B.
 
-    `profile` is one ExtensionProfile or a sequence of them (the sweep over
-    s), whose PATH B runs as one extension_solve_tau_grid call.  Returns the
-    gap and PATH B's largest quadrature refinement delta, per profile for a
-    sequence, and the doublings of the shared grid.
+    `profiles` is the sweep over s, whose PATH B runs as one
+    extension_solve_tau_grid call.  Returns the gap and PATH B's largest
+    quadrature refinement delta per profile, and the doublings of the
+    shared grid.
     """
-    profiles = [profile] if isinstance(profile, ExtensionProfile) else list(profile)
     fields, deltas, doublings = extension_solve_tau_grid(
         dec, [p.params for p in profiles], phi)
     gaps = []
@@ -473,8 +475,6 @@ def path_agreement(dec: Spectrum, profile, phi: GridFunction) -> tuple:
             denom = max(lp_norm(ua, 2), 1e-300)
             worst = max(worst, lp_norm(GridFunction(phi.spec, ua.values - ub.values), 2) / denom)
         gaps.append(worst)
-    if isinstance(profile, ExtensionProfile):
-        return gaps[0], deltas[0], doublings
     return gaps, deltas, doublings
 
 

@@ -1,4 +1,4 @@
-"""Heisenberg group algebra, box/torus grids, Haar-weighted norms and group convolution.
+"""Each mode's group (GROUPS), Heisenberg algebra, box/torus grids, norms, convolution.
 
 Points of the Heisenberg group are plain arrays of shape (..., 3); the group
 operations below broadcast over leading axes.  Grids are uniform boxes
@@ -10,6 +10,7 @@ product is exact).
 
 from __future__ import annotations
 
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -19,7 +20,46 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatchError
 
-MODES = ("heisenberg", "euclidean_box", "euclidean_torus")
+
+@dataclass(frozen=True)
+class Group:
+    """One mode's group: the one place its structure is written.
+
+    fields: the (axis, coefficient, coordinate) terms of each field, the sum
+    of coefficient * x[coordinate] * d/dx_axis (coordinate None: a constant).
+    A field's degree is the weight of its constant-coefficient axis.
+    operators: the fields X_j of each J = sum_j X_j^T X_j.  weights: the
+    dilation weight w_k of each axis, delta_a x = (a^w_k x_k); they sum to
+    the homogeneous dimension Q.  involution: the axis permutation p of the
+    grid involution x -> -x[p].  dims: the grid dimensions the mode allows.
+    """
+
+    fields: dict
+    operators: dict
+    weights: tuple
+    involution: tuple
+    dims: tuple
+
+
+# a euclidean grid takes the first dims axes of R^3, with J = -sum_k d_k^2
+_EUCLIDEAN = Group(
+    fields={f"partial_{k}": ((k - 1, 1.0, None),) for k in (1, 2, 3)},
+    operators={"euclid": ("partial_1", "partial_2", "partial_3")},
+    weights=(1, 1, 1), involution=(0, 1, 2), dims=(1, 2, 3))
+
+GROUPS = {
+    # X1 = d1 - (x2/2) d3, X2 = d2 + (x1/2) d3 and T = [X1, X2] = d3.  The involution
+    # x -> (-x2, -x1, -x3) maps X1, X2, T to -X2, -X1, -T, so it commutes with j1 and j3
+    "heisenberg": Group(
+        fields={"X1": ((0, 1.0, None), (2, -0.5, 1)),
+                "X2": ((1, 1.0, None), (2, 0.5, 0)),
+                "T": ((2, 1.0, None),)},
+        operators={"j1": ("X1", "X2"), "j3": ("X1", "X2", "T")},
+        weights=(1, 1, 2), involution=(1, 0, 2), dims=(3,)),
+    "euclidean_box": _EUCLIDEAN,
+    "euclidean_torus": _EUCLIDEAN,
+}
+MODES = tuple(GROUPS)
 
 
 # ---------------------------------------------------------------------------
@@ -30,14 +70,8 @@ def group_mul(x, y) -> np.ndarray:
     """Heisenberg product: (x.y)_3 picks up the twist (x1*y2 - y1*x2)/2."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=float)
-    out[..., 0] = x[..., 0] + y[..., 0]
-    out[..., 1] = x[..., 1] + y[..., 1]
-    out[..., 2] = (
-        x[..., 2]
-        + y[..., 2]
-        + 0.5 * (x[..., 0] * y[..., 1] - y[..., 0] * x[..., 1])
-    )
+    out = x + y
+    out[..., 2] += 0.5 * (x[..., 0] * y[..., 1] - y[..., 0] * x[..., 1])
     return out
 
 
@@ -46,16 +80,16 @@ def group_inverse(x) -> np.ndarray:
     return -np.asarray(x, dtype=float)
 
 
+def _dilation_factors(alpha: float, weights) -> np.ndarray:
+    """alpha^w per weight w as a product of w factors: pow(a, 2) can differ from a * a."""
+    return np.array([math.prod([alpha] * w) for w in weights], dtype=float)
+
+
 def dilate(alpha: float, x) -> np.ndarray:
-    """Anisotropic dilation (a*x1, a*x2, a^2*x3); a group automorphism."""
+    """Anisotropic dilation (a^w_k x_k) by the Heisenberg weights; a group automorphism."""
     if not 0 < alpha < np.inf:
         raise ConfigError(f"dilation factor must be finite and > 0, got {alpha}")
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    out[..., 0] = alpha * x[..., 0]
-    out[..., 1] = alpha * x[..., 1]
-    out[..., 2] = alpha * alpha * x[..., 2]
-    return out
+    return np.asarray(x, dtype=float) * _dilation_factors(alpha, GROUPS["heisenberg"].weights)
 
 
 def homogeneous_norm(x) -> np.ndarray:
@@ -95,10 +129,9 @@ class GridSpec:
         object.__setattr__(self, "dims", int(self.dims))
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.dims not in (1, 2, 3):
-            raise ConfigError(f"dims must be 1, 2 or 3, got {self.dims}")
-        if self.mode == "heisenberg" and self.dims != 3:
-            raise ConfigError("heisenberg mode requires dims=3")
+        if self.dims not in GROUPS[self.mode].dims:
+            raise ConfigError(f"{self.mode} grids take dims in {GROUPS[self.mode].dims}, "
+                              f"got dims={self.dims}")
         if not 0.0 < self.extent < np.inf:
             raise ConfigError(f"extent must be finite and > 0, got {self.extent}")
         if self.n_per_axis < 3:
@@ -122,6 +155,14 @@ class GridSpec:
     def periodic(self) -> bool:
         return self.mode == "euclidean_torus"
 
+    @property
+    def group(self) -> Group:
+        """The mode's group on this grid's dims axes, with the fields along them only."""
+        g, d = GROUPS[self.mode], self.dims
+        fields = {k: v for k, v in g.fields.items() if all(a < d for a, _, _ in v)}
+        ops = {k: tuple(f for f in v if f in fields) for k, v in g.operators.items()}
+        return Group(fields, ops, g.weights[:d], g.involution[:d], (d,))
+
     def axis_coordinates(self) -> np.ndarray:
         """Per-axis node coordinates i*h - L."""
         return -self.extent + self.spacing * np.arange(self.n_per_axis)
@@ -134,14 +175,8 @@ class GridSpec:
 
     def center_index(self) -> int:
         """Flat index of the origin (box) or the node nearest it (odd-n torus)."""
-        if self.mode == "euclidean_torus":
-            i = self.n_per_axis // 2
-        else:
-            i = (self.n_per_axis - 1) // 2
-        flat = 0
-        for _ in range(self.dims):
-            flat = flat * self.n_per_axis + i
-        return flat
+        n = self.n_per_axis
+        return int(np.ravel_multi_index((n // 2,) * self.dims, (n,) * self.dims))
 
     def shaped(self, values: np.ndarray) -> np.ndarray:
         return np.asarray(values).reshape((self.n_per_axis,) * self.dims)

@@ -164,19 +164,13 @@ class SpectralDecomposition:
 def _grid_involution(spec: GridSpec) -> np.ndarray:
     """The grid's involution as a node permutation: node i maps to node perm[i].
 
-    On a Heisenberg grid it is sigma(x1, x2, x3) = (-x2, -x1, -x3), a group
-    automorphism that maps X1 to -X2, X2 to -X1 and T to -T, so it commutes
-    with j1 and j3; on a euclidean box or torus it is x -> -x.
+    It is x -> -x[p], with p the axis permutation of the group's involution
+    (group.GROUPS), reflected through the box's center or modulo the torus.
     """
     n, dims = spec.n_per_axis, spec.dims
-    a = np.indices((n,) * dims).reshape(dims, -1)
-    if spec.mode == "heisenberg":
-        image = (n - 1 - a[1], n - 1 - a[0], n - 1 - a[2])
-    elif spec.periodic:
-        image = tuple(-a % n)
-    else:
-        image = tuple(n - 1 - a)
-    return np.ravel_multi_index(image, (n,) * dims)
+    a = np.indices((n,) * dims).reshape(dims, -1)[list(spec.group.involution)]
+    image = -a % n if spec.periodic else n - 1 - a
+    return np.ravel_multi_index(tuple(image), (n,) * dims)
 
 
 def _fold_basis(perm: np.ndarray) -> tuple[sp.csr_matrix, list[int]]:

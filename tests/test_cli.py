@@ -377,6 +377,24 @@ def test_krylov_limit_times_its_two_spectra_in_provenance(tmp_path):
     assert reports[0] == reports[1] and "limit_krylov" not in reports[0]
 
 
+def test_verify_all_times_each_stage_in_provenance(tmp_path):
+    # each stage's wall time sits beside the run, outside the hashed report,
+    # which stays bitwise the same
+    argv = ["verify-all", "--mode", "euclidean_torus", "--n", "16", "--L", "10",
+            "--seed", "3", "--out", None]
+    stages = ["extend", "frac", "heat", "limit", "spectrum"]
+    reports = []
+    for sub in ("a", "b"):
+        argv[-1] = str(tmp_path / sub)
+        assert run_cli(argv) == 0
+        payload = json.loads((tmp_path / sub / "verify-all" / "results.json").read_text())
+        clock = payload["provenance"]["wall_clock_s"]
+        assert sorted(clock) == [*stages, "verify-all"]
+        assert 0 < sum(clock[stage] for stage in stages) < clock["verify-all"]
+        reports.append(json.dumps(payload["report"], sort_keys=True))
+    assert reports[0] == reports[1] and "wall_clock" not in reports[0]
+
+
 def test_extend_at_a_t_too_small_for_the_multipliers_exits_two(tmp_path, capsys):
     code = run_cli(["extend", "--s", "0.5", "--t", "1e-150", "--out", str(tmp_path)])
     assert code == 2

@@ -321,6 +321,13 @@ def test_scalar_ode_residual_random(rng):
         assert scalar_ode_residual(s, lam, t) <= 1e-8
 
 
+def test_scalar_ode_residual_refuses_a_cancelled_second_derivative():
+    # at t = 1e-150 d2F/dt2 is 1.8e134 of cancellation noise, whose residual
+    # would read as the plausible 1.0
+    with pytest.raises(AccuracyError, match="cancels to roundoff"):
+        scalar_ode_residual(0.5, 1.0, 1e-150)
+
+
 # ---------------------------------------------------------------------------
 # parameter validation
 # ---------------------------------------------------------------------------
@@ -394,7 +401,7 @@ def test_kernel_mode_passthrough(torus64):
     for u, du in zip(prof.u, prof.du_dt):
         assert np.abs(u.values - 2.5).max() <= 1e-10
         assert np.abs(du.values).max() <= 1e-10
-    fields = extension_solve_tau_grid(dec, params, phi)[0]
+    fields = extension_solve_tau_grid(dec, [params], phi)[0][0]
     for u in fields:
         assert np.abs(u.values - 2.5).max() <= 1e-12
 
@@ -403,7 +410,7 @@ def test_path_a_vs_path_b_heisenberg(heis9, rng):
     op, dec = heis9
     phi = subfrac.random_bump(op.spec, rng)
     params = ExtensionParams(s=0.45, t_values=(0.8, 0.3))
-    assert path_agreement(dec, extension_solve(dec, params, phi), phi)[0] <= 1e-6
+    assert path_agreement(dec, [extension_solve(dec, params, phi)], phi)[0][0] <= 1e-6
 
 
 def test_path_a_vs_path_b_torus_mean_zero(torus64, rng):
@@ -412,7 +419,7 @@ def test_path_a_vs_path_b_torus_mean_zero(torus64, rng):
     vals = subfrac.random_bump(op.spec, rng).values
     params = ExtensionParams(s=0.3, t_values=(0.5,))
     for phi in (GridFunction(op.spec, vals - vals.mean()), GridFunction(op.spec, vals)):
-        assert path_agreement(dec, extension_solve(dec, params, phi), phi)[0] <= 1e-6
+        assert path_agreement(dec, [extension_solve(dec, params, phi)], phi)[0][0] <= 1e-6
 
 
 class CountedQuadrature:
@@ -525,7 +532,7 @@ def test_huge_t_modes_vanish_on_both_paths(torus64):
             assert F[0] == 1.0 and (F[1:] == 0.0).all()
             assert (dF == 0.0).all() and (ddF == 0.0).all()
         profile = extension_solve(dec, params, phi)
-        fields, delta, doublings = extension_solve_tau_grid(dec, params, phi)
+        (fields,), (delta,), doublings = extension_solve_tau_grid(dec, [params], phi)
     mean = np.full(op.spec.n_nodes, phi.values.mean())
     for u, ub in zip(profile.u, fields):
         np.testing.assert_allclose(u.values, mean, rtol=0, atol=1e-12)

@@ -77,7 +77,7 @@ def test_mirrored_and_permuted_frequencies_share_one_symbol_value(monkeypatch):
     monkeypatch.setattr(ext, "subordination_integral", counted)
     phi = GridFunction(spec, np.random.default_rng(5).standard_normal(spec.n_nodes))
     t = 0.2
-    extension_solve_tau_grid(diag, ExtensionParams(s=0.5, t_values=(t,)), phi)
+    extension_solve_tau_grid(diag, [ExtensionParams(s=0.5, t_values=(t,))], phi)
     folded = np.minimum(np.arange(n), n - np.arange(n))
     k1, k2 = np.meshgrid(folded, folded, indexing="ij")
     classes = {(min(a, b), max(a, b)) for a, b in zip(k1.ravel(), k2.ravel())}

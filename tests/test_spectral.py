@@ -25,6 +25,7 @@ from subfrac import (
 )
 from subfrac.errors import CapacityError, ConfigError, EvaluationError, GridMismatchError
 from subfrac.extension import ExtensionParams, boundary_limit, extension_solve
+from subfrac.group import GROUPS
 from subfrac.stencils import DiscreteOperator
 
 
@@ -178,6 +179,26 @@ def test_split_matches_one_plain_eigh(name, rng):
     assert sum(len(Q) for Q in dec.blocks) == dec.n
     lam_gap, apply_gap = _matches_plain_eigh(op, dec, grid_fn(spec, rng))
     assert lam_gap <= 1e-12 and apply_gap <= 1e-12
+
+
+def _table_grids():
+    """One small grid per (mode, operator, dims) of the group table; odd and even n on a torus."""
+    for mode, group in GROUPS.items():
+        for kind in group.operators:
+            for dims in group.dims:
+                for n in (6, 7) if mode == "euclidean_torus" else (5,):
+                    yield pytest.param(kind, GridSpec(n, 1.0, dims, mode),
+                                       id=f"{mode}-{kind}-{dims}d-n{n}")
+
+
+@pytest.mark.parametrize("kind, spec", _table_grids())
+def test_every_table_operator_commutes_with_its_involution(kind, spec):
+    # a wrong field, weight or axis permutation in the table would silently
+    # cost the dense split, so each operator must pass its test
+    A = assemble_operator(kind, spec).matrix
+    perm = subfrac.spectral._grid_involution(spec)
+    assert np.array_equal(perm[perm], np.arange(spec.n_nodes))
+    assert abs(A[perm][:, perm] - A).sum(axis=1).max() <= subfrac.spectral.SPLIT_TOL * abs(A).max()
 
 
 def _perturbed(op, node, size):
