@@ -66,7 +66,6 @@ from .extension import (
     extension_multiplier_values,
     extension_solve,
     extension_solve_tau_grid,
-    l2_wellposedness_check,
     path_agreement,
     pde_residual,
     scalar_ode_residual,

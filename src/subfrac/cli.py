@@ -1,6 +1,7 @@
 """Batch experiment runner: assemble, spectrum, frac, heat, extend, limit, verify-all.
 
-Configuration is a flat key=value file plus command-line overrides; a sha256
+Configuration is a flat key=value file plus command-line overrides.  KEYS
+holds each config key once: its field, parser, hashed text and flag.  A sha256
 hash of the flat config is embedded in the run report and manifests for
 provenance.  Two runs with the same config and seed produce a
 bitwise-identical "report" subtree in results.json; timestamps and wall-clock
@@ -11,13 +12,15 @@ are written atomically (temp + rename).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.linalg import blas
@@ -35,7 +38,6 @@ from .extension import (
     extension_constant,
     extension_constant_quadrature,
     extension_solve,
-    l2_wellposedness_check,
     path_agreement,
     pde_residual,
 )
@@ -76,9 +78,8 @@ from .stencils import (
     export_matrix_market,
 )
 
-EXPERIMENT_KINDS = ("assemble", "spectrum", "frac", "heat", "extend", "limit", "verify-all")
 # the kinds that solve the extension problem over the t sweep, and those of
-# them that take its boundary limit
+# them that take its boundary limit (EXPERIMENT_KINDS, every kind, is RUNNERS' keys)
 EXTENSION_KINDS = ("extend", "limit", "verify-all")
 LIMIT_KINDS = ("limit", "verify-all")
 
@@ -98,6 +99,59 @@ MODE_DEFAULTS = {
 }
 
 
+def _parse_floats(text: str) -> tuple:
+    try:
+        values = tuple(float(x) for x in text.split(",") if x)
+    except ValueError as exc:
+        raise ConfigError(f"bad float list {text!r}") from exc
+    if not all(np.isfinite(values)):
+        raise ConfigError(f"float list {text!r} has a non-finite value")
+    return values
+
+
+def _float_text(value) -> str:
+    return repr(float(value))
+
+
+def _floats_text(values) -> str:
+    return ",".join(map(_float_text, values))
+
+
+class Key(NamedTuple):
+    """One config key: the ExperimentConfig field it sets, the parser of its
+    text (in a config file and as a flag), its text in the hashed config (None
+    when it is not hashed) and the argparse options of its flag beyond `type`."""
+
+    field: str
+    parse: Callable = str
+    text: Callable | None = str
+    flag: dict = {}
+
+
+KEYS = {
+    # the positional KIND, which overrides a config file's kind=
+    "kind": Key("kind"),
+    "mode": Key("mode", flag={"choices": MODES}),
+    "op": Key("op", flag={"choices": tuple(dict.fromkeys(
+        op for g in GROUPS.values() for op in g.operators))}),
+    "n": Key("n", int),
+    "L": Key("L", float, _float_text),
+    "dims": Key("dims", int, flag={"choices": sorted(
+        {d for g in GROUPS.values() for d in g.dims})}),
+    "s": Key("s_values", _parse_floats, _floats_text,
+             {"help": "comma-separated s values in (0,1)"}),
+    "t": Key("t_values", _parse_floats, _floats_text,
+             {"help": "comma-separated descending t values"}),
+    "tol": Key("tol", float, _float_text,
+               {"help": "bound of the boundary_limit_rel_error_s=* checks "
+                        "(default 2e-2 on heisenberg, 1e-3 otherwise); "
+                        "every other check keeps its own bound"}),
+    "seed": Key("seed", int),
+    # where a run writes is no part of what it computes
+    "out": Key("out", text=None),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One run's settings; op, n, L and dims left as None take MODE_DEFAULTS[mode]."""
@@ -114,6 +168,8 @@ class ExperimentConfig:
     seed: int = 1234
     out: str = "runs"
     spec: GridSpec = field(init=False, repr=False, compare=False)
+    # the ExtensionParams of each s on the extension kinds, empty on the others
+    sweeps: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -127,6 +183,10 @@ class ExperimentConfig:
         for key, values in (("s", self.s_values), ("t", self.t_values)):
             if not values:
                 raise ConfigError(f"the {key} sweep is empty")
+            # each value names its checks and output files, so a repeat would
+            # report one check twice and overwrite its files
+            if len(set(values)) != len(values):
+                raise ConfigError(f"the {key} sweep repeats a value: {values}")
         if self.op not in GROUPS[self.mode].operators:
             raise ConfigError(f"{self.mode} grids carry the operators "
                               f"{tuple(GROUPS[self.mode].operators)}, got op={self.op}")
@@ -134,17 +194,12 @@ class ExperimentConfig:
             raise ConfigError(f"tol must be finite and >= 0, got {self.tol}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        # each value names its checks and output files, so a repeat would
-        # report one check twice and overwrite its files
-        for key, values in (("s", self.s_values), ("t", self.t_values)):
-            if len(set(values)) != len(values):
-                raise ConfigError(f"the {key} sweep repeats a value: {values}")
-        # the sweeps the extension kinds will build, and the three points the
-        # limit extrapolates from, are checked here, before any decomposition
-        # is paid for or file written
-        if self.kind in EXTENSION_KINDS:
-            for s in self.s_values:
-                ExtensionParams(s=s, t_values=self.t_values)
+        # the sweeps the extension kinds run, and the three points the limit
+        # extrapolates from, are checked here, before any decomposition is
+        # paid for or file written
+        object.__setattr__(self, "sweeps", tuple(
+            ExtensionParams(s=s, t_values=self.t_values) for s in self.s_values
+        ) if self.kind in EXTENSION_KINDS else ())
         if self.kind in LIMIT_KINDS and len(self.t_values) < 3:
             raise ConfigError(
                 f"{self.kind} needs at least 3 t values for the boundary limit, "
@@ -166,18 +221,9 @@ class ExperimentConfig:
                                                   dims=self.dims, mode=self.mode))
 
     def flat(self) -> dict:
-        return {
-            "kind": self.kind,
-            "mode": self.mode,
-            "op": self.op,
-            "n": str(self.n),
-            "L": repr(float(self.L)),
-            "dims": str(self.dims),
-            "s": ",".join(repr(float(s)) for s in self.s_values),
-            "t": ",".join(repr(float(t)) for t in self.t_values),
-            "tol": repr(float(self.tol)),
-            "seed": str(self.seed),
-        }
+        """The hashed config: the text of each hashed key."""
+        return {name: key.text(getattr(self, key.field))
+                for name, key in KEYS.items() if key.text}
 
     def hash(self) -> str:
         blob = "\n".join(f"{k}={v}" for k, v in sorted(self.flat().items()))
@@ -199,17 +245,15 @@ class RunReport:
     checks: list = field(default_factory=list)
     wall_clock: dict = field(default_factory=dict)
 
-    def add(self, name: str, achieved: float, target: float, tolerance: float) -> CheckResult:
+    def add(self, name: str, achieved: float, target: float, tolerance: float) -> None:
         ok = abs(achieved - target) <= tolerance
-        res = CheckResult(name, float(achieved), float(target), float(tolerance), bool(ok))
-        self.checks.append(res)
-        return res
+        self.checks.append(CheckResult(name, float(achieved), float(target), float(tolerance),
+                                       bool(ok)))
 
-    def add_upper(self, name: str, achieved: float, bound: float) -> CheckResult:
+    def add_upper(self, name: str, achieved: float, bound: float) -> None:
         """Check of the form achieved <= bound."""
-        res = CheckResult(name, float(achieved), 0.0, float(bound), bool(achieved <= bound))
-        self.checks.append(res)
-        return res
+        self.checks.append(CheckResult(name, float(achieved), 0.0, float(bound),
+                                       bool(achieved <= bound)))
 
     @property
     def passed(self) -> bool:
@@ -221,25 +265,19 @@ def atomic_write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def report_json(report: RunReport) -> str:
-    """Deterministic machine form of the report (no timestamps)."""
-    payload = {
+def report_payload(report: RunReport) -> dict:
+    """The report subtree of results.json: deterministic, no timestamps."""
+    return {
         "config": report.config.flat(),
         "config_hash": report.config.hash(),
         "version": __version__,
         "passed": report.passed,
-        "checks": [
-            {
-                "name": c.name,
-                "achieved": c.achieved,
-                "target": c.target,
-                "tolerance": c.tolerance,
-                "passed": c.passed,
-            }
-            for c in report.checks
-        ],
+        "checks": [asdict(c) for c in report.checks],
     }
-    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def report_json(report: RunReport) -> str:
+    return json.dumps(report_payload(report), sort_keys=True, indent=2)
 
 
 def report_render(report: RunReport) -> str:
@@ -259,14 +297,12 @@ def report_render(report: RunReport) -> str:
 
 
 def write_results(report: RunReport, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    body = report_json(report)
     envelope = {
         "provenance": {
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "wall_clock_s": report.wall_clock,
         },
-        "report": json.loads(body),
+        "report": report_payload(report),
     }
     atomic_write_text(out_dir / "results.json", json.dumps(envelope, sort_keys=True, indent=2) + "\n")
 
@@ -308,20 +344,15 @@ def run_spectrum(config: ExperimentConfig, report: RunReport, out_dir: Path):
     orthogonality, residual = eigen_probe(op, dec)
     report.add_upper("eigen_orthogonality_probe", orthogonality, 1e-12)
     report.add_upper("eigen_residual_probe", residual, 1e-12)
-    trace_gap = abs(dec.eigenvalues.sum() - op.matrix.diagonal().sum())
-    report.add_upper(
-        "trace_identity_rel", float(trace_gap / max(abs(op.matrix.diagonal().sum()), 1e-300)),
-        1e-8,
-    )
+    trace = op.matrix.diagonal().sum()
+    trace_gap = abs(dec.eigenvalues.sum() - trace)
+    report.add_upper("trace_identity_rel", float(trace_gap / max(abs(trace), 1e-300)), 1e-8)
     return dec
 
 
-def run_frac(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=None,
-             phi=None) -> None:
+def run_frac(config: ExperimentConfig, report: RunReport, out_dir: Path, dec,
+             phi: GridFunction) -> None:
     spec = config.spec
-    if dec is None:
-        dec = run_spectrum(config, report, out_dir)
-    phi = _phi(config, spec) if phi is None else phi
     for s in config.s_values:
         out = fractional_power(dec, s, phi)
         write_gf1(out_dir / f"frac_s{s!r}.gf1", out)
@@ -332,12 +363,9 @@ def run_frac(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=Non
         )
 
 
-def run_heat(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=None,
-             phi=None) -> None:
+def run_heat(config: ExperimentConfig, report: RunReport, out_dir: Path, dec,
+             phi: GridFunction) -> None:
     spec = config.spec
-    if dec is None:
-        dec = run_spectrum(config, report, out_dir)
-    phi = _phi(config, spec) if phi is None else phi
     ident = heat_apply(dec, 0.0, phi)
     report.add_upper(
         "heat_identity_at_t0",
@@ -363,16 +391,13 @@ def run_heat(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=Non
             report.add_upper(f"kernel_mass_gap_t={t}", abs(integral(col) - 1.0), 1e-9)
 
 
-def run_extend(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=None,
-               phi=None) -> list:
+def run_extend(config: ExperimentConfig, report: RunReport, out_dir: Path, dec,
+               phi: GridFunction) -> list:
     """The extend checks of each s; returns the extension profile of each s."""
     spec = config.spec
-    if dec is None:
-        dec = run_spectrum(config, report, out_dir)
-    phi = _phi(config, spec) if phi is None else phi
     res_tol = 1e-5 if spec.mode == "heisenberg" else 1e-6
-    sweeps = [ExtensionParams(s=s, t_values=config.t_values) for s in config.s_values]
-    profiles = [extension_solve(dec, params, phi) for params in sweeps]
+    phi_norm = max(lp_norm(phi, 2), 1e-300)
+    profiles = [extension_solve(dec, params, phi) for params in config.sweeps]
     # PATH B for the whole sweep: one quadrature grid and one batched apply
     agreements, quad_deltas, doublings = path_agreement(dec, profiles, phi)
     grid = {
@@ -384,7 +409,7 @@ def run_extend(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=N
         "doublings": doublings,
         "final_delta": max(quad_deltas),
     }
-    for params, profile, agreement, quad_delta in zip(sweeps, profiles, agreements,
+    for params, profile, agreement, quad_delta in zip(config.sweeps, profiles, agreements,
                                                       quad_deltas):
         s = params.s
         for t, u, du in zip(params.t_values, profile.u, profile.du_dt):
@@ -393,10 +418,10 @@ def run_extend(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=N
         report.add_upper(f"path_a_vs_b_s={s}", agreement, 1e-6)
         report.add_upper(f"path_b_quadrature_delta_s={s}", quad_delta, QUAD_RTOL)
         report.add_upper(f"path_b_quadrature_doublings_s={s}", doublings, QUAD_DOUBLINGS)
-        wp = l2_wellposedness_check(profile, phi)
-        report.add_upper(
-            f"non_expansive_s={s}", float(wp.norm_ratios.max() - 1.0), 1e-12
-        )
+        # ||u(t)||_2 <= ||phi||_2 over the sweep
+        report.add_upper(f"non_expansive_s={s}",
+                         float(np.max([lp_norm(u, 2) for u in profile.u]) / phi_norm - 1.0),
+                         1e-12)
         report.add_upper(f"pde_residual_s={s}", pde_residual(profile), res_tol)
         manifest = {
             "s": s,
@@ -468,7 +493,7 @@ def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=No
     """
     spec = config.spec
     phi = _phi(config, spec) if phi is None else phi
-    sweeps = [ExtensionParams(s=s, t_values=config.t_values) for s in config.s_values]
+    sweeps = config.sweeps
     krylov = dec is None and spec.mode != "euclidean_torus"
     if krylov:
         op = assemble_operator(config.op, spec)
@@ -499,13 +524,9 @@ def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=No
             for psi, params in zip(psis, sweeps)]
     tol = config.tol or (2e-2 if spec.mode == "heisenberg" else 1e-3)
     for i, (params, result) in enumerate(zip(sweeps, results)):
-        s = params.s
-        report.add_upper(
-            f"C_s_closed_vs_quadrature_s={s}",
-            abs(extension_constant(s) - extension_constant_quadrature(s))
-            / extension_constant(s),
-            1e-10,
-        )
+        s, c_s = params.s, extension_constant(params.s)
+        report.add_upper(f"C_s_closed_vs_quadrature_s={s}",
+                         abs(c_s - extension_constant_quadrature(s)) / c_s, 1e-10)
         if krylov:
             report.add_upper(f"krylov_steps_s={s}", steps, DENSE_LIMIT ** 2 // spec.n_nodes)
             report.add_upper(f"krylov_delta_s={s}", gaps[i], KRYLOV_RTOL)
@@ -599,15 +620,22 @@ def run_verify_all(config: ExperimentConfig, report: RunReport, out_dir: Path) -
     timed("limit", run_limit, dec, profiles, phi)
 
 
+def _standalone(runner):
+    """runner as a kind of its own, on the run's spectrum and seeded phi."""
+    return lambda config, report, out_dir: runner(
+        config, report, out_dir, run_spectrum(config, report, out_dir), _phi(config, config.spec))
+
+
 RUNNERS = {
     "assemble": run_assemble,
     "spectrum": run_spectrum,
-    "frac": run_frac,
-    "heat": run_heat,
-    "extend": run_extend,
+    "frac": _standalone(run_frac),
+    "heat": _standalone(run_heat),
+    "extend": _standalone(run_extend),
     "limit": run_limit,
     "verify-all": run_verify_all,
 }
+EXPERIMENT_KINDS = tuple(RUNNERS)
 
 
 def run(config: ExperimentConfig) -> RunReport:
@@ -625,22 +653,15 @@ def run(config: ExperimentConfig) -> RunReport:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _parse_floats(text: str) -> tuple:
-    try:
-        values = tuple(float(x) for x in text.split(",") if x)
-    except ValueError as exc:
-        raise ConfigError(f"bad float list {text!r}") from exc
-    if not all(np.isfinite(values)):
-        raise ConfigError(f"float list {text!r} has a non-finite value")
-    return values
-
-
-def _float_list_arg(text: str) -> tuple:
-    """_parse_floats for argparse, which reports a bad flag as a usage error."""
-    try:
-        return _parse_floats(text)
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _flag_type(parse: Callable) -> Callable:
+    """parse for argparse, which reports a ConfigError as a usage error."""
+    @functools.wraps(parse)  # argparse names the type in "invalid int value"
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return convert
 
 
 def _read_config_file(path: str) -> dict:
@@ -663,58 +684,31 @@ def _read_config_file(path: str) -> dict:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subfrac",
+        usage="%(prog)s KIND [flags]",
         description="Fractional sub-Laplacians by heat-semigroup subordination: "
                     "experiments and verification batteries.",
     )
-    sub = parser.add_subparsers(dest="kind", required=True)
-    operators = tuple(dict.fromkeys(op for g in GROUPS.values() for op in g.operators))
-    dims = sorted({d for g in GROUPS.values() for d in g.dims})
-    for kind in EXPERIMENT_KINDS:
-        p = sub.add_parser(kind, help=f"run the {kind} experiment")
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--mode", choices=MODES)
-        p.add_argument("--op", choices=operators)
-        p.add_argument("--n", type=int)
-        p.add_argument("--L", type=float)
-        p.add_argument("--dims", type=int, choices=dims)
-        p.add_argument("--s", type=_float_list_arg, help="comma-separated s values in (0,1)")
-        p.add_argument("--t", type=_float_list_arg, help="comma-separated descending t values")
-        p.add_argument("--tol", type=float,
-                       help="bound of the boundary_limit_rel_error_s=* checks "
-                            "(default 2e-2 on heisenberg, 1e-3 otherwise); "
-                            "every other check keeps its own bound")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
+    parser.add_argument("kind", choices=EXPERIMENT_KINDS, help="the experiment to run")
+    parser.add_argument("--config", help="flat key=value config file, which flags override")
+    for name, key in KEYS.items():
+        if name != "kind":
+            parser.add_argument(f"--{name}", type=_flag_type(key.parse), **key.flag)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    base: dict = {}
+    values = {}
     if args.config:
-        raw = _read_config_file(args.config)
-        casts = {
-            "n": int, "dims": int, "seed": int,
-            "L": float, "tol": float,
-            "s": _parse_floats, "t": _parse_floats,
-        }
-        for key, value in raw.items():
-            if key in ("mode", "op", "out", "kind"):
-                base[key] = value
-            elif key in casts:
-                try:
-                    base[key] = casts[key](value)
-                except ValueError as exc:
-                    raise ConfigError(f"{args.config}: bad value for {key!r}: {exc}") from exc
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-    for key in ("mode", "op", "n", "L", "dims", "s", "t", "tol", "seed", "out"):
-        val = getattr(args, key, None)
-        if val is not None:
-            base[key] = val
-    base.pop("kind", None)
-    sweeps = {"s": "s_values", "t": "t_values"}
-    return ExperimentConfig(kind=args.kind,
-                            **{sweeps.get(key, key): value for key, value in base.items()})
+        for name, text in _read_config_file(args.config).items():
+            if name not in KEYS:
+                raise ConfigError(f"unknown config key {name!r}")
+            try:
+                values[name] = KEYS[name].parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"{args.config}: bad value for {name!r}: {exc}") from exc
+    values.update((name, getattr(args, name)) for name in KEYS
+                  if getattr(args, name) is not None)
+    return ExperimentConfig(**{KEYS[name].field: value for name, value in values.items()})
 
 
 def main(argv=None) -> int:

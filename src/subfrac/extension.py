@@ -72,8 +72,7 @@ class ExtensionParams:
     t_values: tuple
 
     def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
-            raise ConfigError(f"s must lie strictly in (0, 1), got {self.s}")
+        _check_s(self.s)
         ts = tuple(float(t) for t in self.t_values)
         if not ts:
             raise ConfigError("the t sweep is empty")
@@ -86,7 +85,7 @@ class ExtensionParams:
 
 def _check_s(s: float) -> None:
     if not 0.0 < s < 1.0:
-        raise ConfigError(f"s must lie in (0, 1), got {s}")
+        raise ConfigError(f"s must lie strictly in (0, 1), got {s}")
 
 
 # ---------------------------------------------------------------------------
@@ -393,18 +392,13 @@ def extension_constant_quadrature(s: float) -> float:
 
 @dataclass
 class ExtensionProfile:
-    """u(t_j, .), its first two t-derivatives and J u(t_j, .) over the sweep.
-
-    lam_f_max[j] is the largest lambda F_s(t_j, lambda) over the spectrum, so
-    ||J u(t_j)||_2 <= lam_f_max[j] ||phi||_2.
-    """
+    """u(t_j, .), its first two t-derivatives and J u(t_j, .) over the sweep."""
 
     params: ExtensionParams
     u: list
     du_dt: list
     ddu_dt2: list
     ju: list
-    lam_f_max: np.ndarray
 
 
 def extension_solve(dec: Spectrum, params: ExtensionParams,
@@ -416,17 +410,14 @@ def extension_solve(dec: Spectrum, params: ExtensionParams,
     batched apply.
     """
     lam, index = np.unique(dec.eigenvalues, return_inverse=True)
-    rows, lam_f_max = [], []
+    rows = []
     for t in params.t_values:
         F, dF, ddF = extension_multiplier_values(params.s, t, lam)
         _check_second_derivative(params.s, t, lam, F, dF, ddF)
-        lam_f = lam * F
-        rows += [F, dF, ddF, lam_f]
-        lam_f_max.append(float(lam_f.max(initial=0.0)))
+        rows += [F, dF, ddF, lam * F]
     fields = dec.apply_values(np.array(rows)[:, index], phi)
     return ExtensionProfile(params=params, u=fields[0::4], du_dt=fields[1::4],
-                            ddu_dt2=fields[2::4], ju=fields[3::4],
-                            lam_f_max=np.array(lam_f_max))
+                            ddu_dt2=fields[2::4], ju=fields[3::4])
 
 
 def extension_solve_tau_grid(dec: Spectrum, sweep: Sequence[ExtensionParams],
@@ -578,38 +569,4 @@ def boundary_limit(dec: Spectrum, profile: ExtensionProfile,
         sweep_t=params.t_values,
         sweep_values=sweep,
         used_fallback=used_fallback,
-    )
-
-
-# ---------------------------------------------------------------------------
-# well-posedness report
-# ---------------------------------------------------------------------------
-
-@dataclass
-class WellposednessReport:
-    t_values: tuple
-    norm_ratios: np.ndarray       # ||u(t)||_2 / ||phi||_2
-    ju_norms: np.ndarray          # ||J u(t)||_2
-    ju_bounds: np.ndarray         # max_i lambda_i F_s(t, lambda_i) * ||phi||_2
-    non_expansive: bool
-    monotone: bool
-    in_domain: bool
-
-
-def l2_wellposedness_check(profile: ExtensionProfile,
-                           phi: GridFunction) -> WellposednessReport:
-    """||u(t)||_2 <= ||phi||_2 and J u(t) in L^2 with the sharp spectral bound."""
-    phinorm = lp_norm(phi, 2)
-    ratios = np.array([lp_norm(u, 2) / max(phinorm, 1e-300) for u in profile.u])
-    junorms = np.array([lp_norm(ju, 2) for ju in profile.ju])
-    bounds = profile.lam_f_max * phinorm
-    return WellposednessReport(
-        t_values=profile.params.t_values,
-        norm_ratios=ratios,
-        ju_norms=junorms,
-        ju_bounds=bounds,
-        non_expansive=bool((ratios <= 1.0 + 1e-12).all()),
-        # t descends along the sweep and F grows as t falls, so ratios rise
-        monotone=bool((np.diff(ratios) >= -1e-10).all()),
-        in_domain=bool(np.isfinite(junorms).all() and (junorms <= bounds + 1e-9).all()),
     )

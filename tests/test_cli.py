@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import subfrac
 from subfrac.cli import (
+    KEYS,
     ExperimentConfig,
     _parse_floats,
     _read_config_file,
@@ -711,3 +712,72 @@ def test_config_hash_stability():
     args2 = parser.parse_args(["limit", "--mode", "euclidean_torus", "--n", "32",
                                "--L", "10", "--s", "0.5"])
     assert config_from_args(args2).hash() != c1.hash()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["limit", "--mode", "heisenberg", "--op", "j1", "--n", "15", "--L", "4", "--s", "0.5",
+      "--t", "0.2,0.1,0.05"],
+     "847bd31973144e129c85deeaf44818b4fcc247a8a4a0ffa1dbf5b9b08bba7f06"),
+    # the benchmark passes a seed to every job
+    (["limit", "--mode", "heisenberg", "--op", "j1", "--n", "15", "--L", "4", "--s", "0.5",
+      "--t", "0.2,0.1,0.05", "--seed", "7"],
+     "f81ffeb2d24e713709570c21e41d95d882042fab909fabd257731158a0c4d13a"),
+    (["limit", "--mode", "euclidean_torus"],
+     "4c6f7b83f1b47266d80ea4ee4b3d4366b2ad0abce4380b2788f1d210b3f73355"),
+], ids=["heis15-limit", "heis15-limit-seed7", "torus-defaults"])
+def test_config_hash_golden(argv, digest):
+    # every report and manifest embeds this hash, so the text of each key is pinned
+    assert config_from_args(build_parser().parse_args(argv)).hash() == digest
+
+
+# a value other than the default for each config key, and the flags its grid needs
+KEY_VALUES = {
+    "kind": ("limit", []),
+    "mode": ("euclidean_box", []),
+    "op": ("j3", []),
+    "n": ("7", []),
+    "L": ("2.5", []),
+    "dims": ("2", ["--mode", "euclidean_torus"]),
+    "s": ("0.3,0.7", []),
+    "t": ("0.4,0.2,0.1", []),
+    "tol": ("0.05", []),
+    "seed": ("9", []),
+    "out": ("elsewhere", []),
+}
+
+
+@pytest.mark.parametrize("key", list(KEYS))
+def test_config_file_and_flag_give_the_same_config(tmp_path, key):
+    # a key parses the same from a config file as from its flag; the kind's
+    # flag is the positional argument, which a file's kind= repeats
+    value, grid = KEY_VALUES[key]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    parser = build_parser()
+    from_file = config_from_args(parser.parse_args(["limit", *grid, "--config", str(cfg)]))
+    flag = [] if key == "kind" else [f"--{key}", value]
+    from_flag = config_from_args(parser.parse_args(["limit", *grid, *flag]))
+    assert from_file.flat() == from_flag.flat()
+    assert from_file == from_flag
+
+
+@pytest.mark.parametrize("argv", [
+    ["frac", "--mode", "heisenberg", "--n", "5", "--L", "1e200"],
+    ["frac", "--mode", "heisenberg", "--n", "5", "--L", "1e120"],
+    ["spectrum", "--mode", "euclidean_torus", "--n", "4", "--L", "1e-160"],
+], ids=["L-squared", "cell-volume", "inverse-h-squared"])
+def test_extent_out_of_the_double_range_exits_two_before_any_output(tmp_path, capsys, argv):
+    # L^2, 1/h^2 or h^dims past the double range: refused with the config,
+    # not a traceback or an empty output directory
+    assert run_cli([*argv, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / argv[0]).exists()
+
+
+@pytest.mark.parametrize("kind", ["assemble", "spectrum", "frac", "heat", "extend", "limit",
+                                  "verify-all"])
+def test_every_kind_has_help(capsys, kind):
+    with pytest.raises(SystemExit) as exc:
+        main([kind, "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out

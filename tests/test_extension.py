@@ -18,7 +18,6 @@ from subfrac import (
     extension_solve_tau_grid,
     fractional_power,
     gaussian_bump,
-    l2_wellposedness_check,
     lp_norm,
     path_agreement,
     pde_residual,
@@ -729,10 +728,19 @@ def test_wellposedness_report(torus64, rng):
     op, dec = torus64
     phi = subfrac.random_bump(op.spec, rng)
     params = ExtensionParams(s=0.5, t_values=(2.0, 1.0, 0.5, 0.1, 1e-3))
-    rep = l2_wellposedness_check(extension_solve(dec, params, phi), phi)
-    assert rep.non_expansive
-    assert rep.in_domain
+    profile = extension_solve(dec, params, phi)
+    phinorm = lp_norm(phi, 2)
+    ratios = np.array([lp_norm(u, 2) / phinorm for u in profile.u])
+    ju_norms = np.array([lp_norm(ju, 2) for ju in profile.ju])
+    # the sharp spectral bound ||J u(t)||_2 <= max_i lambda_i F_s(t, lambda_i) ||phi||_2
+    lam = np.unique(dec.eigenvalues)
+    ju_bounds = phinorm * np.array([
+        (lam * extension_multiplier_values(params.s, t, lam)[0]).max(initial=0.0)
+        for t in params.t_values])
+    # non-expansive, and J u(t) in L^2 within the bound
+    assert (ratios <= 1.0 + 1e-12).all()
+    assert np.isfinite(ju_norms).all() and (ju_norms <= ju_bounds + 1e-9).all()
     # F decreasing in t: later (smaller t) ratios are larger
-    assert rep.monotone
-    assert rep.norm_ratios[-1] <= 1.0 + 1e-12
-    assert (rep.ju_norms <= rep.ju_bounds + 1e-9).all()
+    assert (np.diff(ratios) >= -1e-10).all()
+    assert ratios[-1] <= 1.0 + 1e-12
+    assert (ju_norms <= ju_bounds + 1e-9).all()
