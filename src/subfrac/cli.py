@@ -61,6 +61,7 @@ from .group import (
 )
 from .spectral import (
     DENSE_LIMIT,
+    blas_thread_api,
     eigen_probe,
     fractional_power,
     heat_apply,
@@ -244,6 +245,8 @@ class RunReport:
     config: ExperimentConfig
     checks: list = field(default_factory=list)
     wall_clock: dict = field(default_factory=dict)
+    # the BLAS thread count of the run's dense eigh and applies; None when it ran none
+    dense_threads: int | None = None
 
     def add(self, name: str, achieved: float, target: float, tolerance: float) -> None:
         ok = abs(achieved - target) <= tolerance
@@ -301,6 +304,7 @@ def write_results(report: RunReport, out_dir: Path) -> None:
         "provenance": {
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "wall_clock_s": report.wall_clock,
+            "blas": {**blas_thread_api(), "dense_threads": report.dense_threads},
         },
         "report": report_payload(report),
     }
@@ -339,6 +343,7 @@ def run_spectrum(config: ExperimentConfig, report: RunReport, out_dir: Path):
         dec = fourier_decompose(op)
     else:
         dec = spectral_decompose(op)
+        report.dense_threads = dec.blas_threads
     export_spectrum_csv(dec, out_dir / "spectrum.csv")
     report.add_upper("min_eigenvalue_negativity", max(-dec.eigenvalues.min(), 0.0), 0.0)
     orthogonality, residual = eigen_probe(op, dec)

@@ -140,14 +140,16 @@ class GridSpec:
             raise ConfigError(
                 f"box modes need odd n_per_axis (origin must be a node), got {self.n_per_axis}"
             )
-        # the stencils and bumps square L and 1/h, and the norms weigh by h^dims
-        # and its inverse; past the double range Python's float ** raises
+        # the group law's x1 x2 terms are O(L^2) and the eigenvalues O(1/h^2),
+        # and the norms square both, so L^4 and 1/h^4 must be doubles; the
+        # norms also weigh by h^dims and its inverse, and past the double
+        # range Python's float ** raises
         with np.errstate(over="ignore", divide="ignore"):
             h = np.float64(self.spacing)
-            scales = [np.float64(self.extent) ** 2, h ** -2, h ** self.dims, h ** -self.dims]
+            scales = [np.float64(self.extent) ** 4, h ** -4, h ** self.dims, h ** -self.dims]
         if not np.isfinite(scales).all():
             raise ConfigError(f"extent {self.extent} with n_per_axis={self.n_per_axis} "
-                              f"puts L^2, 1/h^2 or h^{self.dims} out of the double range")
+                              f"puts L^4, 1/h^4 or h^{self.dims} out of the double range")
 
     @property
     def spacing(self) -> float:

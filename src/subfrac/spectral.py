@@ -12,8 +12,11 @@ Musco and Sidford, SODA 2018).
 
 from __future__ import annotations
 
+import ctypes
+import functools
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Callable, NamedTuple, Protocol
 
 import numpy as np
 import scipy.linalg
@@ -37,6 +40,22 @@ EIG_CLAMP = 1e-10  # relative floor below which roundoff-negative eigenvalues cl
 # Assembly roundoff leaves up to 6e-16 on the Heisenberg grids.
 SPLIT_TOL = 1e-14
 
+# the dense route runs scipy's OpenBLAS on one thread when its largest eigh
+# block has a lower order.  On a 2-vCPU box, two threads against one took
+# 15-18 ms vs 15-20 ms for an evd eigh of order 369, 20-26 vs 22-30 ms at
+# 450, 29-32 vs 33-44 ms at 512 and 0.57-0.68 vs 0.88-1.0 s at 1695; one
+# apply took 45-61 vs 48-59 us at 369 and 0.95-1.1 vs 1.9-2.1 ms at 1695.
+# Below the cut the second thread saves no time, yet it spins for about
+# 0.1 s after each threaded call, and the results on one thread do not
+# depend on the thread count the process started with.
+SERIAL_ORDER = 512
+
+# the thread-count functions of the scipy-openblas wheels (ILP64 and LP64),
+# then upstream OpenBLAS's: (get, set) symbol names
+_THREAD_SYMBOLS = tuple((f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+                        for prefix, suffix in (("scipy_openblas_", "64_"), ("scipy_openblas_", ""),
+                                               ("openblas_", "64_"), ("openblas_", "")))
+
 # a Lanczos residual this far below the largest ||A v|| seen marks an
 # invariant Krylov subspace, on which the Ritz spectrum is exact
 KRYLOV_BREAKDOWN = 1e-12
@@ -57,6 +76,64 @@ class Spectrum(Protocol):
 
     def apply_values(self, values: np.ndarray,
                      f: GridFunction) -> GridFunction | list[GridFunction]: ...
+
+
+class _ThreadAPI(NamedTuple):
+    """The thread count of the OpenBLAS behind scipy.linalg.blas: its setter's name, get and set."""
+
+    name: str
+    get: Callable[[], int]
+    set: Callable[[int], None]
+
+
+@functools.cache
+def _thread_api() -> _ThreadAPI | None:
+    """The thread-count functions of scipy's BLAS, or None when it has none (MKL, Accelerate).
+
+    They are looked up through the extension module that scipy.linalg.blas
+    loads, so its dynamic linker resolves them in the very BLAS it calls.
+    """
+    try:
+        from scipy.linalg import _fblas
+
+        lib = ctypes.CDLL(_fblas.__file__)
+    except (ImportError, OSError):
+        return None
+    for get_name, set_name in _THREAD_SYMBOLS:
+        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return _ThreadAPI(set_name, get, set_)
+    return None
+
+
+def blas_thread_api() -> dict:
+    """The thread-count setter found in scipy's BLAS and the count in effect outside
+    the dense route, both None when there is no such setter."""
+    api = _thread_api()
+    return {"api": api and api.name, "default_threads": api and api.get()}
+
+
+@contextmanager
+def _dense_threads(order: int):
+    """Run scipy's BLAS on one thread inside the block when order < SERIAL_ORDER.
+
+    Yields the thread count in effect inside (None without a thread API);
+    the count before is restored on the way out, an exception included.
+    The count is process-wide, so scopes in concurrent Python threads would
+    restore each other's counts.
+    """
+    api = _thread_api()
+    if api is None or order >= SERIAL_ORDER:
+        yield api and api.get()
+        return
+    previous = api.get()
+    api.set(1)
+    try:
+        yield 1
+    finally:
+        api.set(previous)
 
 
 def _checked_values(spectrum: Spectrum, values, f: GridFunction) -> np.ndarray:
@@ -110,6 +187,20 @@ class SpectralDecomposition:
     def n(self) -> int:
         return self.eigenvalues.size
 
+    @property
+    def order(self) -> int:
+        """The order of the largest block."""
+        return max(Q.shape[0] for Q in self.blocks)
+
+    @property
+    def blas_threads(self) -> int | None:
+        """The thread count of scipy's BLAS in this decomposition's eigh and applies.
+
+        One below SERIAL_ORDER; None when scipy's BLAS has no thread API.
+        """
+        with _dense_threads(self.order) as threads:
+            return threads
+
     def _columns(self):
         """Each block with the slice of the columns of U that it spans."""
         start = 0
@@ -138,7 +229,8 @@ class SpectralDecomposition:
         wheels each load their own OpenBLAS with its own thread pool, and
         waking numpy's pool beside scipy's for these O(N^2) products costs
         more than the products do.  f2py hands the Fortran-ordered Q_b to
-        BLAS without a copy.
+        BLAS without a copy.  Below SERIAL_ORDER the products run on one
+        thread, as the eigh did.
         """
         values = _checked_values(self, values, f)
         single = values.ndim == 1 or values.shape[0] == 1
@@ -146,13 +238,14 @@ class SpectralDecomposition:
         v = (values.reshape(-1) if single else values)[..., self.positions]
         g = self.fold @ f.values
         parts = []
-        for Q, cols in self._columns():
-            c = blas.dgemv(1.0, Q, g[cols], trans=1)
-            if single:
-                parts.append(blas.dgemv(1.0, Q, v[cols] * c))
-            else:
-                # Q (v * c)^T is k x rows, one column per output
-                parts.append(blas.dgemm(1.0, Q, (v[:, cols] * c).T))
+        with _dense_threads(self.order):
+            for Q, cols in self._columns():
+                c = blas.dgemv(1.0, Q, g[cols], trans=1)
+                if single:
+                    parts.append(blas.dgemv(1.0, Q, v[cols] * c))
+                else:
+                    # Q (v * c)^T is k x rows, one column per output
+                    parts.append(blas.dgemm(1.0, Q, (v[:, cols] * c).T))
         out = self.basis @ np.concatenate(parts)
         if values.ndim == 1:
             return GridFunction(self.spec, out)
@@ -206,9 +299,10 @@ def spectral_decompose(op: DiscreteOperator) -> SpectralDecomposition:
     its own eigh at about half the order: a quarter of the memory and an
     eighth of the flops of one full eigh.  Any other operator is one block
     with U = I.  LAPACK's divide-and-conquer driver (evd) computes each
-    block; the eigenvalues merge into one ascending array by a stable sort,
-    and roundoff-negative ones clamp to 0.  eigen_probe checks the result
-    against the operator.
+    block, on one thread of scipy's BLAS when the larger block's order is
+    below SERIAL_ORDER; the eigenvalues merge into one ascending array by a
+    stable sort, and roundoff-negative ones clamp to 0.  eigen_probe checks
+    the result against the operator.
     """
     N = op.spec.n_nodes
     if N > DENSE_LIMIT:
@@ -226,9 +320,10 @@ def spectral_decompose(op: DiscreteOperator) -> SpectralDecomposition:
     ends = np.cumsum(sizes)
     # Fortran order lets LAPACK overwrite each densified block in place; a
     # C-ordered array would cost scipy a hidden copy
-    pairs = [scipy.linalg.eigh(B[a:b, a:b].toarray(order="F"), driver="evd",
-                               overwrite_a=True, check_finite=False)
-             for a, b in zip(ends - sizes, ends)]
+    with _dense_threads(max(sizes)):
+        pairs = [scipy.linalg.eigh(B[a:b, a:b].toarray(order="F"), driver="evd",
+                                   overwrite_a=True, check_finite=False)
+                 for a, b in zip(ends - sizes, ends)]
     w = np.concatenate([lam for lam, _ in pairs])
     order = np.argsort(w, kind="stable")
     positions = np.empty(N, dtype=np.intp)

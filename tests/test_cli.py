@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import subfrac
+import subfrac.spectral as spectral
 from subfrac.cli import (
     KEYS,
     ExperimentConfig,
@@ -396,6 +401,46 @@ def test_verify_all_times_each_stage_in_provenance(tmp_path):
     assert reports[0] == reports[1] and "wall_clock" not in reports[0]
 
 
+@pytest.mark.parametrize("argv, dense", [
+    (["spectrum", "--mode", "heisenberg", "--n", "5", "--L", "2"], True),
+    (["limit", "--mode", "heisenberg", "--n", "5", "--L", "2"], False),
+    (["spectrum", "--mode", "euclidean_torus", "--n", "16", "--L", "10"], False),
+], ids=["dense", "krylov", "torus"])
+def test_provenance_records_the_blas_threads_of_the_dense_route(tmp_path, argv, dense):
+    assert run_cli([*argv, "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / argv[0] / "results.json").read_text())
+    found = spectral.blas_thread_api()
+    # a dense route below SERIAL_ORDER runs on one thread; the Krylov and
+    # FFT routes run none
+    threads = 1 if dense and found["api"] else None
+    assert payload["provenance"]["blas"] == {**found, "dense_threads": threads}
+    assert "blas" not in json.dumps(payload["report"])
+
+
+@pytest.mark.skipif(spectral.blas_thread_api()["api"] is None,
+                    reason="scipy's BLAS has no OpenBLAS thread API")
+def test_dense_report_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # two processes whose OpenBLAS starts at one and at two threads write
+    # the same hashed report: below SERIAL_ORDER the dense route runs on one
+    argv = ["extend", "--mode", "heisenberg", "--n", "7", "--L", "2", "--s", "0.3,0.7",
+            "--t", "0.2,0.1"]
+    src = str(Path(subfrac.__file__).resolve().parent.parent)
+    payloads = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "subfrac.cli", *argv,
+                               "--out", str(tmp_path / threads)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        payloads[threads] = json.loads((tmp_path / threads / "extend" / "results.json").read_text())
+    blas = {threads: payload["provenance"]["blas"] for threads, payload in payloads.items()}
+    assert blas["1"]["default_threads"] == 1 and blas["2"]["default_threads"] >= 1
+    assert blas["1"]["dense_threads"] == blas["2"]["dense_threads"] == 1
+    assert (json.dumps(payloads["1"]["report"], sort_keys=True)
+            == json.dumps(payloads["2"]["report"], sort_keys=True))
+
+
 def test_extend_at_a_t_too_small_for_the_multipliers_exits_two(tmp_path, capsys):
     code = run_cli(["extend", "--s", "0.5", "--t", "1e-150", "--out", str(tmp_path)])
     assert code == 2
@@ -765,10 +810,14 @@ def test_config_file_and_flag_give_the_same_config(tmp_path, key):
     ["frac", "--mode", "heisenberg", "--n", "5", "--L", "1e200"],
     ["frac", "--mode", "heisenberg", "--n", "5", "--L", "1e120"],
     ["spectrum", "--mode", "euclidean_torus", "--n", "4", "--L", "1e-160"],
-], ids=["L-squared", "cell-volume", "inverse-h-squared"])
+    # L^2 and 1/h^2 are doubles here, but the group law's O(L^2) terms and
+    # the O(1/h^2) eigenvalues overflow once the norms square them
+    ["verify-all", "--mode", "heisenberg", "--n", "5", "--L", "1e100"],
+    ["frac", "--mode", "euclidean_torus", "--n", "5", "--L", "1e-150"],
+], ids=["L-squared", "cell-volume", "inverse-h-squared", "L-fourth", "inverse-h-fourth"])
 def test_extent_out_of_the_double_range_exits_two_before_any_output(tmp_path, capsys, argv):
-    # L^2, 1/h^2 or h^dims past the double range: refused with the config,
-    # not a traceback or an empty output directory
+    # L^4, 1/h^4 or h^dims past the double range: refused with the config,
+    # not a traceback, a failed check or an empty output directory
     assert run_cli([*argv, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / argv[0]).exists()

@@ -872,3 +872,123 @@ def test_spectrum_csv(tmp_path, torus_small):
     assert lines[0] == "index,eigenvalue"
     got = np.array([float(line.split(",")[1]) for line in lines[1:]])
     assert np.array_equal(got, dec.eigenvalues)  # 17 significant digits round-trip
+
+
+# ---------------------------------------------------------------------------
+# the thread count of scipy's BLAS on the dense route
+# ---------------------------------------------------------------------------
+
+def _thread_api():
+    import subfrac.spectral as spectral
+
+    return spectral._thread_api()
+
+
+needs_thread_api = pytest.mark.skipif(_thread_api() is None,
+                                      reason="scipy's BLAS has no OpenBLAS thread API")
+
+
+@pytest.fixture()
+def two_threads():
+    """scipy's BLAS set to two threads for the test, the count before restored after."""
+    api = _thread_api()
+    previous = api.get()
+    api.set(2)
+    try:
+        if api.get() != 2:
+            pytest.skip("scipy's BLAS does not take a second thread here")
+        yield api
+    finally:
+        api.set(previous)
+
+
+def _threads_seen(monkeypatch, api):
+    """Record the thread count at every eigh and dense-route BLAS call."""
+    import subfrac.spectral as spectral
+
+    seen = []
+    eigh = scipy.linalg.eigh
+
+    def counted(routine):
+        def call(*args, **kwargs):
+            seen.append(api.get())
+            return routine(*args, **kwargs)
+        return call
+
+    class Blas:
+        def __getattr__(self, name):
+            return counted(getattr(scipy.linalg.blas, name))
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counted(eigh))
+    monkeypatch.setattr(spectral, "blas", Blas())
+    return seen
+
+
+def _decompose_and_apply(op, rng):
+    dec = spectral_decompose(op)
+    f = grid_fn(op.spec, rng)
+    dec.apply_values(dec.eigenvalues, f)
+    dec.apply_values(np.array([dec.eigenvalues, np.ones(dec.n)]), f)
+    return dec
+
+
+@needs_thread_api
+def test_dense_route_below_the_cut_runs_on_one_thread(heis9, rng, monkeypatch, two_threads):
+    # heis9's blocks have orders 369 and 360: the eigh and every apply run
+    # on one thread, and the count comes back after each
+    op, _ = heis9
+    seen = _threads_seen(monkeypatch, two_threads)
+    dec = _decompose_and_apply(op, rng)
+    assert dec.order == 369 and dec.blas_threads == 1
+    assert len(seen) == 2 + 4 + 4 and set(seen) == {1}
+    assert two_threads.get() == 2
+
+
+@needs_thread_api
+def test_dense_route_at_the_cut_keeps_the_thread_count(heis9, rng, monkeypatch, two_threads):
+    import subfrac.spectral as spectral
+
+    op, _ = heis9
+    monkeypatch.setattr(spectral, "SERIAL_ORDER", 369)
+    seen = _threads_seen(monkeypatch, two_threads)
+    dec = _decompose_and_apply(op, rng)
+    assert dec.blas_threads == 2
+    assert len(seen) == 10 and set(seen) == {2}
+
+
+@needs_thread_api
+def test_thread_count_comes_back_after_the_scope_and_after_an_exception(two_threads):
+    import subfrac.spectral as spectral
+
+    with spectral._dense_threads(1) as threads:
+        assert threads == 1 and two_threads.get() == 1
+    assert two_threads.get() == 2
+    with pytest.raises(RuntimeError, match="inside"):
+        with spectral._dense_threads(1):
+            assert two_threads.get() == 1
+            raise RuntimeError("inside")
+    assert two_threads.get() == 2
+    with spectral._dense_threads(spectral.SERIAL_ORDER) as threads:
+        assert threads == 2 and two_threads.get() == 2
+
+
+@needs_thread_api
+def test_without_a_thread_api_the_scope_does_nothing(heis9, rng, monkeypatch, two_threads):
+    # a BLAS without OpenBLAS's thread functions (MKL, Accelerate) is left
+    # at its own count, and the route records None
+    import subfrac.spectral as spectral
+
+    monkeypatch.setattr(spectral, "_THREAD_SYMBOLS", (("no_such_get", "no_such_set"),))
+    spectral._thread_api.cache_clear()
+    try:
+        assert spectral._thread_api() is None
+        assert spectral.blas_thread_api() == {"api": None, "default_threads": None}
+        with spectral._dense_threads(1) as threads:
+            assert threads is None and two_threads.get() == 2
+        op, want = heis9
+        dec = _decompose_and_apply(op, rng)
+        assert dec.blas_threads is None
+        assert np.abs(dec.eigenvalues - want.eigenvalues).max() <= 1e-12 * want.eigenvalues.max()
+    finally:
+        spectral._thread_api.cache_clear()
+    assert two_threads.get() == 2
