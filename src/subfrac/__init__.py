@@ -71,7 +71,7 @@ from .extension import (
     scalar_ode_residual,
     subordination_integral,
 )
-from .fourier import FourierDiagonal, cross_validate, fourier_decompose
+from .fourier import FourierDiagonal, fourier_decompose
 from .estimates import (
     DecayFit,
     GaussianBoundResult,

@@ -144,14 +144,17 @@ def _check_second_derivative(s: float, t: float, lam: np.ndarray, F: np.ndarray,
     carries a rounding error of eps times its size.  The check is normwise,
     against the largest |ddF| + lam F over the spectrum: the noise of a
     mode with a tiny lambda lies below what a field built from ddF can
-    resolve, and so does not count.  ddF is not replaced by
+    resolve, and so does not count.  A mode with dF = 0 and lam F > 0
+    passed through, its q below the normal double range, so all of its
+    d2F/dt2, about lam F, is lost.  ddF is not replaced by
     lam F - ((1-2s)/t) dF: that is the ODE, which pde_residual then could
     not test.
     """
     eps = np.finfo(float).eps
     finite = np.isfinite(ddF).all()
     shrink = -dF / t  # (lam/2) G_1
-    noise = eps * (np.abs(ddF + shrink) + np.abs(shrink)).max(initial=0.0)
+    noise = max(eps * (np.abs(ddF + shrink) + np.abs(shrink)).max(initial=0.0),
+                (lam * F)[dF == 0].max(initial=0.0))
     size = (np.abs(ddF) + lam * F).max(initial=0.0)
     if not (finite and noise <= np.sqrt(eps) * size):
         raise AccuracyError(

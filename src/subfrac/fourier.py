@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .group import GridFunction, GridSpec
-from .spectral import Spectrum, _check_finite, _checked_values, fractional_power
+from .spectral import _check_finite, _checked_values, _fields
 from .stencils import DiscreteOperator
 
 
@@ -48,19 +48,15 @@ class FourierDiagonal:
                      f: GridFunction) -> GridFunction | list[GridFunction]:
         """Apply a per-mode multiplier: ifftn(values * fftn(f)), real part.
 
-        Rows of a 2-D values share the one fftn(f) and go through one
-        ifftn batched over the row axis.
+        Every row of values, a 1-D values as one row, shares the one
+        fftn(f) and goes through one ifftn batched over the row axis.
         """
         values = _checked_values(self, values, f)
+        rows = np.atleast_2d(values)
         shape = (self.spec.n_per_axis,) * self.spec.dims
-        fh = np.fft.fftn(f.shaped())
-        if values.ndim == 1:
-            out = np.fft.ifftn(values.reshape(shape) * fh)
-            return GridFunction(self.spec, np.real(out).ravel())
-        axes = tuple(range(1, self.spec.dims + 1))
-        out = np.fft.ifftn(values.reshape((-1, *shape)) * fh, axes=axes)
-        return [GridFunction(self.spec, row)
-                for row in np.ascontiguousarray(out.real).reshape(len(values), -1)]
+        out = np.fft.ifftn(rows.reshape((-1, *shape)) * np.fft.fftn(f.shaped()),
+                           axes=tuple(range(1, self.spec.dims + 1)))
+        return _fields(self.spec, values, np.ascontiguousarray(out.real).reshape(len(rows), -1))
 
 
 def fourier_decompose(op: DiscreteOperator) -> FourierDiagonal:
@@ -75,10 +71,3 @@ def fourier_decompose(op: DiscreteOperator) -> FourierDiagonal:
     _check_finite(op)
     return FourierDiagonal.for_spec(op.spec)
 
-
-def cross_validate(dec: Spectrum, s: float, phi: GridFunction) -> float:
-    """Max relative node deviation of J^s phi on dec from the FFT path."""
-    dense = fractional_power(dec, s, phi).values
-    fft = fractional_power(FourierDiagonal.for_spec(phi.spec), s, phi).values
-    scale = max(np.abs(fft).max(initial=0.0), 1e-300)
-    return float(np.abs(dense - fft).max(initial=0.0) / scale)

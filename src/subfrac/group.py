@@ -224,7 +224,14 @@ def lp_norm(f: GridFunction, p) -> float:
     if p == 1:
         return float(w * np.abs(f.values).sum())
     if p == 2:
-        return float(np.sqrt(w * np.square(f.values).sum()))
+        with np.errstate(over="ignore"):
+            square = w * np.square(f.values).sum()
+        if square < np.inf or not np.isfinite(f.values).all():
+            return float(np.sqrt(square))
+        # finite values whose weighted square sum is past the double range:
+        # scale by the largest |value| before squaring
+        top = np.abs(f.values).max()
+        return float(top * np.sqrt(w) * np.linalg.norm(f.values / top))
     raise ConfigError(f"unsupported p={p!r}; expected 1, 2 or inf")
 
 
@@ -289,9 +296,10 @@ def _heisenberg_convolve(f3: np.ndarray, g3: np.ndarray, spec: GridSpec) -> np.n
             shift = twist[valid] / h
             # row q, offset m = a3-b3+(n-1): sample g at real x3-index
             ridx = m[None, :] - (n - 1) + half + shift[:, None]
-            k = np.floor(ridx).astype(int)
+            # floor(ridx) in [-1, n - 1], tested before a far-off index overflows the cast
+            in_range = (ridx >= -1) & (ridx < n)
+            k = np.floor(np.where(in_range, ridx, 0.0)).astype(int)
             w = ridx - k
-            in_range = (k >= -1) & (k <= n - 1)
             rows = gpad[vc1, vc2, :]
             k0 = np.clip(k + 1, 0, n + 1)
             k1 = np.clip(k + 2, 0, n + 1)

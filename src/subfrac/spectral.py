@@ -158,6 +158,12 @@ def _checked_values(spectrum: Spectrum, values, f: GridFunction) -> np.ndarray:
     return values
 
 
+def _fields(spec: GridSpec, values: np.ndarray, rows) -> GridFunction | list[GridFunction]:
+    """The GridFunction of each output row: one for a 1-D values, their list for a 2-D one."""
+    out = [GridFunction(spec, row) for row in rows]
+    return out if values.ndim == 2 else out[0]
+
+
 @dataclass
 class SpectralDecomposition:
     """Ascending eigenvalues >= 0 of an operator and its eigenbasis, by blocks.
@@ -222,9 +228,8 @@ class SpectralDecomposition:
         """Apply diag(values) in the eigenbasis: U diag(Q_b) (values * diag(Q_b)^T U^T f).
 
         U^T f and the product by U are sparse, O(N).  Each block's Q_b^T f
-        and 1-D product are dgemv calls; the rows of a 2-D values share the
-        one Q_b^T f and go through one dgemm, except a single row, which
-        takes the 1-D dgemv and so is bitwise the 1-D apply.  The products
+        is a dgemv call; the rows of a 2-D values share it and go through
+        one dgemm, and a single row, 1-D or not, takes one dgemv.  The products
         run in scipy's BLAS, whose LAPACK built Q_b: the numpy and scipy
         wheels each load their own OpenBLAS with its own thread pool, and
         waking numpy's pool beside scipy's for these O(N^2) products costs
@@ -233,25 +238,23 @@ class SpectralDecomposition:
         thread, as the eigh did.
         """
         values = _checked_values(self, values, f)
-        single = values.ndim == 1 or values.shape[0] == 1
-        # the multipliers in the column order of diag(Q_b)
-        v = (values.reshape(-1) if single else values)[..., self.positions]
+        # the multipliers in the column order of diag(Q_b), one row per output
+        v = np.atleast_2d(values)[:, self.positions]
         g = self.fold @ f.values
         parts = []
         with _dense_threads(self.order):
             for Q, cols in self._columns():
                 c = blas.dgemv(1.0, Q, g[cols], trans=1)
-                if single:
-                    parts.append(blas.dgemv(1.0, Q, v[cols] * c))
+                if len(v) == 1:
+                    # one row as a dgemv, not a one-column dgemm: 19 vs 22 us
+                    # at order 365, and 0.50 vs 0.91 ms at 1695 on two threads
+                    parts.append(blas.dgemv(1.0, Q, v[0, cols] * c))
                 else:
                     # Q (v * c)^T is k x rows, one column per output
                     parts.append(blas.dgemm(1.0, Q, (v[:, cols] * c).T))
         out = self.basis @ np.concatenate(parts)
-        if values.ndim == 1:
-            return GridFunction(self.spec, out)
-        # a batch's out is N x rows, so its transpose has one contiguous row per output
-        rows = out[None] if single else np.ascontiguousarray(out.T)
-        return [GridFunction(self.spec, row) for row in rows]
+        # out is N values or N x rows, so this transpose has one contiguous row per output
+        return _fields(self.spec, values, np.ascontiguousarray(out.reshape(self.n, -1).T))
 
 
 def _grid_involution(spec: GridSpec) -> np.ndarray:
@@ -379,8 +382,8 @@ class KrylovSpectrum:
     start: np.ndarray = field(repr=False)
     exhaustive: bool
     reorthogonalize: bool
-    residual: np.ndarray | None = field(default=None, repr=False)
-    scale: float = 0.0
+    residual: np.ndarray = field(repr=False)
+    scale: float
 
     @property
     def steps(self) -> int:
@@ -406,10 +409,15 @@ class KrylovSpectrum:
             raise EvaluationError("a Krylov spectrum applies only to its start vector")
         Y, first = self.ritz_vectors, self.ritz_vectors[0]
         norm = blas.dnrm2(self.start)
-        out = [GridFunction(self.spec,
-                            blas.dgemv(1.0, self.basis.T, blas.dgemv(norm, Y, row * first)))
-               for row in np.atleast_2d(values)]
-        return out if values.ndim == 2 else out[0]
+        return _fields(self.spec, values,
+                       [blas.dgemv(1.0, self.basis.T, blas.dgemv(norm, Y, row * first))
+                        for row in np.atleast_2d(values)])
+
+    def orthogonality(self) -> float:
+        """max |V V^T - I|: how far the Lanczos basis is from orthonormal."""
+        # the upper triangle of V V^T, from the Fortran-ordered V^T without a copy
+        gram = np.triu(blas.dsyrk(1.0, self.basis.T, trans=1))
+        return float(np.abs(gram - np.eye(self.steps)).max())
 
     def extended(self, op: DiscreteOperator, steps: int) -> "KrylovSpectrum":
         """This spectrum continued to min(steps, N) Lanczos steps on op.
@@ -432,13 +440,9 @@ class KrylovSpectrum:
                         self.reorthogonalize)
 
 
-def _ritz_spectrum(spec: GridSpec, V: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
-                   start: np.ndarray, exhaustive: bool, reorthogonalize: bool,
-                   residual: np.ndarray | None = None, scale: float = 0.0) -> KrylovSpectrum:
-    theta, Y = scipy.linalg.eigh_tridiagonal(alpha, beta)
-    return KrylovSpectrum(spec=spec, eigenvalues=_clamped(theta), ritz_vectors=Y, basis=V,
-                          alpha=alpha, beta=beta, start=start, exhaustive=exhaustive,
-                          reorthogonalize=reorthogonalize, residual=residual, scale=scale)
+def krylov_step_cap(spec: GridSpec) -> int:
+    """The most Lanczos steps whose basis, steps x N doubles, fits in DENSE_LIMIT^2."""
+    return DENSE_LIMIT ** 2 // spec.n_nodes
 
 
 def _krylov_steps(op: DiscreteOperator, steps: int) -> int:
@@ -447,7 +451,7 @@ def _krylov_steps(op: DiscreteOperator, steps: int) -> int:
         raise ConfigError(f"a Krylov spectrum needs at least one step, got {steps}")
     N = op.spec.n_nodes
     steps = min(steps, N)
-    if steps * N > DENSE_LIMIT ** 2:
+    if steps > krylov_step_cap(op.spec):
         raise CapacityError(
             f"{steps} Krylov steps on {N} nodes exceed the {DENSE_LIMIT}^2-double "
             "memory limit; use a smaller grid"
@@ -459,23 +463,27 @@ def _krylov_steps(op: DiscreteOperator, steps: int) -> int:
 def _lanczos(op: DiscreteOperator, V: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
              start: np.ndarray, done: int, w: np.ndarray | None, scale: float,
              reorthogonalize: bool) -> KrylovSpectrum:
-    """Lanczos steps done .. len(V) - 1, filling V, alpha and beta in place.
+    """Lanczos steps done .. len(V) - 1, filling V, alpha and beta in place; their Ritz spectrum.
 
     The first `done` rows of V and entries of alpha (done - 1 of beta) are
     already filled, and w is the residual of step done - 1 (None when
-    done = 0, with V[0] the normalized start vector).  Every vector
-    operation is a level-1 or level-2 call in scipy's BLAS that updates w in
-    place, so a step allocates only the product A V[j]; the Gram-Schmidt
-    pass hands V[:j+1]^T, Fortran-ordered, to dgemv without a copy.
+    done = 0, with V[0] the normalized start vector).  A breakdown at step
+    j cuts V, alpha and beta to j steps and marks the spectrum exhaustive.
+    Every vector operation is a level-1 or level-2 call in scipy's BLAS that
+    updates w in place, so a step allocates only the product A V[j]; the
+    Gram-Schmidt pass hands V[:j+1]^T, Fortran-ordered, to dgemv without a
+    copy.
     """
     A = op.matrix
     steps = V.shape[0]
+    # without orthogonality, N steps need not span the whole space
+    exhaustive = reorthogonalize and steps == op.spec.n_nodes
     for j in range(done, steps):
         if j > 0:
             beta[j - 1] = blas.dnrm2(w)
             if beta[j - 1] <= KRYLOV_BREAKDOWN * scale:
-                return _ritz_spectrum(op.spec, V[:j], alpha[:j], beta[:j - 1], start, True,
-                                      reorthogonalize)
+                V, alpha, beta, exhaustive = V[:j], alpha[:j], beta[:j - 1], True
+                break
             np.divide(w, beta[j - 1], out=V[j])
         w = A @ V[j]
         scale = max(scale, blas.dnrm2(w))
@@ -492,9 +500,10 @@ def _lanczos(op: DiscreteOperator, V: np.ndarray, alpha: np.ndarray, beta: np.nd
             w = blas.dgemv(-1.0, basis, h, beta=1.0, y=w, overwrite_y=1)
             a += h[j]
         alpha[j] = a
-    # without orthogonality, N steps need not span the whole space
-    exhaustive = reorthogonalize and steps == op.spec.n_nodes
-    return _ritz_spectrum(op.spec, V, alpha, beta, start, exhaustive, reorthogonalize, w, scale)
+    theta, Y = scipy.linalg.eigh_tridiagonal(alpha, beta)
+    return KrylovSpectrum(spec=op.spec, eigenvalues=_clamped(theta), ritz_vectors=Y, basis=V,
+                          alpha=alpha, beta=beta, start=start, exhaustive=exhaustive,
+                          reorthogonalize=reorthogonalize, residual=w, scale=scale)
 
 
 def krylov_spectrum(op: DiscreteOperator, f: GridFunction, steps: int, *,

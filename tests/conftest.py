@@ -22,6 +22,13 @@ def _decompose(kind, n, L, dims, mode):
     return op, dec
 
 
+def fft_gap(dec, s, phi):
+    """Max relative node gap of J^s phi on dec from J^s phi on the FFT diagonalization."""
+    fft = subfrac.fractional_power(subfrac.FourierDiagonal.for_spec(phi.spec), s, phi).values
+    gap = np.abs(subfrac.fractional_power(dec, s, phi).values - fft).max(initial=0.0)
+    return float(gap / max(np.abs(fft).max(initial=0.0), 1e-300))
+
+
 @pytest.fixture(scope="session")
 def heis9():
     """J1 on the 9^3 Heisenberg box [-2,2]^3."""

@@ -21,7 +21,6 @@ from subfrac import (
     GridSpec,
     assemble_operator,
     boundary_limit,
-    cross_validate,
     extension_constant,
     extension_constant_quadrature,
     extension_solve,
@@ -44,7 +43,7 @@ from subfrac import (
     volume_growth_fit,
 )
 from subfrac.stencils import apply_multi_index
-from conftest import FIXTURE_SECONDS
+from conftest import FIXTURE_SECONDS, fft_gap
 
 
 @contextmanager
@@ -114,11 +113,11 @@ def test_criterion_05_oracle_equivalence(torus64, heis9, rng):
     with criterion(5, "Fourier oracle and PATH A/B agreement", 30.0):
         op, dec = torus64
         phi = GridFunction(op.spec, rng.standard_normal(op.spec.n_nodes))
-        assert cross_validate(dec, 0.5, phi) <= 1e-10
+        assert fft_gap(dec, 0.5, phi) <= 1e-10
         spec2 = GridSpec(16, 1.0, 2, "euclidean_torus")
         dec2 = spectral_decompose(assemble_operator("euclid", spec2))
         phi2 = GridFunction(spec2, rng.standard_normal(spec2.n_nodes))
-        assert cross_validate(dec2, 0.3, phi2) <= 1e-10
+        assert fft_gap(dec2, 0.3, phi2) <= 1e-10
         op9, dec9 = heis9
         phi9 = random_bump(op9.spec, rng)
         params = ExtensionParams(s=0.45, t_values=(0.8, 0.3))

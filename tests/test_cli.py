@@ -191,17 +191,22 @@ def test_empty_s_sweep_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
 def test_bad_tolerance_exits_two(tmp_path, capsys, tol, source):
+    # the tol parser refuses these, 0 included: ExperimentConfig reads a 0
+    # as the default of the mode, while the hashed config would say 0.0
     argv = ["limit", "--mode", "euclidean_torus", "--n", "16", "--out", str(tmp_path)]
     if source == "flag":
-        argv += ["--tol", tol]
+        with pytest.raises(SystemExit) as exc:
+            run_cli([*argv, "--tol", tol])
+        assert exc.value.code == 2
     else:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"tol={tol}\n")
-        argv += ["--config", str(cfg)]
-    assert run_cli(argv) == 2
-    assert "error: tol must be finite and >= 0" in capsys.readouterr().err
+        assert run_cli([*argv, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and "tol must be finite and > 0" in err
+    assert not (tmp_path / "limit").exists()
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -441,8 +446,11 @@ def test_dense_report_does_not_depend_on_the_blas_thread_count(tmp_path):
             == json.dumps(payloads["2"]["report"], sort_keys=True))
 
 
-def test_extend_at_a_t_too_small_for_the_multipliers_exits_two(tmp_path, capsys):
-    code = run_cli(["extend", "--s", "0.5", "--t", "1e-150", "--out", str(tmp_path)])
+# from 1e-160 on, q = lam t^2/4 lies below the normal double range at every
+# lam > 0, so each mode passes through with d2F/dt2 = 0 and all of it is lost
+@pytest.mark.parametrize("t", ["1e-150", "1e-160", "1e-200", "1e-300"])
+def test_extend_at_a_t_too_small_for_the_multipliers_exits_two(tmp_path, capsys, t):
+    code = run_cli(["extend", "--s", "0.5", "--t", t, "--out", str(tmp_path)])
     assert code == 2
     assert "cancels to roundoff" in capsys.readouterr().err
 
@@ -690,6 +698,40 @@ def test_verify_all_passes_on_small_heisenberg(tmp_path):
     assert "group_associativity" in names
     assert "commutator_equals_T" in names
     assert "heat_identity_at_t0" in names
+
+
+@pytest.mark.parametrize("n, L, code", [
+    # the commutator check reads the nodes two steps inside every face
+    (3, 1.0, 2),
+    # the homogeneity test function and the convolution's x3 index overflowed here
+    (5, 3e3, 0), (5, 1e5, 0), (5, 1e20, 0),
+    # the squared L2 norm of the Young check's convolution is past the double range
+    (5, 1e50, 0),
+    # and so is the norm itself
+    (5, 1e70, 2),
+])
+def test_heisenberg_verify_all_is_finite_or_refused(tmp_path, capsys, n, L, code):
+    # exit 0 with every achieved value finite, or exit 2 before any output
+    argv = ["verify-all", "--mode", "heisenberg", "--n", str(n), "--L", repr(L),
+            "--out", str(tmp_path)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(argv) == code
+    if code == 2:
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "verify-all").exists()
+    else:
+        report = json.loads((tmp_path / "verify-all" / "results.json").read_text())["report"]
+        assert all(np.isfinite(c["achieved"]) for c in report["checks"])
+
+
+def test_config_file_unknown_mode_exits_two(tmp_path, capsys):
+    # the --mode flag has argparse choices; a config file's mode= is checked by the config
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("mode=hyperbolic\n")
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "error: unknown mode 'hyperbolic'" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum").exists()
 
 
 def test_results_json_deterministic(tmp_path):

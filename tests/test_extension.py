@@ -311,6 +311,21 @@ def test_second_derivative_with_half_its_digits_passes():
     _check_second_derivative(0.5, 1.0, lam, *extension_multiplier_values(0.5, 1.0, lam))
 
 
+def test_a_mode_that_passes_through_loses_its_second_derivative():
+    # below the normal double range of q = lam t^2/4 a mode passes through
+    # with ddF = 0, so all of its d2F/dt2 is lost: refused when it carries
+    # the spectrum's scale, kept when it lies far below the largest mode
+    lam = np.array([1.0, 40.0])
+    F, dF, ddF = extension_multiplier_values(0.5, 1e-160, lam)
+    assert (F == 1.0).all() and (ddF == 0.0).all()
+    with pytest.raises(AccuracyError):
+        _check_second_derivative(0.5, 1e-160, lam, F, dF, ddF)
+    with pytest.raises(AccuracyError):
+        scalar_ode_residual(0.5, 1.0, 1e-200)
+    lam = np.array([1e-310, 1.0])
+    _check_second_derivative(0.5, 1.0, lam, *extension_multiplier_values(0.5, 1.0, lam))
+
+
 def test_scalar_ode_residual_random(rng):
     # the diagonalized extension equation F'' + ((1-2s)/t) F' = lam F
     for _ in range(20):
@@ -718,6 +733,20 @@ def test_boundary_limit_fallback_wiring(torus64, monkeypatch):
         res = ext.boundary_limit(dec, extension_solve(dec, params, phi), phi)
     assert res.used_fallback
     assert np.array_equal(res.extrapolated.values, res.sweep_values[-1].values)
+
+
+@pytest.mark.parametrize("c", [3.0, 0.01])
+def test_boundary_limit_with_phi_in_the_kernel_reads_against_the_data_scale(c):
+    # a constant is the torus kernel, so the reference -C(s) J^s phi is 0
+    # and the error is taken against max(||phi||_2, 1) instead
+    spec = subfrac.GridSpec(64, 10.0, 1, "euclidean_torus")
+    dec = subfrac.FourierDiagonal.for_spec(spec)
+    phi = GridFunction(spec, np.full(spec.n_nodes, c))
+    psi = torus_bump(spec)
+    profile = extension_solve(dec, ExtensionParams(s=0.5, t_values=(0.2, 0.1, 0.05)), psi)
+    res = boundary_limit(dec, profile, phi)
+    assert not res.reference.values.any()
+    assert res.rel_error == lp_norm(res.extrapolated, 2) / max(lp_norm(phi, 2), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from subfrac import (
     GridSpec,
     assemble_operator,
     boundary_limit,
-    cross_validate,
     extension_constant,
     extension_solve,
     extension_solve_tau_grid,
@@ -29,6 +28,7 @@ from subfrac import (
 )
 from subfrac.estimates import resolvable_t_window
 from subfrac.errors import ConfigError
+from conftest import fft_gap
 
 
 @pytest.fixture(scope="module")
@@ -122,16 +122,16 @@ def test_single_mode_diagonal_action(torus64):
 
 
 @pytest.mark.parametrize("s,tol", [(0.5, 1e-10), (1.0, 1e-11)])
-def test_cross_validate_1d(torus64, rng, s, tol):
+def test_dense_matches_fft_1d(torus64, rng, s, tol):
     op, dec = torus64
     phi = GridFunction(op.spec, rng.standard_normal(op.spec.n_nodes))
-    assert cross_validate(dec, s, phi) <= tol
+    assert fft_gap(dec, s, phi) <= tol
 
 
-def test_cross_validate_2d(torus2d, rng):
+def test_dense_matches_fft_2d(torus2d, rng):
     op, dec = torus2d
     phi = GridFunction(op.spec, rng.standard_normal(op.spec.n_nodes))
-    assert cross_validate(dec, 0.3, phi) <= 1e-10
+    assert fft_gap(dec, 0.3, phi) <= 1e-10
 
 
 def test_boundary_limit_through_fourier_path(torus64):

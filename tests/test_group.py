@@ -187,6 +187,16 @@ def test_norm_scaling_and_unsupported_p(rng):
         lp_norm(f, 3)
 
 
+def test_l2_norm_past_the_double_range_of_its_square():
+    # w sum(v^2) overflows, the norm itself does not
+    spec = GridSpec(5, 1e50, dims=3, mode="heisenberg")
+    f = GridFunction(spec, np.full(spec.n_nodes, 1e150))
+    with np.errstate(over="raise"):
+        got = lp_norm(f, 2)
+    want = 1e150 * spec.spacing ** 1.5 * np.sqrt(spec.n_nodes)
+    assert got == pytest.approx(want, rel=1e-14)
+
+
 def test_integral_weight():
     spec = GridSpec(5, 1.0, dims=2, mode="euclidean_box")
     f = GridFunction(spec, np.ones(25))
@@ -275,6 +285,25 @@ def test_torus_box_indicator_gives_triangle():
     assert np.abs(got - want).max() <= 1e-13
     # triangle shape: unimodal with peak value h * (indicator width)
     assert want.max() == pytest.approx(4 * h)
+
+
+@pytest.mark.parametrize("dims, n", [(1, 9), (2, 7), (3, 5)])
+def test_convolution_matches_brute_force_box(rng, dims, n):
+    # the zero-extended euclidean sum h^dims sum_y f(y) g(x - y), over every
+    # pair of nodes; node k sits at (k - c) h, so x_i - y_j is node i - j + c
+    spec = GridSpec(n, 1.5, dims=dims, mode="euclidean_box")
+    f = GridFunction(spec, rng.standard_normal(spec.n_nodes))
+    g = GridFunction(spec, rng.standard_normal(spec.n_nodes))
+    got = group_convolve(f, g).shaped()
+    f3, g3, c = f.shaped(), g.shaped(), (n - 1) // 2
+    want = np.zeros_like(got)
+    for i in np.ndindex(got.shape):
+        for j in np.ndindex(got.shape):
+            k = tuple(a - b + c for a, b in zip(i, j))
+            if all(0 <= x < n for x in k):
+                want[i] += f3[j] * g3[k]
+    want *= spec.spacing ** dims
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("p,q,r", [(1, 1, 1), (1, 2, 2), (2, 2, np.inf), (1, np.inf, np.inf)])
