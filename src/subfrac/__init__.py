@@ -36,7 +36,6 @@ from .group import (
 )
 from .stencils import (
     DiscreteOperator,
-    VectorFieldMatrix,
     apply_multi_index,
     assemble_operator,
     build_vector_field,

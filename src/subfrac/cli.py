@@ -29,9 +29,7 @@ from .errors import ConfigError, SubfracError
 from .estimates import volume_growth_fit
 from .extension import (
     QUAD_DOUBLINGS,
-    QUAD_NODES,
     QUAD_RTOL,
-    QUAD_TAIL,
     ExtensionParams,
     boundary_limit,
     extension_constant,
@@ -71,7 +69,6 @@ from .spectral import (
     export_spectrum_csv,
 )
 from .stencils import (
-    _interior_mask,
     apply_multi_index,
     assemble_operator,
     check_homogeneity,
@@ -215,17 +212,17 @@ class ExperimentConfig:
             for s in self.s_values:
                 if s <= 0:
                     raise ConfigError(f"fractional power needs s > 0, got {s}")
+        # a bad grid is refused here too, before run() makes the output directory
+        object.__setattr__(self, "spec", GridSpec(n_per_axis=self.n, extent=self.L,
+                                                  dims=self.dims, mode=self.mode))
         # heat takes any order of t, but H_t needs t >= 0 and the kernel
         # column of the torus checks t > 0
         if self.kind == "heat":
             for t in self.t_values:
                 if t < 0:
                     raise ConfigError(f"heat semigroup needs t >= 0, got {t}")
-                if t == 0 and self.mode == "euclidean_torus":
+                if t == 0 and self.spec.periodic:
                     raise ConfigError(f"the torus kernel column needs t > 0, got {t}")
-        # a bad grid is refused here too, before run() makes the output directory
-        object.__setattr__(self, "spec", GridSpec(n_per_axis=self.n, extent=self.L,
-                                                  dims=self.dims, mode=self.mode))
         if self.kind == "verify-all" and self.mode == "heisenberg":
             # the commutator check reads the nodes two steps inside every
             # face, and the norms of the Young check grow like L^4.5
@@ -352,7 +349,7 @@ def run_spectrum(config: ExperimentConfig, report: RunReport, out_dir: Path):
     """
     spec = config.spec
     op = assemble_operator(config.op, spec)
-    if spec.mode == "euclidean_torus":
+    if spec.periodic:
         dec = fourier_decompose(op)
     else:
         dec = spectral_decompose(op)
@@ -404,7 +401,7 @@ def run_heat(config: ExperimentConfig, report: RunReport, out_dir: Path, dec,
                 max(lp_norm(u, p) - lp_norm(phi, p), 0.0),
                 1e-9 * max(lp_norm(phi, p), 1.0),
             )
-        if spec.mode == "euclidean_torus":
+        if spec.periodic:
             col = heat_kernel_column(dec, t)
             report.add_upper(f"kernel_mass_gap_t={t}", abs(integral(col) - 1.0), 1e-9)
 
@@ -417,16 +414,7 @@ def run_extend(config: ExperimentConfig, report: RunReport, out_dir: Path, dec,
     phi_norm = max(lp_norm(phi, 2), 1e-300)
     profiles = [extension_solve(dec, params, phi) for params in config.sweeps]
     # PATH B for the whole sweep: one quadrature grid and one batched apply
-    agreements, quad_deltas, doublings = path_agreement(dec, profiles, phi)
-    grid = {
-        "initial_nodes": QUAD_NODES + 1,  # QUAD_NODES intervals
-        "rtol": QUAD_RTOL,
-        "tail": QUAD_TAIL,
-        # the shared grid of the sweep; 0 nodes when no mode needed quadrature
-        "final_nodes": QUAD_NODES * 2 ** doublings + 1 if doublings else 0,
-        "doublings": doublings,
-        "final_delta": max(quad_deltas),
-    }
+    agreements, quad_deltas, grid = path_agreement(dec, profiles, phi)
     for params, profile, agreement, quad_delta in zip(config.sweeps, profiles, agreements,
                                                       quad_deltas):
         s = params.s
@@ -435,7 +423,8 @@ def run_extend(config: ExperimentConfig, report: RunReport, out_dir: Path, dec,
             write_gf1(out_dir / f"extend_dudt_s{s!r}_t{t!r}.gf1", du)
         report.add_upper(f"path_a_vs_b_s={s}", agreement, 1e-6)
         report.add_upper(f"path_b_quadrature_delta_s={s}", quad_delta, QUAD_RTOL)
-        report.add_upper(f"path_b_quadrature_doublings_s={s}", doublings, QUAD_DOUBLINGS)
+        report.add_upper(f"path_b_quadrature_doublings_s={s}", grid["doublings"],
+                         QUAD_DOUBLINGS)
         # ||u(t)||_2 <= ||phi||_2 over the sweep
         report.add_upper(f"non_expansive_s={s}",
                          float(np.max([lp_norm(u, 2) for u in profile.u]) / phi_norm - 1.0),
@@ -512,7 +501,7 @@ def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=No
     spec = config.spec
     phi = _phi(config, spec) if phi is None else phi
     sweeps = config.sweeps
-    krylov = dec is None and spec.mode != "euclidean_torus"
+    krylov = dec is None and not spec.periodic
     if krylov:
         op = assemble_operator(config.op, spec)
         t0 = time.perf_counter()
@@ -589,7 +578,7 @@ def run_verify_all(config: ExperimentConfig, report: RunReport, out_dir: Path) -
         ab = apply_multi_index(["X1", "X2"], f).values
         ba = apply_multi_index(["X2", "X1"], f).values
         tf = apply_multi_index(["T"], f).values
-        inner = _interior_mask(spec, 2)
+        inner = spec.interior(2)
         report.add_upper(
             "commutator_equals_T",
             float(np.abs((ab - ba - tf)[inner]).max()),

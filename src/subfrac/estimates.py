@@ -168,11 +168,7 @@ def gaussian_bound_check(dec: Spectrum, t_values: Sequence[float],
     check_t_window(spec, t_values)
     rel = _displacements(spec)
     dist = homogeneous_norm(rel) if spec.mode == "heisenberg" else np.sqrt((rel ** 2).sum(axis=1))
-    if spec.periodic:
-        interior = np.full(spec.n_nodes, True)
-    else:
-        coords = spec.node_coordinates()
-        interior = (np.abs(coords) < spec.extent - 0.5 * spec.spacing).all(axis=1)
+    interior = spec.interior(0 if spec.periodic else 1)
     gaps, skipped = [], []
     for t in t_values:
         col = heat_kernel_column(dec, t).values

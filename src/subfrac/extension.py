@@ -37,7 +37,8 @@ case of the same engine, where each row is scaled by its integrand's peak.
 
 The boundary limit t^{1-2s} d_t u -> -C(s) J^s phi carries the constant
 C(s) = 4^{1-s} Gamma(1-s) / (2 Gamma(s)), validated against direct quadrature
-of the defining integral (1/Gamma(s)) int_0^inf e^{-1/(4u)} / (2 u^{2-s}) du.
+of the defining integral (1/Gamma(s)) int_0^inf e^{-1/(4u)} / (2 u^{2-s}) du,
+integrated by parts once so that its integrand decays fast at both ends.
 """
 
 from __future__ import annotations
@@ -381,12 +382,16 @@ def extension_constant(s: float) -> float:
 def extension_constant_quadrature(s: float) -> float:
     """C(s) by direct quadrature of (1/Gamma(s)) int e^{-1/(4u)}/(2 u^{2-s}) du.
 
-    With rho = 1/(4u) the integral is (4^{1-s}/2) int rho^{-s} e^{-rho} drho,
-    the log-axis integral with a = 1 - s and x c = 0 (x = 1, c = 0).
+    With rho = 1/(4u) the integral is (4^{1-s}/2) int rho^{-s} e^{-rho} drho.
+    On the log axis that integrand's left tail decays only like
+    e^{(1-s) sigma}, too slowly to converge as s -> 1, so it is integrated
+    by parts once: the boundary term vanishes for s < 1, leaving
+    (4^{1-s}/(2(1-s))) int rho^{1-s} e^{-rho} drho, the log-axis integral
+    with a = 2 - s and x c = 0 (x = 1, c = 0).
     """
     _check_s(s)
-    vals = _log_axis_quadrature(np.array([1.0 - s]), np.ones(1), np.zeros(1))[0]
-    return float(4.0 ** (1.0 - s) / 2.0 * vals[0, 0] / _gamma(s))
+    vals = _log_axis_quadrature(np.array([2.0 - s]), np.ones(1), np.zeros(1))[0]
+    return float(4.0 ** (1.0 - s) / (2.0 * (1.0 - s)) * vals[0, 0] / _gamma(s))
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +462,21 @@ def path_agreement(dec: Spectrum, profiles: Sequence[ExtensionProfile],
 
     `profiles` is the sweep over s, whose PATH B runs as one
     extension_solve_tau_grid call.  Returns the gap and PATH B's largest
-    quadrature refinement delta per profile, and the doublings of the
-    shared grid.
+    quadrature refinement delta per profile, and the record of the shared
+    grid: its node counts, QUAD_RTOL, QUAD_TAIL, its doublings and its
+    largest delta.
     """
     fields, deltas, doublings = extension_solve_tau_grid(
         dec, [p.params for p in profiles], phi)
+    grid = {
+        "initial_nodes": QUAD_NODES + 1,  # QUAD_NODES intervals
+        "rtol": QUAD_RTOL,
+        "tail": QUAD_TAIL,
+        # 0 nodes when no mode needed quadrature
+        "final_nodes": QUAD_NODES * 2 ** doublings + 1 if doublings else 0,
+        "doublings": doublings,
+        "final_delta": max(deltas),
+    }
     gaps = []
     for prof, b in zip(profiles, fields):
         worst = 0.0
@@ -469,7 +484,7 @@ def path_agreement(dec: Spectrum, profiles: Sequence[ExtensionProfile],
             denom = max(lp_norm(ua, 2), 1e-300)
             worst = max(worst, lp_norm(GridFunction(phi.spec, ua.values - ub.values), 2) / denom)
         gaps.append(worst)
-    return gaps, deltas, doublings
+    return gaps, deltas, grid
 
 
 def pde_residual(profile: ExtensionProfile) -> float:

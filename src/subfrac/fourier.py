@@ -34,7 +34,7 @@ class FourierDiagonal:
 
     @classmethod
     def for_spec(cls, spec: GridSpec) -> "FourierDiagonal":
-        if spec.mode != "euclidean_torus":
+        if not spec.periodic:
             raise ConfigError(f"Fourier diagonal requires euclidean_torus, got {spec.mode}")
         n = spec.n_per_axis
         h = spec.spacing

@@ -66,12 +66,17 @@ MODES = tuple(GROUPS)
 # group algebra
 # ---------------------------------------------------------------------------
 
+def _twist(x1, x2, y1, y2):
+    """(x1*y2 - y1*x2)/2, the x3 term the Heisenberg product x.y adds to x + y."""
+    return 0.5 * (x1 * y2 - y1 * x2)
+
+
 def group_mul(x, y) -> np.ndarray:
     """Heisenberg product: (x.y)_3 picks up the twist (x1*y2 - y1*x2)/2."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     out = x + y
-    out[..., 2] += 0.5 * (x[..., 0] * y[..., 1] - y[..., 0] * x[..., 1])
+    out[..., 2] += _twist(x[..., 0], x[..., 1], y[..., 0], y[..., 1])
     return out
 
 
@@ -136,7 +141,7 @@ class GridSpec:
             raise ConfigError(f"extent must be finite and > 0, got {self.extent}")
         if self.n_per_axis < 3:
             raise ConfigError(f"n_per_axis must be >= 3, got {self.n_per_axis}")
-        if self.mode != "euclidean_torus" and self.n_per_axis % 2 == 0:
+        if not self.periodic and self.n_per_axis % 2 == 0:
             raise ConfigError(
                 f"box modes need odd n_per_axis (origin must be a node), got {self.n_per_axis}"
             )
@@ -153,7 +158,7 @@ class GridSpec:
 
     @property
     def spacing(self) -> float:
-        if self.mode == "euclidean_torus":
+        if self.periodic:
             return 2.0 * self.extent / self.n_per_axis
         return 2.0 * self.extent / (self.n_per_axis - 1)
 
@@ -187,6 +192,12 @@ class GridSpec:
         """Flat index of the origin (box) or the node nearest it (odd-n torus)."""
         n = self.n_per_axis
         return int(np.ravel_multi_index((n // 2,) * self.dims, (n,) * self.dims))
+
+    def interior(self, margin: int) -> np.ndarray:
+        """Mask of the nodes whose every index lies in [margin, n - margin)."""
+        n = self.n_per_axis
+        idx = np.indices((n,) * self.dims).reshape(self.dims, -1)
+        return ((idx >= margin) & (idx < n - margin)).all(axis=0)
 
     def shaped(self, values: np.ndarray) -> np.ndarray:
         return np.asarray(values).reshape((self.n_per_axis,) * self.dims)
@@ -251,7 +262,7 @@ def group_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     if g.spec != spec:
         raise GridMismatchError(f"grid mismatch: {f.spec} vs {g.spec}")
     h = spec.spacing
-    if spec.mode == "euclidean_torus":
+    if spec.periodic:
         # re-index g so the coordinate origin (center node) sits at array index 0,
         # then circular convolution is exactly the coordinate-space sum
         c = spec.n_per_axis // 2
@@ -288,7 +299,7 @@ def _heisenberg_convolve(f3: np.ndarray, g3: np.ndarray, spec: GridSpec) -> np.n
             valid = (c1 >= 0) & (c1 < n) & (c2 >= 0) & (c2 < n)
             if not valid.any():
                 continue
-            twist = 0.5 * (ax[a1] * ax[b2g] - ax[a2] * ax[b1g])
+            twist = _twist(ax[a1], ax[a2], ax[b1g], ax[b2g])
             vb1 = b1g[valid]
             vb2 = b2g[valid]
             vc1 = c1[valid]
@@ -296,15 +307,14 @@ def _heisenberg_convolve(f3: np.ndarray, g3: np.ndarray, spec: GridSpec) -> np.n
             shift = twist[valid] / h
             # row q, offset m = a3-b3+(n-1): sample g at real x3-index
             ridx = m[None, :] - (n - 1) + half + shift[:, None]
-            # floor(ridx) in [-1, n - 1], tested before a far-off index overflows the cast
+            # floor(ridx) in [-1, n - 1], tested before a far-off index overflows
+            # the cast, so k + 1 and k + 2 index gpad's n + 2 columns
             in_range = (ridx >= -1) & (ridx < n)
             k = np.floor(np.where(in_range, ridx, 0.0)).astype(int)
             w = ridx - k
             rows = gpad[vc1, vc2, :]
-            k0 = np.clip(k + 1, 0, n + 1)
-            k1 = np.clip(k + 2, 0, n + 1)
-            samp = (1.0 - w) * np.take_along_axis(rows, k0, axis=1)
-            samp += w * np.take_along_axis(rows, k1, axis=1)
+            samp = (1.0 - w) * np.take_along_axis(rows, k + 1, axis=1)
+            samp += w * np.take_along_axis(rows, k + 2, axis=1)
             samp[~in_range] = 0.0
             # out[a3] = sum_q sum_b3 f[q, b3] * samp[q, a3 - b3 + n - 1]
             windows = np.lib.stride_tricks.sliding_window_view(samp, n, axis=1)

@@ -204,8 +204,8 @@ class SpectralDecomposition:
 
         One below SERIAL_ORDER; None when scipy's BLAS has no thread API.
         """
-        with _dense_threads(self.order) as threads:
-            return threads
+        api = _thread_api()
+        return api and (1 if self.order < SERIAL_ORDER else api.get())
 
     def _columns(self):
         """Each block with the slice of the columns of U that it spans."""

@@ -37,27 +37,8 @@ STENCILS = {
 
 
 @dataclass
-class VectorFieldMatrix:
-    """Sparse stencil realization of one left-invariant field."""
-
-    kind: str
-    matrix: sp.csr_matrix = field(repr=False)
-    spec: GridSpec
-
-    def apply(self, f: GridFunction) -> GridFunction:
-        if f.spec != self.spec:
-            raise GridMismatchError("field and function live on different grids")
-        if self.matrix.shape[0] != self.spec.n_nodes:
-            raise ConfigError(
-                "forward-scheme matrices are rectangular (assembly only); "
-                "use scheme='centered' to apply a field to a GridFunction"
-            )
-        return GridFunction(self.spec, self.matrix @ f.values)
-
-
-@dataclass
 class DiscreteOperator:
-    """Symmetric PSD matrix realizing a positive sub-Laplacian on a grid."""
+    """Sparse grid matrix: one field's stencil, or an assembled (symmetric PSD) sub-Laplacian."""
 
     kind: str
     matrix: sp.csr_matrix = field(repr=False)
@@ -66,6 +47,11 @@ class DiscreteOperator:
     def apply(self, f: GridFunction) -> GridFunction:
         if f.spec != self.spec:
             raise GridMismatchError("operator and function live on different grids")
+        if self.matrix.shape[0] != self.spec.n_nodes:
+            raise ConfigError(
+                "forward-scheme matrices are rectangular (assembly only); "
+                "use scheme='centered' to apply a field to a GridFunction"
+            )
         return GridFunction(self.spec, self.matrix @ f.values)
 
 
@@ -78,14 +64,7 @@ def _field_terms(kind: str, spec: GridSpec) -> tuple:
     return fields[kind]
 
 
-def _interior_mask(spec: GridSpec, margin: int) -> np.ndarray:
-    """Nodes at least `margin` steps from every face of the grid."""
-    n = spec.n_per_axis
-    idx = np.indices((n,) * spec.dims).reshape(spec.dims, -1)
-    return ((idx >= margin) & (idx < n - margin)).all(axis=0)
-
-
-def build_vector_field(kind: str, scheme: str, spec: GridSpec) -> VectorFieldMatrix:
+def build_vector_field(kind: str, scheme: str, spec: GridSpec) -> DiscreteOperator:
     """Sparse stencil matrix of one field of the grid's group.
 
     Box columns are clipped at the Dirichlet boundary; torus columns wrap.
@@ -114,7 +93,7 @@ def build_vector_field(kind: str, scheme: str, spec: GridSpec) -> VectorFieldMat
             entries.append((rows[keep], cols, vals[keep]))
     r, cols, vals = (np.concatenate(e) for e in zip(*entries))
     mat = sp.csr_matrix((vals, (r, cols)), shape=(rows.size, spec.n_nodes))
-    return VectorFieldMatrix(kind=kind, matrix=mat, spec=spec)
+    return DiscreteOperator(kind=kind, matrix=mat, spec=spec)
 
 
 def apply_multi_index(index: Sequence[str], f: GridFunction) -> GridFunction:
@@ -143,7 +122,7 @@ def check_homogeneity(kind: str, f: Callable, alpha: float, spec: GridSpec,
     if degree is None:
         degree = next(weights[axis] for axis, _, coord in terms if coord is None)
     stretch = _dilation_factors(alpha, weights)
-    pts = spec.node_coordinates()[_interior_mask(spec, 1)]
+    pts = spec.node_coordinates()[spec.interior(1)]
 
     def centered(func, x, steps):
         """The centered field stencil of func at the points x, step steps[axis]."""
@@ -152,7 +131,8 @@ def check_homogeneity(kind: str, f: Callable, alpha: float, spec: GridSpec,
             e = np.zeros(spec.dims)
             e[axis] = steps[axis]
             c = coeff if coord is None else coeff * x[:, coord]
-            out += c * (func(*(x + e).T) - func(*(x - e).T)) / (2.0 * steps[axis])
+            diff = sum(w * func(*(x + o * e).T) for o, w in STENCILS["centered"])
+            out += c * diff / steps[axis]
         return out
 
     def g(*x):

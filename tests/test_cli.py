@@ -99,6 +99,16 @@ def test_limit_heisenberg_s09_regression(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("s", ["0.999", "0.9999"])
+def test_limit_at_s_near_one_passes(tmp_path, s):
+    # the C(s) cross-check's quadrature converges as s -> 1
+    code = run_cli([
+        "limit", "--mode", "heisenberg", "--n", "5", "--L", "1", "--s", s,
+        "--out", str(tmp_path),
+    ])
+    assert code == 0
+
+
 def test_limit_fallback_is_reported(tmp_path, monkeypatch, capsys):
     # a sweep that does not close in on the extrapolant falls back to the raw
     # smallest-t value; the report must fail on it even when that value

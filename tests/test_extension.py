@@ -199,7 +199,7 @@ def test_quadrature_engine_is_exact():
             got = subordination_integral(s, np.array([q]), k)[0]
             want = 2.0 / gamma(s) * q ** ((s - k) / 2.0) * kv(s - k, 2.0 * np.sqrt(q))
             assert got[0] == pytest.approx(want, rel=1e-12), (k, s, q)
-        for s in (0.01, 0.5, 0.99):
+        for s in (0.01, 0.5, 0.99, 0.999, 0.9999):
             assert extension_constant_quadrature(s) == pytest.approx(
                 extension_constant(s), rel=1e-14)
 

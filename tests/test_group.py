@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -141,6 +143,34 @@ def test_even_n_rejected_on_box_modes():
     # torus admits even n; the origin is then a node
     spec = GridSpec(8, 1.0, dims=1, mode="euclidean_torus")
     assert spec.node_coordinates()[spec.center_index(), 0] == 0.0
+
+
+INTERIOR_SPECS = {
+    "heisenberg": GridSpec(7, 1.3, dims=3, mode="heisenberg"),
+    "box1d": GridSpec(9, 1.3, dims=1, mode="euclidean_box"),
+    "box2d": GridSpec(7, 1.3, dims=2, mode="euclidean_box"),
+    "torus1d": GridSpec(8, 1.3, dims=1, mode="euclidean_torus"),
+    "torus2d": GridSpec(7, 1.3, dims=2, mode="euclidean_torus"),
+}
+
+
+@pytest.mark.parametrize("margin", [0, 1, 2])
+@pytest.mark.parametrize("name", list(INTERIOR_SPECS))
+def test_interior_holds_the_nodes_margin_steps_inside(name, margin):
+    spec = INTERIOR_SPECS[name]
+    n = spec.n_per_axis
+    # node order is C order over the axes, the last axis fastest
+    want = [all(margin <= i < n - margin for i in index)
+            for index in itertools.product(range(n), repeat=spec.dims)]
+    assert spec.interior(margin).tolist() == want
+
+
+@pytest.mark.parametrize("name", [k for k, spec in INTERIOR_SPECS.items() if not spec.periodic])
+def test_box_interior_is_the_nodes_off_the_faces(name):
+    # the coordinate rule |x_k| < L - h/2 that the Gaussian-bound check read
+    spec = INTERIOR_SPECS[name]
+    rule = (np.abs(spec.node_coordinates()) < spec.extent - 0.5 * spec.spacing).all(axis=1)
+    assert np.array_equal(spec.interior(1), rule)
 
 
 def test_heisenberg_requires_3d():
