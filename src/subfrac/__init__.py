@@ -21,13 +21,8 @@ from .errors import (
 from .group import (
     GridFunction,
     GridSpec,
-    dilate,
     gaussian_bump,
     group_convolve,
-    group_distance,
-    group_inverse,
-    group_mul,
-    homogeneous_norm,
     integral,
     lp_norm,
     random_bump,

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .group import GridSpec, homogeneous_norm, lp_norm
+from .group import GridSpec, Group, lp_norm
 from .spectral import Spectrum, delta_function, heat_kernel_column, positive_power
 
 # largest spread of the Gaussian-bound log gaps over t that counts as stable
@@ -167,7 +167,7 @@ def gaussian_bound_check(dec: Spectrum, t_values: Sequence[float],
     spec = dec.spec
     check_t_window(spec, t_values)
     rel = _displacements(spec)
-    dist = homogeneous_norm(rel) if spec.mode == "heisenberg" else np.sqrt((rel ** 2).sum(axis=1))
+    dist = spec.group.norm(rel)
     interior = spec.interior(0 if spec.periodic else 1)
     gaps, skipped = [], []
     for t in t_values:
@@ -197,13 +197,13 @@ def gaussian_bound_check(dec: Spectrum, t_values: Sequence[float],
 # ---------------------------------------------------------------------------
 
 def measure_ball_volumes(r_values: Sequence[float], lattice_h: float,
-                         norm: str = "heisenberg") -> np.ndarray:
-    """Lebesgue volume of norm-balls by lattice count times h^3.
+                         group: Group) -> np.ndarray:
+    """Lebesgue volume of the balls of group.norm in R^3, by lattice count times h^3.
 
-    Counted one (x1, x2) column at a time: with rho^2 = x1^2 + x2^2, the
-    quartic norm is below r exactly where 16 x3^2 < r^4 - rho^4 (the
-    euclidean one where x3^2 < r^2 - rho^2), so each column's count is a
-    search of the sorted x3 terms, shared by every column.
+    Counted one (x1, x2) column at a time: with rho^2 = x1^2 + x2^2 and w
+    the weight of x3, the norm is below r exactly where
+    gauge x3^2 < r^(2w) - rho^(2w), so each column's count is a search of
+    the sorted x3 terms, shared by every column.
     """
     r = np.asarray(sorted(r_values), dtype=float)
     if r.size == 0:
@@ -212,26 +212,23 @@ def measure_ball_volumes(r_values: Sequence[float], lattice_h: float,
         raise ConfigError(f"radii must be finite and positive, got {r_values}")
     if not 0 < lattice_h < np.inf:
         raise ConfigError(f"lattice_h must be finite and > 0, got {lattice_h}")
-    if norm not in ("heisenberg", "euclidean"):
-        raise ConfigError(f"unknown norm {norm!r}")
+    if len(group.weights) != 3:
+        raise ConfigError(f"ball volumes need a group of 3 axes, got {len(group.weights)}")
+    w, gauge = group.weights[2], group.gauge
     rmax = r.max()
-    # quartic norm < r forces |x1|,|x2| <= r and |x3| <= r^2/4
-    r3max = rmax * rmax / 4.0 if norm == "heisenberg" else rmax
+    # norm < r forces |x1|, |x2| <= r and |x3| <= r^w / sqrt(gauge)
+    r3max = math.prod([rmax] * w) / math.sqrt(gauge)
     ax12 = np.arange(-rmax, rmax + lattice_h / 2.0, lattice_h)
     ax3 = np.arange(-r3max, r3max + lattice_h / 2.0, lattice_h)
     rho2 = (ax12[:, None] ** 2 + ax12[None, :] ** 2).ravel()
-    if norm == "heisenberg":
-        keys, room = 16.0 * ax3 ** 2, r[:, None] ** 4 - (rho2 * rho2)[None, :]
-    else:
-        keys, room = ax3 ** 2, r[:, None] ** 2 - rho2[None, :]
-    counts = np.searchsorted(np.sort(keys), room, side="left").sum(axis=1)
+    room = r[:, None] ** (2 * w) - (rho2 ** w)[None, :]
+    counts = np.searchsorted(np.sort(gauge * ax3 ** 2), room, side="left").sum(axis=1)
     return counts * lattice_h ** 3
 
 
-def volume_growth_fit(r_values: Sequence[float], lattice_h: float,
-                      norm: str = "heisenberg") -> DecayFit:
-    """Fit log V(r) against log r; slope targets 4 (heisenberg) or 3 (euclidean)."""
-    vols = measure_ball_volumes(r_values, lattice_h, norm=norm)
+def volume_growth_fit(r_values: Sequence[float], lattice_h: float, group: Group) -> DecayFit:
+    """Fit log V(r) against log r; the slope targets Q, the sum of the group's weights."""
+    vols = measure_ball_volumes(r_values, lattice_h, group)
     smallest = vols.min() / lattice_h ** 3
     if smallest < VOLUME_MIN_POINTS:
         raise ConfigError(

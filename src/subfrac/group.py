@@ -1,11 +1,9 @@
-"""Each mode's group (GROUPS), Heisenberg algebra, box/torus grids, norms, convolution.
+"""Each mode's group (GROUPS) with its law and norm; box/torus grids, convolution.
 
-Points of the Heisenberg group are plain arrays of shape (..., 3); the group
-operations below broadcast over leading axes.  Grids are uniform boxes
-[-L, L]^dims with nodes enumerated x3-fastest (C order over axes x1, x2, x3).
-The Haar measure is Lebesgue measure, discretized as the plain Riemann weight
-h^dims per node (no endpoint halving, so Parseval against the matrix inner
-product is exact).
+Grids are uniform boxes [-L, L]^dims with nodes enumerated x3-fastest (C
+order over axes x1, x2, x3).  The Haar measure is Lebesgue measure,
+discretized as the plain Riemann weight h^dims per node (no endpoint
+halving, so Parseval against the matrix inner product is exact).
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +30,13 @@ class Group:
     dilation weight w_k of each axis, delta_a x = (a^w_k x_k); they sum to
     the homogeneous dimension Q.  involution: the axis permutation p of the
     grid involution x -> -x[p].  dims: the grid dimensions the mode allows.
+    gauge: the weight of the top-weight axes in the homogeneous norm.
+
+    Points are arrays (..., axes).  The step-2 law x.y = x + y + B(x, y) is
+    read off the fields: X_j, whose constant term is on axis j, is
+    d/de x.(e e_j) = e_j + B(x, e_j), so each coordinate term (axis, c, coord)
+    of X_j adds c x[coord] y[j] to the axis.  B is antisymmetric: x^-1 = -x.
+    A power a^w is a product of w factors, as pow(a, 2) can differ from a * a.
     """
 
     fields: dict
@@ -39,13 +44,58 @@ class Group:
     weights: tuple
     involution: tuple
     dims: tuple
+    gauge: float
+
+    def mul(self, x, y) -> np.ndarray:
+        """x.y; B's terms on an axis are summed before x + y takes them, which
+        rounds as the closed form (x1 y2 - y1 x2)/2 does on heisenberg."""
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        twist = {}
+        for terms in self.fields.values():
+            own = next(axis for axis, _, coord in terms if coord is None)
+            for axis, c, coord in terms:
+                if coord is not None:
+                    term = c * x[..., coord] * y[..., own]
+                    twist[axis] = twist[axis] + term if axis in twist else term
+        out = x + y
+        for axis, b in twist.items():
+            out[..., axis] += b
+        return out
+
+    def inverse(self, x) -> np.ndarray:
+        return -np.asarray(x, dtype=float)
+
+    def dilate(self, alpha: float, x) -> np.ndarray:
+        """(a^w_k x_k), an automorphism."""
+        if not 0 < alpha < np.inf:
+            raise ConfigError(f"dilation factor must be finite and > 0, got {alpha}")
+        factors = np.array([math.prod([alpha] * w) for w in self.weights], dtype=float)
+        return np.asarray(x, dtype=float) * factors
+
+    def norm(self, x) -> np.ndarray:
+        """(|x'|^(2w) + gauge |x''|^2)^(1/(2w)), |x| if every weight is 1.
+
+        x' holds the weight-1 axes and x'' those of the top weight w.
+        """
+        x = np.asarray(x, dtype=float)
+        w = max(self.weights)
+        if w == 1:
+            return np.sqrt((x ** 2).sum(axis=-1))
+        low = [k for k, wk in enumerate(self.weights) if wk == 1]
+        top = [k for k, wk in enumerate(self.weights) if wk == w]
+        lead = math.prod([(x[..., low] ** 2).sum(axis=-1)] * w)
+        return (lead + self.gauge * (x[..., top] ** 2).sum(axis=-1)) ** (1.0 / (2 * w))
+
+    def distance(self, x, y) -> np.ndarray:
+        """The left-invariant norm(y^-1.x)."""
+        return self.norm(self.mul(self.inverse(y), x))
 
 
 # a euclidean grid takes the first dims axes of R^3, with J = -sum_k d_k^2
 _EUCLIDEAN = Group(
     fields={f"partial_{k}": ((k - 1, 1.0, None),) for k in (1, 2, 3)},
     operators={"euclid": ("partial_1", "partial_2", "partial_3")},
-    weights=(1, 1, 1), involution=(0, 1, 2), dims=(1, 2, 3))
+    weights=(1, 1, 1), involution=(0, 1, 2), dims=(1, 2, 3), gauge=1.0)
 
 GROUPS = {
     # X1 = d1 - (x2/2) d3, X2 = d2 + (x1/2) d3 and T = [X1, X2] = d3.  The involution
@@ -55,58 +105,11 @@ GROUPS = {
                 "X2": ((1, 1.0, None), (2, 0.5, 0)),
                 "T": ((2, 1.0, None),)},
         operators={"j1": ("X1", "X2"), "j3": ("X1", "X2", "T")},
-        weights=(1, 1, 2), involution=(1, 0, 2), dims=(3,)),
+        weights=(1, 1, 2), involution=(1, 0, 2), dims=(3,), gauge=16.0),
     "euclidean_box": _EUCLIDEAN,
     "euclidean_torus": _EUCLIDEAN,
 }
 MODES = tuple(GROUPS)
-
-
-# ---------------------------------------------------------------------------
-# group algebra
-# ---------------------------------------------------------------------------
-
-def _twist(x1, x2, y1, y2):
-    """(x1*y2 - y1*x2)/2, the x3 term the Heisenberg product x.y adds to x + y."""
-    return 0.5 * (x1 * y2 - y1 * x2)
-
-
-def group_mul(x, y) -> np.ndarray:
-    """Heisenberg product: (x.y)_3 picks up the twist (x1*y2 - y1*x2)/2."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = x + y
-    out[..., 2] += _twist(x[..., 0], x[..., 1], y[..., 0], y[..., 1])
-    return out
-
-
-def group_inverse(x) -> np.ndarray:
-    """Coordinate negation; the twist term cancels identically in x.x^{-1}."""
-    return -np.asarray(x, dtype=float)
-
-
-def _dilation_factors(alpha: float, weights) -> np.ndarray:
-    """alpha^w per weight w as a product of w factors: pow(a, 2) can differ from a * a."""
-    return np.array([math.prod([alpha] * w) for w in weights], dtype=float)
-
-
-def dilate(alpha: float, x) -> np.ndarray:
-    """Anisotropic dilation (a^w_k x_k) by the Heisenberg weights; a group automorphism."""
-    if not 0 < alpha < np.inf:
-        raise ConfigError(f"dilation factor must be finite and > 0, got {alpha}")
-    return np.asarray(x, dtype=float) * _dilation_factors(alpha, GROUPS["heisenberg"].weights)
-
-
-def homogeneous_norm(x) -> np.ndarray:
-    """Quartic homogeneous norm ((x1^2+x2^2)^2 + 16 x3^2)^(1/4)."""
-    x = np.asarray(x, dtype=float)
-    r2 = x[..., 0] ** 2 + x[..., 1] ** 2
-    return (r2 * r2 + 16.0 * x[..., 2] ** 2) ** 0.25
-
-
-def group_distance(x, y) -> np.ndarray:
-    """Left-invariant distance norm(y^{-1}.x)."""
-    return homogeneous_norm(group_mul(group_inverse(y), x))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +179,8 @@ class GridSpec:
         g, d = GROUPS[self.mode], self.dims
         fields = {k: v for k, v in g.fields.items() if all(a < d for a, _, _ in v)}
         ops = {k: tuple(f for f in v if f in fields) for k, v in g.operators.items()}
-        return Group(fields, ops, g.weights[:d], g.involution[:d], (d,))
+        return replace(g, fields=fields, operators=ops, weights=g.weights[:d],
+                       involution=g.involution[:d], dims=(d,))
 
     def axis_coordinates(self) -> np.ndarray:
         """Per-axis node coordinates i*h - L."""
@@ -254,7 +258,7 @@ def group_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     """Discrete f*g(x) = h^dims * sum_y f(y) g(y^{-1}.x).
 
     heisenberg: the group-law offset is exact in x1, x2 (lattice-aligned);
-    the twist makes the x3 component off-lattice, sampled by linear
+    the law's x3 term makes the x3 component off-lattice, sampled by linear
     interpolation along x3 with zero extension outside the box.  Euclidean
     modes reduce to ordinary (torus-periodic or zero-padded) convolution.
     """
@@ -286,11 +290,14 @@ def _heisenberg_convolve(f3: np.ndarray, g3: np.ndarray, spec: GridSpec) -> np.n
     h = spec.spacing
     ax = spec.axis_coordinates()
     half = (n - 1) // 2
+    group = spec.group
     out = np.zeros((n, n, n))
     # integer index k along x3 maps to gpad[..., k+1]; both pads are zero
     gpad = np.zeros((n, n, n + 2))
     gpad[:, :, 1 : n + 1] = g3
     b1g, b2g = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    # b^-1.a for b = (x1, x2, 0) has the x3 offset a3 - b3 + ((-b).(a1, a2, 0))_3
+    b_inverse = group.inverse(np.stack([ax[b1g], ax[b2g], np.zeros((n, n))], axis=-1))
     m = np.arange(2 * n - 1)
     for a1 in range(n):
         for a2 in range(n):
@@ -299,7 +306,7 @@ def _heisenberg_convolve(f3: np.ndarray, g3: np.ndarray, spec: GridSpec) -> np.n
             valid = (c1 >= 0) & (c1 < n) & (c2 >= 0) & (c2 < n)
             if not valid.any():
                 continue
-            twist = _twist(ax[a1], ax[a2], ax[b1g], ax[b2g])
+            twist = group.mul(b_inverse, (ax[a1], ax[a2], 0.0))[..., 2]
             vb1 = b1g[valid]
             vb2 = b2g[valid]
             vc1 = c1[valid]

@@ -607,7 +607,6 @@ def heat_kernel_column(dec: Spectrum, t: float) -> GridFunction:
 
 def export_spectrum_csv(dec: Spectrum, path) -> None:
     """CSV `index,eigenvalue` of the ascending eigenvalues at full float64 precision."""
+    rows = [f"{i},{lam:.17g}\n" for i, lam in enumerate(np.sort(dec.eigenvalues).tolist())]
     with _atomic_open(path) as fh:
-        fh.write("index,eigenvalue\n")
-        for i, lam in enumerate(np.sort(dec.eigenvalues)):
-            fh.write(f"{i},{lam:.17g}\n")
+        fh.write("index,eigenvalue\n" + "".join(rows))

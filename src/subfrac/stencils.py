@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, GridMismatchError
-from .group import GridFunction, GridSpec, _atomic_open, _dilation_factors
+from .group import GridFunction, GridSpec, _atomic_open
 
 # (offset, weight) pairs of each difference scheme: row x of the field with
 # coefficient c along axis k holds weight * c(x) / h at column x + offset * e_k
@@ -112,8 +112,6 @@ def check_homogeneity(kind: str, f: Callable, alpha: float, spec: GridSpec,
     right-hand stencil is taken on the dilated lattice (step a^w_k h along
     axis k, w_k its weight) so both sides share one stencil scale.
     """
-    if not 0 < alpha < np.inf:
-        raise ConfigError(f"alpha must be finite and > 0, got {alpha}")
     weights = spec.group.weights
     if len(set(weights)) == 1:
         raise ConfigError(f"{spec.mode} dilations scale every axis alike, so field {kind!r} "
@@ -121,7 +119,7 @@ def check_homogeneity(kind: str, f: Callable, alpha: float, spec: GridSpec,
     terms = _field_terms(kind, spec)
     if degree is None:
         degree = next(weights[axis] for axis, _, coord in terms if coord is None)
-    stretch = _dilation_factors(alpha, weights)
+    stretch = spec.group.dilate(alpha, np.ones(spec.dims))
     pts = spec.node_coordinates()[spec.interior(1)]
 
     def centered(func, x, steps):
@@ -166,8 +164,8 @@ def assemble_operator(kind: str, spec: GridSpec) -> DiscreteOperator:
 def export_matrix_market(op: DiscreteOperator, path) -> None:
     """Coordinate text export, 1-indexed lower triangle, symmetric convention."""
     coo = sp.tril(op.matrix).tocoo()
+    rows = "".join(f"{i + 1} {j + 1} {v:.17g}\n"
+                   for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
     with _atomic_open(path) as fh:
-        fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        fh.write(f"{op.matrix.shape[0]} {op.matrix.shape[1]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
+        fh.write("%%MatrixMarket matrix coordinate real symmetric\n"
+                 f"{op.matrix.shape[0]} {op.matrix.shape[1]} {coo.nnz}\n{rows}")

@@ -28,11 +28,7 @@ from subfrac import (
     gaussian_bound_check,
     gaussian_bump,
     group_convolve,
-    group_inverse,
-    group_mul,
-    dilate,
     heat_apply,
-    homogeneous_norm,
     kernel_norm_decay,
     lp_norm,
     path_agreement,
@@ -42,6 +38,7 @@ from subfrac import (
     spectral_decompose,
     volume_growth_fit,
 )
+from subfrac.group import GROUPS
 from subfrac.stencils import apply_multi_index
 from conftest import FIXTURE_SECONDS, fft_gap
 
@@ -187,25 +184,26 @@ def test_criterion_09_gaussian_bound():
 
 def test_criterion_10_volume_growth():
     with criterion(10, "homogeneous ball volume growth", 60.0):
-        fit = volume_growth_fit(np.geomspace(1.0, 4.0, 6), 0.05)
+        fit = volume_growth_fit(np.geomspace(1.0, 4.0, 6), 0.05, GROUPS["heisenberg"])
         assert abs(fit.fitted_slope - 4.0) <= 0.3, fit.fitted_slope
-        control = volume_growth_fit(np.geomspace(1.0, 4.0, 6), 0.05, norm="euclidean")
+        control = volume_growth_fit(np.geomspace(1.0, 4.0, 6), 0.05, GROUPS["euclidean_box"])
         assert abs(control.fitted_slope - 3.0) <= 0.2, control.fitted_slope
 
 
 def test_criterion_11_algebra(rng):
     with criterion(11, "group algebra, commutator, Young inequality", 10.0):
+        group = GROUPS["heisenberg"]
+        mul, dilate, norm = group.mul, group.dilate, group.norm
         x, y, z = rng.uniform(-4, 4, (3, 10000, 3))
-        assoc = np.abs(group_mul(group_mul(x, y), z) - group_mul(x, group_mul(y, z)))
-        scale = np.abs(group_mul(x, group_mul(y, z))).max() + 1.0
+        assoc = np.abs(mul(mul(x, y), z) - mul(x, mul(y, z)))
+        scale = np.abs(mul(x, mul(y, z))).max() + 1.0
         assert assoc.max() / scale <= 1e-12
-        assert np.abs(group_mul(x, group_inverse(x))).max() <= 1e-12
+        assert np.abs(mul(x, group.inverse(x))).max() <= 1e-12
         for alpha in (0.5, 2.0, 10.0):
-            n0 = homogeneous_norm(x)
-            gap = np.abs(homogeneous_norm(dilate(alpha, x)) - alpha * n0)
+            n0 = norm(x)
+            gap = np.abs(norm(dilate(alpha, x)) - alpha * n0)
             assert (gap / (alpha * n0 + 1e-300)).max() <= 1e-12
-            auto = np.abs(dilate(alpha, group_mul(x, y))
-                          - group_mul(dilate(alpha, x), dilate(alpha, y)))
+            auto = np.abs(dilate(alpha, mul(x, y)) - mul(dilate(alpha, x), dilate(alpha, y)))
             assert auto.max() / (alpha ** 2 * scale) <= 1e-12
 
         spec = GridSpec(9, 2.0, 3, "heisenberg")

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 import subfrac
 import subfrac.spectral as spectral
+from subfrac import GridFunction, GridSpec
 from subfrac.cli import (
     KEYS,
     ExperimentConfig,
     _parse_floats,
     _read_config_file,
     build_parser,
+    commutator_residual,
     config_from_args,
     main,
     report_json,
@@ -715,6 +717,8 @@ def test_verify_all_passes_on_small_heisenberg(tmp_path):
     (3, 1.0, 2),
     # the homogeneity test function and the convolution's x3 index overflowed here
     (5, 3e3, 0), (5, 1e5, 0), (5, 1e20, 0),
+    # the commutator's roundoff grows like L^2 and failed a fixed 1e-10 bound here
+    (11, 1e8, 0),
     # the squared L2 norm of the Young check's convolution is past the double range
     (5, 1e50, 0),
     # and so is the norm itself
@@ -733,6 +737,29 @@ def test_heisenberg_verify_all_is_finite_or_refused(tmp_path, capsys, n, L, code
     else:
         report = json.loads((tmp_path / "verify-all" / "results.json").read_text())["report"]
         assert all(np.isfinite(c["achieved"]) for c in report["checks"])
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 11, 13, 15, 21])
+def test_commutator_check_passes_on_every_extent(n):
+    # the stencils are exact on the check's quadratic, so only roundoff is left
+    for L in np.geomspace(1e-6, 1e20, 53):
+        residual, bound = commutator_residual(GridSpec(n, L))
+        assert residual <= bound, (L, residual, bound)
+
+
+def test_commutator_check_fails_on_a_scaled_T(monkeypatch):
+    import subfrac.cli as cli
+
+    apply = cli.apply_multi_index
+
+    def scaled_t(index, f):
+        out = apply(index, f)
+        return GridFunction(f.spec, out.values * (1.0 + 1e-6)) if index == ["T"] else out
+
+    monkeypatch.setattr(cli, "apply_multi_index", scaled_t)
+    residual, bound = commutator_residual(GridSpec(9, 2.0))
+    assert bound == 1e-10
+    assert residual > bound
 
 
 def test_config_file_unknown_mode_exits_two(tmp_path, capsys):

@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 
-import subfrac
 from subfrac import (
     GridFunction,
     GridSpec,
@@ -21,6 +20,9 @@ from subfrac import (
     volume_growth_fit,
 )
 from subfrac.errors import ConfigError
+from subfrac.group import GROUPS
+
+HEISENBERG, EUCLIDEAN = GROUPS["heisenberg"], GROUPS["euclidean_box"]
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +141,7 @@ def test_gaussian_bound_requires_positive_epsilon(torus256):
 
 def test_volume_doubles_as_r_fourth():
     # lattice-count bias is O(h * surface/volume) ~ 3% at h = 0.05, r = 1
-    vols = measure_ball_volumes([1.0, 2.0], 0.05)
+    vols = measure_ball_volumes([1.0, 2.0], 0.05, HEISENBERG)
     assert vols[1] / vols[0] == pytest.approx(16.0, rel=0.05)
 
 
@@ -147,47 +149,47 @@ def test_volume_matches_the_closed_form_unit_ball():
     # V(r) = (pi^2/8) r^4 for the quartic norm; the lattice count at h = 0.05
     # is within 1.6e-3 for r >= 1.32 (r = 1 is 3.6e-2 low)
     r = np.geomspace(1.0, 4.0, 6)[1:]
-    vols = measure_ball_volumes(r, 0.05)
+    vols = measure_ball_volumes(r, 0.05, HEISENBERG)
     assert np.abs(vols / (np.pi ** 2 / 8.0 * r ** 4) - 1.0).max() <= 2e-3
 
 
-def _slab_count(r_values, lattice_h, norm):
+def _slab_count(r_values, lattice_h, group):
     """Brute-force oracle: every lattice point's norm, one x1 slab at a time."""
     r = np.asarray(sorted(r_values), dtype=float)
     rmax = r.max()
-    r3max = rmax * rmax / 4.0 if norm == "heisenberg" else rmax
+    r3max = rmax * rmax / 4.0 if group is HEISENBERG else rmax
     ax12 = np.arange(-rmax, rmax + lattice_h / 2.0, lattice_h)
     ax3 = np.arange(-r3max, r3max + lattice_h / 2.0, lattice_h)
     counts = np.zeros(r.size, dtype=np.int64)
     x2g, x3g = np.meshgrid(ax12, ax3, indexing="ij")
     for x1 in ax12:
-        if norm == "heisenberg":
-            pts = np.stack([np.full_like(x2g, x1), x2g, x3g], axis=-1).reshape(-1, 3)
-            d = subfrac.homogeneous_norm(pts)
+        if group is HEISENBERG:
+            r2 = x1 * x1 + x2g ** 2
+            d = ((r2 * r2 + 16.0 * x3g ** 2) ** 0.25).ravel()
         else:
             d = np.sqrt(x1 * x1 + x2g ** 2 + x3g ** 2).ravel()
         counts += np.searchsorted(np.sort(d), r, side="left")
     return counts
 
 
-@pytest.mark.parametrize("norm", ["heisenberg", "euclidean"])
+@pytest.mark.parametrize("group", [HEISENBERG, EUCLIDEAN], ids=["heisenberg", "euclidean"])
 @pytest.mark.parametrize("r, lattice_h", [
     (np.geomspace(1.0, 4.0, 6), 0.05),  # the radii and spacing of verify-all
     (np.linspace(0.7, 3.3, 9), 0.07),
 ])
-def test_column_count_matches_the_slab_oracle(r, lattice_h, norm):
+def test_column_count_matches_the_slab_oracle(r, lattice_h, group):
     # the per-column search counts exactly the points whose norm is below r
-    vols = measure_ball_volumes(r, lattice_h, norm=norm)
-    assert np.array_equal(vols, _slab_count(r, lattice_h, norm) * lattice_h ** 3)
+    vols = measure_ball_volumes(r, lattice_h, group)
+    assert np.array_equal(vols, _slab_count(r, lattice_h, group) * lattice_h ** 3)
 
 
 def test_volume_growth_slope():
-    fit = volume_growth_fit(np.geomspace(1.0, 4.0, 6), 0.05)
+    fit = volume_growth_fit(np.geomspace(1.0, 4.0, 6), 0.05, HEISENBERG)
     assert abs(fit.fitted_slope - 4.0) <= 0.3
 
 
 def test_volume_growth_euclid_control():
-    fit = volume_growth_fit(np.geomspace(1.0, 4.0, 6), 0.05, norm="euclidean")
+    fit = volume_growth_fit(np.geomspace(1.0, 4.0, 6), 0.05, EUCLIDEAN)
     assert abs(fit.fitted_slope - 3.0) <= 0.2
 
 
@@ -200,27 +202,27 @@ def test_volume_growth_euclid_control():
 ], ids=["zero-h", "nan-h", "negative-h", "nan-radius", "inf-radius"])
 def test_ball_volumes_reject_a_bad_lattice_or_radius(r_values, lattice_h):
     with pytest.raises(ConfigError, match="finite"):
-        measure_ball_volumes(r_values, lattice_h)
+        measure_ball_volumes(r_values, lattice_h, HEISENBERG)
 
 
 def test_ball_volumes_reject_no_radii():
     with pytest.raises(ConfigError, match="at least one radius"):
-        measure_ball_volumes([], 0.1)
+        measure_ball_volumes([], 0.1, HEISENBERG)
 
 
 def test_volume_growth_rejects_no_radii():
     with pytest.raises(ConfigError, match="at least one radius"):
-        volume_growth_fit([], 0.1)
+        volume_growth_fit([], 0.1, HEISENBERG)
 
 
 def test_volume_growth_rejects_a_negative_lattice_step():
     with pytest.raises(ConfigError, match="lattice_h must be finite and > 0"):
-        volume_growth_fit([1.0, 2.0], -0.1)
+        volume_growth_fit([1.0, 2.0], -0.1, HEISENBERG)
 
 
 def test_volume_growth_undersampled():
     with pytest.raises(ConfigError):
-        volume_growth_fit([1.0, 2.0], 0.5)
+        volume_growth_fit([1.0, 2.0], 0.5, HEISENBERG)
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,14 @@ import subfrac
 from subfrac import (
     GridFunction,
     GridSpec,
-    dilate,
     group_convolve,
-    group_distance,
-    group_inverse,
-    group_mul,
-    homogeneous_norm,
     integral,
     lp_norm,
 )
 from subfrac.errors import ConfigError, GridMismatchError
+from subfrac.group import GROUPS
+
+H = GROUPS["heisenberg"]
 
 coord = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 point = st.tuples(coord, coord, coord)
@@ -30,83 +28,139 @@ scale = st.floats(min_value=0.1, max_value=10.0)
 # ---------------------------------------------------------------------------
 
 def test_identity_element():
-    assert np.array_equal(group_mul((0, 0, 0), (1.5, -2.0, 3.25)), [1.5, -2.0, 3.25])
+    assert np.array_equal(H.mul((0, 0, 0), (1.5, -2.0, 3.25)), [1.5, -2.0, 3.25])
 
 
 def test_group_law_twist():
-    assert np.array_equal(group_mul((1, 0, 0), (0, 1, 0)), [1, 1, 0.5])
+    assert np.array_equal(H.mul((1, 0, 0), (0, 1, 0)), [1, 1, 0.5])
 
 
 def test_non_commutative_third_coordinate():
-    ab = group_mul((1, 0, 0), (0, 1, 0))
-    ba = group_mul((0, 1, 0), (1, 0, 0))
+    ab = H.mul((1, 0, 0), (0, 1, 0))
+    ba = H.mul((0, 1, 0), (1, 0, 0))
     assert ab[2] == 0.5 and ba[2] == -0.5
 
 
 def test_inverse_examples():
-    assert np.array_equal(group_inverse((0, 0, 0)), [0, 0, 0])
-    assert np.array_equal(group_inverse((1, 2, 3)), [-1, -2, -3])
-    assert np.array_equal(group_mul((1, 2, 3), group_inverse((1, 2, 3))), [0, 0, 0])
+    assert np.array_equal(H.inverse((0, 0, 0)), [0, 0, 0])
+    assert np.array_equal(H.inverse((1, 2, 3)), [-1, -2, -3])
+    assert np.array_equal(H.mul((1, 2, 3), H.inverse((1, 2, 3))), [0, 0, 0])
 
 
 def test_inverse_property_batch(rng):
     x = rng.uniform(-5, 5, (1000, 3))
-    assert np.abs(group_mul(group_inverse(x), x)).max() == 0.0
+    assert np.abs(H.mul(H.inverse(x), x)).max() == 0.0
 
 
 @given(point, point, point)
 def test_associativity(x, y, z):
-    left = group_mul(group_mul(x, y), z)
-    right = group_mul(x, group_mul(y, z))
+    left = H.mul(H.mul(x, y), z)
+    right = H.mul(x, H.mul(y, z))
     scale_ = np.abs(right).max() + 1.0
     assert np.abs(left - right).max() <= 1e-12 * scale_
 
 
 @given(point, point, scale)
 def test_dilation_is_automorphism(x, y, alpha):
-    left = dilate(alpha, group_mul(x, y))
-    right = group_mul(dilate(alpha, x), dilate(alpha, y))
+    left = H.dilate(alpha, H.mul(x, y))
+    right = H.mul(H.dilate(alpha, x), H.dilate(alpha, y))
     assert np.abs(left - right).max() <= 1e-12 * (np.abs(right).max() + 1.0)
 
 
 def test_dilate_examples():
-    assert np.array_equal(dilate(1.0, (3, -1, 2)), [3, -1, 2])
-    assert np.array_equal(dilate(2.0, (1, 1, 1)), [2, 2, 4])
+    assert np.array_equal(H.dilate(1.0, (3, -1, 2)), [3, -1, 2])
+    assert np.array_equal(H.dilate(2.0, (1, 1, 1)), [2, 2, 4])
     with pytest.raises(ConfigError):
-        dilate(0.0, (1, 1, 1))
+        H.dilate(0.0, (1, 1, 1))
     with pytest.raises(ConfigError):
-        dilate(-2.0, (1, 1, 1))
+        H.dilate(-2.0, (1, 1, 1))
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
 def test_dilate_rejects_a_non_finite_factor(alpha):
     with pytest.raises(ConfigError, match="finite"):
-        dilate(alpha, (1, 1, 1))
+        H.dilate(alpha, (1, 1, 1))
 
 
 def test_norm_examples():
-    assert homogeneous_norm((1, 0, 0)) == 1.0
-    assert homogeneous_norm((0, 0, 1)) == 2.0  # 16^(1/4)
-    assert homogeneous_norm((3, 4, 0)) == 5.0
-    assert homogeneous_norm((0, 0, 0)) == 0.0
+    assert H.norm((1, 0, 0)) == 1.0
+    assert H.norm((0, 0, 1)) == 2.0  # 16^(1/4)
+    assert H.norm((3, 4, 0)) == 5.0
+    assert H.norm((0, 0, 0)) == 0.0
 
 
 @given(point, st.sampled_from([0.5, 2.0, 10.0]))
 def test_norm_homogeneity(x, alpha):
-    n = homogeneous_norm(x)
-    assert abs(homogeneous_norm(dilate(alpha, x)) - alpha * n) <= 1e-12 * alpha * n + 1e-15
+    n = H.norm(x)
+    assert abs(H.norm(H.dilate(alpha, x)) - alpha * n) <= 1e-12 * alpha * n + 1e-15
 
 
 def test_distance():
-    assert group_distance((1, 2, 3), (1, 2, 3)) == 0.0
-    assert group_distance((0, 0, 1), (0, 0, 0)) == 2.0
+    assert H.distance((1, 2, 3), (1, 2, 3)) == 0.0
+    assert H.distance((0, 0, 1), (0, 0, 0)) == 2.0
 
 
 @given(point, point, point)
 def test_distance_left_invariance(x, y, z):
-    d0 = group_distance(x, y)
-    d1 = group_distance(group_mul(z, x), group_mul(z, y))
+    d0 = H.distance(x, y)
+    d1 = H.distance(H.mul(z, x), H.mul(z, y))
     assert abs(d0 - d1) <= 1e-9 * (d0 + 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the law and norm of every GROUPS entry, read off its fields, weights and gauge
+# ---------------------------------------------------------------------------
+
+TABLE_GROUPS = {
+    "heisenberg": H,
+    **{f"euclidean{d}d": GridSpec(5, 1.0, dims=d, mode="euclidean_box").group
+       for d in (1, 2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_law_differentiates_to_the_fields(name, rng):
+    # X_j(x) = d/de x.(e e_j) at e = 0, by a central difference
+    group = TABLE_GROUPS[name]
+    axes = len(group.weights)
+    x = rng.uniform(-3, 3, (200, axes))
+    eps = 1e-6
+    for terms in group.fields.values():
+        want = np.zeros_like(x)
+        for axis, c, coord in terms:
+            want[:, axis] += c if coord is None else c * x[:, coord]
+        step = np.zeros(axes)
+        step[next(axis for axis, _, coord in terms if coord is None)] = eps
+        got = (group.mul(x, step) - group.mul(x, -step)) / (2.0 * eps)
+        assert np.abs(got - want).max() <= 1e-8
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_law_is_a_group_law_and_the_norm_is_homogeneous(name, rng):
+    group = TABLE_GROUPS[name]
+    x, y, z = rng.uniform(-3, 3, (3, 1000, len(group.weights)))
+    scale = np.abs(group.mul(x, group.mul(y, z))).max() + 1.0
+    assoc = group.mul(group.mul(x, y), z) - group.mul(x, group.mul(y, z))
+    assert np.abs(assoc).max() <= 1e-12 * scale
+    # x^-1 = -x holds because B(x, y) = x.y - x - y is antisymmetric
+    twist = group.mul(x, y) - x - y
+    assert np.abs(twist + (group.mul(y, x) - y - x)).max() <= 1e-12 * scale
+    assert np.abs(group.mul(x, group.inverse(x))).max() <= 1e-12
+    assert np.abs(group.mul(group.inverse(x), x)).max() <= 1e-12
+    n = group.norm(x)
+    for alpha in (0.5, 2.0, 10.0):
+        assert np.abs(group.norm(group.dilate(alpha, x)) - alpha * n).max() <= 1e-12 * alpha * n.max()
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e8, 1e20])
+def test_heisenberg_law_and_norm_are_bitwise_the_closed_forms(scale, rng):
+    x, y = rng.uniform(-scale, scale, (2, 10000, 3))
+    law = x + y
+    law[:, 2] += 0.5 * (x[:, 0] * y[:, 1] - y[:, 0] * x[:, 1])
+    r2 = x[:, 0] ** 2 + x[:, 1] ** 2
+    norm = (r2 * r2 + 16.0 * x[:, 2] ** 2) ** 0.25
+    assert H.mul(x, y).tobytes() == law.tobytes()
+    assert H.norm(x).tobytes() == norm.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +347,7 @@ def test_convolution_matches_brute_force_heisenberg(rng):
     for a, x in enumerate(coords):
         acc = 0.0
         for b, y in enumerate(coords):
-            z = group_mul(group_inverse(y), x)
+            z = H.mul(H.inverse(y), x)
             acc += fv[b] * g_interp(z)
         want[a] = acc * h ** 3
     assert np.abs(got - want).max() <= 1e-12 * (np.abs(want).max() + 1.0)
@@ -414,10 +468,10 @@ def test_gf1_rejects_a_non_ascii_header(tmp_path):
 
 
 class FailingFile:
-    """A file whose first write goes through and whose second raises."""
+    """A file on a full disk: a write stores the first half of its data, then raises."""
 
     def __init__(self, fh):
-        self.fh, self.writes = fh, 0
+        self.fh = fh
 
     def __enter__(self):
         return self
@@ -426,10 +480,8 @@ class FailingFile:
         self.fh.close()
 
     def write(self, data):
-        self.writes += 1
-        if self.writes > 1:
-            raise OSError("no space left")
-        return self.fh.write(data)
+        self.fh.write(data[:len(data) // 2])
+        raise OSError("no space left")
 
 
 @pytest.mark.parametrize(

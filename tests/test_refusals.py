@@ -39,9 +39,10 @@ CASES = {
     "unknown scheme": (
         ConfigError, "unknown scheme 'backward'",
         lambda: subfrac.build_vector_field("X1", "backward", SPEC)),
-    "unknown norm": (
-        ConfigError, "unknown norm 'taxicab'",
-        lambda: subfrac.measure_ball_volumes([1.0], 0.1, norm="taxicab")),
+    "ball volumes of a 1-D group": (
+        ConfigError, "need a group of 3 axes, got 1",
+        lambda: subfrac.measure_ball_volumes(
+            [1.0], 0.1, GridSpec(5, 1.0, dims=1, mode="euclidean_box").group)),
     "unknown mode": (
         ConfigError, "unknown mode 'hyperbolic'",
         lambda: GridSpec(5, 1.0, dims=3, mode="hyperbolic")),
