@@ -1,7 +1,8 @@
 """Batch experiment runner: assemble, spectrum, frac, heat, extend, limit, verify-all.
 
 Configuration is a flat key=value file plus command-line overrides.  KEYS
-holds each config key once: its field, parser, hashed text and flag.  A sha256
+holds each config key once: its field, parser, hashed text and flag.  RUNNERS
+gives each kind's stages, which run in order on one Run.  A sha256
 hash of the flat config is embedded in the run report and manifests for
 provenance.  Two runs with the same config and seed produce a
 bitwise-identical "report" subtree in results.json; timestamps and wall-clock
@@ -53,12 +54,14 @@ from .group import (
 )
 from .spectral import (
     blas_thread_api,
+    check_dense_capacity,
     eigen_probe,
     fractional_power,
     heat_apply,
     heat_kernel_column,
     krylov_spectrum,
     krylov_step_cap,
+    krylov_steps,
     positive_power,
     spectral_decompose,
     export_spectrum_csv,
@@ -169,6 +172,8 @@ class ExperimentConfig:
     spec: GridSpec = field(init=False, repr=False, compare=False)
     # the ExtensionParams of each s on the extension kinds, empty on the others
     sweeps: tuple = field(init=False, repr=False, compare=False)
+    # whether the run takes the Krylov route: a `limit` on a Dirichlet grid
+    krylov: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -218,6 +223,14 @@ class ExperimentConfig:
                     raise ConfigError(f"heat semigroup needs t >= 0, got {t}")
                 if t == 0 and self.spec.periodic:
                     raise ConfigError(f"the torus kernel column needs t > 0, got {t}")
+        object.__setattr__(self, "krylov", self.kind == "limit" and not self.spec.periodic)
+        # a grid past its route's capacity is refused before it is assembled;
+        # every other kind but assemble takes the FFT on a torus, the dense eigh
+        # on a Dirichlet grid
+        if self.krylov:
+            krylov_steps(self.spec, KRYLOV_START)
+        elif self.kind != "assemble" and not self.spec.periodic:
+            check_dense_capacity(self.spec)
         if self.kind == "verify-all" and self.mode == "heisenberg":
             # the commutator check reads the nodes two steps inside every
             # face, and the norms of the Young check grow like L^4.5
@@ -246,12 +259,22 @@ class CheckResult:
 
 
 @dataclass
-class RunReport:
+class Run:
+    """One CLI run: its config, output directory, checks and wall times.
+
+    The pieces its stages share are built once, on first use: the assembled
+    `op`, the seeded `phi`, the diagonalization `dec` and the extension
+    `profiles` of each s.
+    """
+
     config: ExperimentConfig
+    out_dir: Path
     checks: list = field(default_factory=list)
     wall_clock: dict = field(default_factory=dict)
-    # the BLAS thread count of the run's dense eigh and applies; None when it ran none
-    dense_threads: int | None = None
+
+    @property
+    def spec(self) -> GridSpec:
+        return self.config.spec
 
     def add(self, name: str, achieved: float, target: float, tolerance: float) -> None:
         ok = abs(achieved - target) <= tolerance
@@ -267,177 +290,183 @@ class RunReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
+    @functools.cached_property
+    def op(self):
+        return assemble_operator(self.config.op, self.spec)
+
+    @functools.cached_property
+    def phi(self) -> GridFunction:
+        return random_bump(self.spec, np.random.default_rng(self.config.seed))
+
+    @functools.cached_property
+    def dec(self):
+        """Diagonalize the operator: the FFT on a torus, the dense eigh otherwise.
+
+        Either way, spectrum.csv records the eigenvalues and the probes check
+        the result against the assembled matrix.
+        """
+        op = self.op
+        dec = fourier_decompose(op) if self.spec.periodic else spectral_decompose(op)
+        export_spectrum_csv(dec, self.out_dir / "spectrum.csv")
+        self.add_upper("min_eigenvalue_negativity", max(-dec.eigenvalues.min(), 0.0), 0.0)
+        orthogonality, residual = eigen_probe(op, dec)
+        self.add_upper("eigen_orthogonality_probe", orthogonality, 1e-12)
+        self.add_upper("eigen_residual_probe", residual, 1e-12)
+        trace = op.matrix.diagonal().sum()
+        trace_gap = abs(dec.eigenvalues.sum() - trace)
+        self.add_upper("trace_identity_rel", float(trace_gap / max(abs(trace), 1e-300)), 1e-8)
+        return dec
+
+    @functools.cached_property
+    def profiles(self) -> list:
+        return [extension_solve(self.dec, params, self.phi) for params in self.config.sweeps]
+
 
 def atomic_write_text(path: Path, text: str) -> None:
     with _atomic_open(path) as fh:
         fh.write(text)
 
 
-def report_payload(report: RunReport) -> dict:
+def report_payload(run: Run) -> dict:
     """The report subtree of results.json: deterministic, no timestamps."""
     return {
-        "config": report.config.flat(),
-        "config_hash": report.config.hash(),
+        "config": run.config.flat(),
+        "config_hash": run.config.hash(),
         "version": __version__,
-        "passed": report.passed,
-        "checks": [asdict(c) for c in report.checks],
+        "passed": run.passed,
+        "checks": [asdict(c) for c in run.checks],
     }
 
 
-def report_json(report: RunReport) -> str:
-    return json.dumps(report_payload(report), sort_keys=True, indent=2)
+def report_json(run: Run) -> str:
+    return json.dumps(report_payload(run), sort_keys=True, indent=2)
 
 
-def report_render(report: RunReport) -> str:
+def report_render(run: Run) -> str:
     """Human-readable table; failing lines carry a FAIL prefix."""
     lines = [
-        f"experiment {report.config.kind}  mode={report.config.mode}  "
-        f"n={report.config.n}  L={report.config.L}  hash={report.config.hash()[:12]}"
+        f"experiment {run.config.kind}  mode={run.config.mode}  "
+        f"n={run.config.n}  L={run.config.L}  hash={run.config.hash()[:12]}"
     ]
-    for c in report.checks:
+    for c in run.checks:
         tag = "PASS" if c.passed else "FAIL"
         lines.append(
             f"{tag} {c.name}: achieved={c.achieved:.6g} target={c.target:.6g} "
             f"tol={c.tolerance:.3g}"
         )
-    lines.append(f"{'PASS' if report.passed else 'FAIL'} overall")
+    lines.append(f"{'PASS' if run.passed else 'FAIL'} overall")
     return "\n".join(lines)
 
 
-def write_results(report: RunReport, out_dir: Path) -> None:
+def write_results(run: Run) -> None:
     envelope = {
         "provenance": {
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "wall_clock_s": report.wall_clock,
-            "blas": {**blas_thread_api(), "dense_threads": report.dense_threads},
+            "wall_clock_s": run.wall_clock,
+            # the BLAS threads of the run's dense eigh and applies; None
+            # when it made no dense decomposition
+            "blas": {**blas_thread_api(),
+                     "dense_threads": getattr(vars(run).get("dec"), "blas_threads", None)},
         },
-        "report": report_payload(report),
+        "report": report_payload(run),
     }
-    atomic_write_text(out_dir / "results.json", json.dumps(envelope, sort_keys=True, indent=2) + "\n")
+    atomic_write_text(run.out_dir / "results.json",
+                      json.dumps(envelope, sort_keys=True, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
 
-def _phi(config: ExperimentConfig, spec: GridSpec) -> GridFunction:
-    return random_bump(spec, np.random.default_rng(config.seed))
-
-
-def run_assemble(config: ExperimentConfig, report: RunReport, out_dir: Path) -> None:
-    spec = config.spec
-    op = assemble_operator(config.op, spec)
-    export_matrix_market(op, out_dir / "operator.mtx")
+def run_assemble(run: Run) -> None:
+    op = run.op
+    export_matrix_market(op, run.out_dir / "operator.mtx")
     sym_gap = abs(op.matrix - op.matrix.T).max()
-    report.add_upper("operator_symmetry_gap", float(sym_gap), 0.0)
-    rng = np.random.default_rng(config.seed)
+    run.add_upper("operator_symmetry_gap", float(sym_gap), 0.0)
+    rng = np.random.default_rng(run.config.seed)
     qmin = min(
-        float(v @ (op.matrix @ v)) for v in rng.standard_normal((20, spec.n_nodes))
+        float(v @ (op.matrix @ v)) for v in rng.standard_normal((20, run.spec.n_nodes))
     )
-    report.add_upper("operator_quadratic_form_min", max(-qmin, 0.0), 1e-10)
+    run.add_upper("operator_quadratic_form_min", max(-qmin, 0.0), 1e-10)
 
 
-def run_spectrum(config: ExperimentConfig, report: RunReport, out_dir: Path):
-    """Diagonalize the operator: the FFT on a torus, the dense eigh otherwise.
-
-    Either way, the probes check the result against the assembled matrix.
-    """
-    spec = config.spec
-    op = assemble_operator(config.op, spec)
-    if spec.periodic:
-        dec = fourier_decompose(op)
-    else:
-        dec = spectral_decompose(op)
-        report.dense_threads = dec.blas_threads
-    export_spectrum_csv(dec, out_dir / "spectrum.csv")
-    report.add_upper("min_eigenvalue_negativity", max(-dec.eigenvalues.min(), 0.0), 0.0)
-    orthogonality, residual = eigen_probe(op, dec)
-    report.add_upper("eigen_orthogonality_probe", orthogonality, 1e-12)
-    report.add_upper("eigen_residual_probe", residual, 1e-12)
-    trace = op.matrix.diagonal().sum()
-    trace_gap = abs(dec.eigenvalues.sum() - trace)
-    report.add_upper("trace_identity_rel", float(trace_gap / max(abs(trace), 1e-300)), 1e-8)
-    return dec
+def run_spectrum(run: Run) -> None:
+    run.dec  # built, written and checked on first use
 
 
-def run_frac(config: ExperimentConfig, report: RunReport, out_dir: Path, dec,
-             phi: GridFunction) -> None:
-    spec = config.spec
-    for s in config.s_values:
+def run_frac(run: Run) -> None:
+    dec, phi = run.dec, run.phi
+    for s in run.config.s_values:
         out = fractional_power(dec, s, phi)
-        write_gf1(out_dir / f"frac_s{s!r}.gf1", out)
+        write_gf1(run.out_dir / f"frac_s{s!r}.gf1", out)
         half = fractional_power(dec, s / 2.0, fractional_power(dec, s / 2.0, phi))
-        gap = lp_norm(GridFunction(spec, half.values - out.values), 2)
-        report.add_upper(
+        gap = lp_norm(GridFunction(run.spec, half.values - out.values), 2)
+        run.add_upper(
             f"fractional_additivity_s={s}", gap / max(lp_norm(out, 2), 1e-300), 1e-10
         )
 
 
-def run_heat(config: ExperimentConfig, report: RunReport, out_dir: Path, dec,
-             phi: GridFunction) -> None:
-    spec = config.spec
+def run_heat(run: Run) -> None:
+    dec, phi = run.dec, run.phi
     ident = heat_apply(dec, 0.0, phi)
-    report.add_upper(
+    run.add_upper(
         "heat_identity_at_t0",
         float(np.abs(ident.values - phi.values).max()),
         0.0,
     )
-    for t in config.t_values:
+    for t in run.config.t_values:
         u = heat_apply(dec, t, phi)
-        write_gf1(out_dir / f"heat_t{t!r}.gf1", u)
+        write_gf1(run.out_dir / f"heat_t{t!r}.gf1", u)
         two_step = heat_apply(dec, t / 2.0, heat_apply(dec, t / 2.0, phi))
-        gap = lp_norm(GridFunction(spec, two_step.values - u.values), 2)
-        report.add_upper(
+        gap = lp_norm(GridFunction(run.spec, two_step.values - u.values), 2)
+        run.add_upper(
             f"semigroup_residual_t={t}", gap / max(lp_norm(u, 2), 1e-300), 1e-11
         )
         for p in (1, 2, np.inf):
-            report.add_upper(
+            run.add_upper(
                 f"contraction_p={p}_t={t}",
                 max(lp_norm(u, p) - lp_norm(phi, p), 0.0),
                 1e-9 * max(lp_norm(phi, p), 1.0),
             )
-        if spec.periodic:
+        if run.spec.periodic:
             col = heat_kernel_column(dec, t)
-            report.add_upper(f"kernel_mass_gap_t={t}", abs(integral(col) - 1.0), 1e-9)
+            run.add_upper(f"kernel_mass_gap_t={t}", abs(integral(col) - 1.0), 1e-9)
 
 
-def run_extend(config: ExperimentConfig, report: RunReport, out_dir: Path, dec,
-               phi: GridFunction) -> list:
-    """The extend checks of each s; returns the extension profile of each s."""
-    spec = config.spec
-    res_tol = 1e-5 if spec.mode == "heisenberg" else 1e-6
+def run_extend(run: Run) -> None:
+    phi, sweeps = run.phi, run.config.sweeps
+    res_tol = 1e-5 if run.spec.mode == "heisenberg" else 1e-6
     phi_norm = max(lp_norm(phi, 2), 1e-300)
-    profiles = [extension_solve(dec, params, phi) for params in config.sweeps]
+    profiles = run.profiles
     # PATH B for the whole sweep: one quadrature grid and one batched apply
-    agreements, quad_deltas, grid = path_agreement(dec, profiles, phi)
-    for params, profile, agreement, quad_delta in zip(config.sweeps, profiles, agreements,
+    agreements, quad_deltas, grid = path_agreement(run.dec, profiles, phi)
+    for params, profile, agreement, quad_delta in zip(sweeps, profiles, agreements,
                                                       quad_deltas):
         s = params.s
         for t, u, du in zip(params.t_values, profile.u, profile.du_dt):
-            write_gf1(out_dir / f"extend_u_s{s!r}_t{t!r}.gf1", u)
-            write_gf1(out_dir / f"extend_dudt_s{s!r}_t{t!r}.gf1", du)
-        report.add_upper(f"path_a_vs_b_s={s}", agreement, 1e-6)
-        report.add_upper(f"path_b_quadrature_delta_s={s}", quad_delta, QUAD_RTOL)
-        report.add_upper(f"path_b_quadrature_doublings_s={s}", grid["doublings"],
-                         QUAD_DOUBLINGS)
+            write_gf1(run.out_dir / f"extend_u_s{s!r}_t{t!r}.gf1", u)
+            write_gf1(run.out_dir / f"extend_dudt_s{s!r}_t{t!r}.gf1", du)
+        run.add_upper(f"path_a_vs_b_s={s}", agreement, 1e-6)
+        run.add_upper(f"path_b_quadrature_delta_s={s}", quad_delta, QUAD_RTOL)
+        run.add_upper(f"path_b_quadrature_doublings_s={s}", grid["doublings"],
+                      QUAD_DOUBLINGS)
         # ||u(t)||_2 <= ||phi||_2 over the sweep
-        report.add_upper(f"non_expansive_s={s}",
-                         float(np.max([lp_norm(u, 2) for u in profile.u]) / phi_norm - 1.0),
-                         1e-12)
-        report.add_upper(f"pde_residual_s={s}", pde_residual(profile), res_tol)
+        run.add_upper(f"non_expansive_s={s}",
+                      float(np.max([lp_norm(u, 2) for u in profile.u]) / phi_norm - 1.0),
+                      1e-12)
+        run.add_upper(f"pde_residual_s={s}", pde_residual(profile), res_tol)
         manifest = {
             "s": s,
             "t_values": list(params.t_values),
             "quadrature": grid,
             "path_agreement": agreement,
             "C_s_used": extension_constant(s),
-            "config_hash": config.hash(),
+            "config_hash": run.config.hash(),
         }
         atomic_write_text(
-            out_dir / f"extend_manifest_s{s!r}.json",
+            run.out_dir / f"extend_manifest_s{s!r}.json",
             json.dumps(manifest, sort_keys=True, indent=2) + "\n",
         )
-    return profiles
 
 
 def _relative_gap(a: GridFunction, b: GridFunction) -> float:
@@ -476,16 +505,12 @@ def _krylov_limit_spectrum(op, phi: GridFunction, sweeps: list):
         kry = kry.extended(op, 2 * kry.steps)
 
 
-def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=None,
-              profiles=None, phi=None) -> None:
+def run_limit(run: Run) -> None:
     """The boundary limit of each s.
 
-    Without a decomposition handed in, a Dirichlet grid (lambda_min > 0)
-    takes the Krylov route; a torus, whose zero mode the Ritz values resolve
-    slowly, takes the FFT diagonalization of run_spectrum.  `profiles`, one
-    per s, are extension profiles of dec and this run's phi, to be read
-    instead of built again, and `phi` is that seeded phi when the caller
-    built it already.
+    A `limit` run on a Dirichlet grid (lambda_min > 0) takes the Krylov
+    route; a torus, whose zero mode the Ritz values resolve slowly, and
+    verify-all read the run's diagonalization and extension profiles.
 
     On the Krylov route the sparse identity checks J^{-s}(A phi) = J^{1-s} phi
     for each s, with A the assembled matrix: J^{1-s} phi comes from the
@@ -493,20 +518,15 @@ def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=No
     spectrum, of as many steps, started from A phi and built by the plain
     three-term recurrence, so two algorithms compute the two sides.
     """
-    spec = config.spec
-    phi = _phi(config, spec) if phi is None else phi
-    sweeps = config.sweeps
-    krylov = dec is None and not spec.periodic
+    spec, sweeps, phi = run.spec, run.config.sweeps, run.phi
+    krylov = run.config.krylov
     if krylov:
-        op = assemble_operator(config.op, spec)
         t0 = time.perf_counter()
-        dec, gaps, profiles = _krylov_limit_spectrum(op, phi, sweeps)
-        report.wall_clock["limit_krylov_doubling"] = time.perf_counter() - t0
-        report.add_upper("krylov_orthogonality", dec.orthogonality(), 1e-12)
-    elif dec is None:
-        dec = run_spectrum(config, report, out_dir)
-    if not profiles:
-        profiles = [extension_solve(dec, params, phi) for params in sweeps]
+        dec, gaps, profiles = _krylov_limit_spectrum(run.op, phi, sweeps)
+        run.wall_clock["limit_krylov_doubling"] = time.perf_counter() - t0
+        run.add_upper("krylov_orthogonality", dec.orthogonality(), 1e-12)
+    else:
+        dec, profiles = run.dec, run.profiles
     results = [boundary_limit(dec, profile, phi) for profile in profiles]
     if krylov:
         # the basis of A phi is built only once phi's is dropped, so the run
@@ -514,31 +534,31 @@ def run_limit(config: ExperimentConfig, report: RunReport, out_dir: Path, dec=No
         steps = dec.steps
         psis = [fractional_power(dec, 1.0 - params.s, phi) for params in sweeps]
         del dec
-        a_phi = op.apply(phi)
+        a_phi = run.op.apply(phi)
         t0 = time.perf_counter()
-        kry = krylov_spectrum(op, a_phi, steps, reorthogonalize=False)
-        report.wall_clock["limit_krylov_plain"] = time.perf_counter() - t0
+        kry = krylov_spectrum(run.op, a_phi, steps, reorthogonalize=False)
+        run.wall_clock["limit_krylov_plain"] = time.perf_counter() - t0
         identities = [
             _relative_gap(kry.apply_values(positive_power(kry.eigenvalues, -params.s), a_phi), psi)
             for psi, params in zip(psis, sweeps)]
-    tol = config.tol or (2e-2 if spec.mode == "heisenberg" else 1e-3)
+    tol = run.config.tol or (2e-2 if spec.mode == "heisenberg" else 1e-3)
     for i, (params, result) in enumerate(zip(sweeps, results)):
         s, c_s = params.s, extension_constant(params.s)
-        report.add_upper(f"C_s_closed_vs_quadrature_s={s}",
-                         abs(c_s - extension_constant_quadrature(s)) / c_s, 1e-10)
+        run.add_upper(f"C_s_closed_vs_quadrature_s={s}",
+                      abs(c_s - extension_constant_quadrature(s)) / c_s, 1e-10)
         if krylov:
-            report.add_upper(f"krylov_steps_s={s}", steps, krylov_step_cap(spec))
-            report.add_upper(f"krylov_delta_s={s}", gaps[i], KRYLOV_RTOL)
-            report.add_upper(f"sparse_identity_s={s}", identities[i], 1e-12)
-        write_gf1(out_dir / f"limit_extrapolated_s{s!r}.gf1", result.extrapolated)
-        write_gf1(out_dir / f"limit_reference_s{s!r}.gf1", result.reference)
+            run.add_upper(f"krylov_steps_s={s}", steps, krylov_step_cap(spec))
+            run.add_upper(f"krylov_delta_s={s}", gaps[i], KRYLOV_RTOL)
+            run.add_upper(f"sparse_identity_s={s}", identities[i], 1e-12)
+        write_gf1(run.out_dir / f"limit_extrapolated_s{s!r}.gf1", result.extrapolated)
+        write_gf1(run.out_dir / f"limit_reference_s{s!r}.gf1", result.reference)
         rows = ["t,rel_distance_to_extrapolant"]
         for t, wv in zip(result.sweep_t, result.sweep_values):
             d = lp_norm(GridFunction(spec, wv.values - result.extrapolated.values), 2)
             rows.append(f"{t:.17g},{d / max(lp_norm(result.reference, 2), 1e-300):.17g}")
-        atomic_write_text(out_dir / f"limit_sweep_s{s!r}.csv", "\n".join(rows) + "\n")
-        report.add_upper(f"boundary_limit_rel_error_s={s}", result.rel_error, tol)
-        report.add_upper(f"boundary_limit_fallback_s={s}", float(result.used_fallback), 0.0)
+        atomic_write_text(run.out_dir / f"limit_sweep_s{s!r}.csv", "\n".join(rows) + "\n")
+        run.add_upper(f"boundary_limit_rel_error_s={s}", result.rel_error, tol)
+        run.add_upper(f"boundary_limit_fallback_s={s}", float(result.used_fallback), 0.0)
 
 
 def commutator_residual(spec: GridSpec) -> tuple[float, float]:
@@ -561,99 +581,86 @@ def commutator_residual(spec: GridSpec) -> tuple[float, float]:
     return float(np.abs((ab - ba - tf)[inner]).max()), float(bound)
 
 
-def run_verify_all(config: ExperimentConfig, report: RunReport, out_dir: Path) -> None:
-    spec = config.spec
-    rng = np.random.default_rng(config.seed)
+def run_group(run: Run) -> None:
+    """The Heisenberg group's algebra, convolution, stencil and volume checks."""
+    spec = run.spec
+    if spec.mode != "heisenberg":
+        return
+    rng = np.random.default_rng(run.config.seed)
 
-    if spec.mode == "heisenberg":
-        # group algebra residuals
-        group = spec.group
-        mul, dilate, norm = group.mul, group.dilate, group.norm
-        x, y, z = rng.uniform(-3, 3, (3, 1000, 3))
-        assoc = np.abs(mul(mul(x, y), z) - mul(x, mul(y, z)))
-        scale = np.abs(mul(x, mul(y, z))).max() + 1.0
-        report.add_upper("group_associativity", float(assoc.max() / scale), 1e-12)
-        inv = np.abs(mul(x, group.inverse(x)))
-        report.add_upper("group_inverse", float(inv.max()), 1e-12)
-        for alpha in (0.5, 2.0, 10.0):
-            hom = np.abs(norm(dilate(alpha, x)) - alpha * norm(x))
-            report.add_upper(
-                f"norm_homogeneity_alpha={alpha}",
-                float((hom / (alpha * norm(x) + 1e-300)).max()),
-                1e-12,
-            )
-            auto = np.abs(dilate(alpha, mul(x, y)) - mul(dilate(alpha, x), dilate(alpha, y)))
-            report.add_upper(f"dilation_automorphism_alpha={alpha}", float(auto.max() / scale), 1e-12)
-        left = np.abs(group.distance(mul(z, x), mul(z, y)) - group.distance(x, y))
-        report.add_upper("distance_left_invariance", float(left.max()), 1e-9)
-        report.add_upper("commutator_equals_T", *commutator_residual(spec))
+    # group algebra residuals
+    group = spec.group
+    mul, dilate, norm = group.mul, group.dilate, group.norm
+    x, y, z = rng.uniform(-3, 3, (3, 1000, 3))
+    assoc = np.abs(mul(mul(x, y), z) - mul(x, mul(y, z)))
+    scale = np.abs(mul(x, mul(y, z))).max() + 1.0
+    run.add_upper("group_associativity", float(assoc.max() / scale), 1e-12)
+    inv = np.abs(mul(x, group.inverse(x)))
+    run.add_upper("group_inverse", float(inv.max()), 1e-12)
+    for alpha in (0.5, 2.0, 10.0):
+        hom = np.abs(norm(dilate(alpha, x)) - alpha * norm(x))
+        run.add_upper(
+            f"norm_homogeneity_alpha={alpha}",
+            float((hom / (alpha * norm(x) + 1e-300)).max()),
+            1e-12,
+        )
+        auto = np.abs(dilate(alpha, mul(x, y)) - mul(dilate(alpha, x), dilate(alpha, y)))
+        run.add_upper(f"dilation_automorphism_alpha={alpha}", float(auto.max() / scale), 1e-12)
+    left = np.abs(group.distance(mul(z, x), mul(z, y)) - group.distance(x, y))
+    run.add_upper("distance_left_invariance", float(left.max()), 1e-9)
+    run.add_upper("commutator_equals_T", *commutator_residual(spec))
 
-        # Young's inequality spot check
-        fa = np.abs(random_bump(spec, rng).values)
-        ga = np.abs(random_bump(spec, rng).values)
-        f1 = GridFunction(spec, fa)
-        g1 = GridFunction(spec, ga)
-        conv = group_convolve(f1, g1)
-        young_gap = lp_norm(conv, 2) - lp_norm(f1, 1) * lp_norm(g1, 2)
-        report.add_upper("young_1_2_2", max(young_gap, 0.0), 1e-9)
+    # Young's inequality spot check
+    fa = np.abs(random_bump(spec, rng).values)
+    ga = np.abs(random_bump(spec, rng).values)
+    f1 = GridFunction(spec, fa)
+    g1 = GridFunction(spec, ga)
+    conv = group_convolve(f1, g1)
+    young_gap = lp_norm(conv, 2) - lp_norm(f1, 1) * lp_norm(g1, 2)
+    run.add_upper("young_1_2_2", max(young_gap, 0.0), 1e-9)
 
-        # stencil homogeneity under the dilation structure (exact identity)
-        def smooth(x1, x2, x3):
-            return np.sin(x1) / (1.0 + x2 * x2) + np.cos(x3) * x1
+    # stencil homogeneity under the dilation structure (exact identity)
+    def smooth(x1, x2, x3):
+        return np.sin(x1) / (1.0 + x2 * x2) + np.cos(x3) * x1
 
-        for kind in group.fields:
-            report.add_upper(
-                f"homogeneity_{kind}", check_homogeneity(kind, smooth, 2.0, spec), 1e-12
-            )
+    for kind in group.fields:
+        run.add_upper(
+            f"homogeneity_{kind}", check_homogeneity(kind, smooth, 2.0, spec), 1e-12
+        )
 
-        # homogeneous-ball volume growth (grid-independent lattice count)
-        fit = volume_growth_fit(np.geomspace(1.0, 4.0, 6), 0.05, group)
-        report.add("volume_growth_slope", fit.fitted_slope, sum(group.weights), 0.3)
-        control = volume_growth_fit(np.geomspace(1.0, 4.0, 6), 0.05, GROUPS["euclidean_box"])
-        report.add("volume_growth_euclid_control", control.fitted_slope, 3.0, 0.2)
-
-    def timed(stage, runner, *args):
-        t0 = time.perf_counter()
-        out = runner(config, report, out_dir, *args)
-        report.wall_clock[stage] = time.perf_counter() - t0
-        return out
-
-    dec = timed("spectrum", run_spectrum)
-    # one seeded phi for every stage, as each would build the same one
-    phi = _phi(config, spec)
-    timed("frac", run_frac, dec, phi)
-    timed("heat", run_heat, dec, phi)
-    profiles = timed("extend", run_extend, dec, phi)
-    timed("limit", run_limit, dec, profiles, phi)
+    # homogeneous-ball volume growth (grid-independent lattice count)
+    fit = volume_growth_fit(np.geomspace(1.0, 4.0, 6), 0.05, group)
+    run.add("volume_growth_slope", fit.fitted_slope, sum(group.weights), 0.3)
+    control = volume_growth_fit(np.geomspace(1.0, 4.0, 6), 0.05, GROUPS["euclidean_box"])
+    run.add("volume_growth_euclid_control", control.fitted_slope, 3.0, 0.2)
 
 
-def _standalone(runner):
-    """runner as a kind of its own, on the run's spectrum and seeded phi."""
-    return lambda config, report, out_dir: runner(
-        config, report, out_dir, run_spectrum(config, report, out_dir), _phi(config, config.spec))
-
-
+# the stages of each kind, run in order on one Run
 RUNNERS = {
-    "assemble": run_assemble,
-    "spectrum": run_spectrum,
-    "frac": _standalone(run_frac),
-    "heat": _standalone(run_heat),
-    "extend": _standalone(run_extend),
-    "limit": run_limit,
-    "verify-all": run_verify_all,
+    "assemble": (run_assemble,),
+    "spectrum": (run_spectrum,),
+    "frac": (run_frac,),
+    "heat": (run_heat,),
+    "extend": (run_extend,),
+    "limit": (run_limit,),
+    "verify-all": (run_group, run_spectrum, run_frac, run_heat, run_extend, run_limit),
 }
 EXPERIMENT_KINDS = tuple(RUNNERS)
 
 
-def run(config: ExperimentConfig) -> RunReport:
-    report = RunReport(config=config)
+def run(config: ExperimentConfig) -> Run:
+    """Run and time each stage of the kind, then time the whole run under the kind's name."""
     out_dir = Path(config.out) / config.kind
     out_dir.mkdir(parents=True, exist_ok=True)
-    t0 = time.perf_counter()
-    RUNNERS[config.kind](config, report, out_dir)
-    report.wall_clock[config.kind] = time.perf_counter() - t0
-    write_results(report, out_dir)
-    return report
+    current = Run(config, out_dir)
+    start = time.perf_counter()
+    for stage in RUNNERS[config.kind]:
+        t0 = time.perf_counter()
+        stage(current)
+        current.wall_clock[stage.__name__.removeprefix("run_")] = time.perf_counter() - t0
+    current.wall_clock[config.kind] = time.perf_counter() - start
+    write_results(current)
+    return current
 
 
 # ---------------------------------------------------------------------------
@@ -722,13 +729,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
-        report = run(config)
+        finished = run(config_from_args(args))
     except SubfracError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(report_render(report))
-    return 0 if report.passed else 1
+    print(report_render(finished))
+    return 0 if finished.passed else 1
 
 
 if __name__ == "__main__":

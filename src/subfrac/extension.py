@@ -524,12 +524,19 @@ def _extrapolate_three(ts: Sequence[float], ws: Sequence[np.ndarray],
     Fits w(t) = sum_p c_p t^p over the first six powers of the small-t
     expansion, p in (0, 2-2s, 2, 4-2s, 4, 6-2s).  The derivative rows are
     multiplied by t and t is scaled by its largest value, which keeps the
-    system well conditioned and leaves c_0 unchanged.
+    system well conditioned and leaves c_0 unchanged.  Within a few 1e-16 of
+    s = 0 or 1, two columns coincide in double precision and the system is
+    singular; that raises AccuracyError.
     """
     p = np.array([0.0, 2.0 - 2.0 * s, 2.0, 4.0 - 2.0 * s, 4.0, 6.0 - 2.0 * s])
     powers = (np.asarray(ts) / max(ts))[:, None] ** p
     M = np.vstack([powers, p * powers])
-    weights = np.linalg.solve(M.T, np.eye(6)[0])
+    try:
+        weights = np.linalg.solve(M.T, np.eye(6)[0])
+    except np.linalg.LinAlgError as exc:
+        raise AccuracyError(f"the boundary-limit extrapolation at s={s} is singular: two of "
+                            f"its powers {p.tolist()} coincide in double precision",
+                            np.inf) from exc
     data = [*ws, *(t * dw for t, dw in zip(ts, dws))]
     return sum(wt * d for wt, d in zip(weights, data))
 

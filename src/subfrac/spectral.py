@@ -307,13 +307,9 @@ def spectral_decompose(op: DiscreteOperator) -> SpectralDecomposition:
     stable sort, and roundoff-negative ones clamp to 0.  eigen_probe checks
     the result against the operator.
     """
-    N = op.spec.n_nodes
-    if N > DENSE_LIMIT:
-        raise CapacityError(
-            f"grid has {N} nodes, over the dense eigendecomposition limit {DENSE_LIMIT}; "
-            "use a smaller grid"
-        )
+    check_dense_capacity(op.spec)
     _check_finite(op)
+    N = op.spec.n_nodes
     A = op.matrix
     perm = _grid_involution(op.spec)
     if abs(A[perm][:, perm] - A).sum(axis=1).max() > SPLIT_TOL * abs(A).max():
@@ -334,6 +330,16 @@ def spectral_decompose(op: DiscreteOperator) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=_clamped(w[order]), basis=U,
                                  blocks=tuple(Q for _, Q in pairs), positions=positions,
                                  spec=op.spec)
+
+
+def check_dense_capacity(spec: GridSpec) -> None:
+    """Raise CapacityError when spec has more nodes than the dense route takes."""
+    N = spec.n_nodes
+    if N > DENSE_LIMIT:
+        raise CapacityError(
+            f"grid has {N} nodes, over the dense eigendecomposition limit {DENSE_LIMIT}; "
+            "use a smaller grid"
+        )
 
 
 def _check_finite(op: DiscreteOperator) -> None:
@@ -429,7 +435,8 @@ class KrylovSpectrum:
         """
         if op.spec != self.spec:
             raise GridMismatchError("operator grid does not match the Krylov spectrum")
-        steps = _krylov_steps(op, steps)
+        steps = krylov_steps(op.spec, steps)
+        _check_finite(op)
         done = self.steps
         if self.exhaustive or steps <= done:
             return self
@@ -445,18 +452,17 @@ def krylov_step_cap(spec: GridSpec) -> int:
     return DENSE_LIMIT ** 2 // spec.n_nodes
 
 
-def _krylov_steps(op: DiscreteOperator, steps: int) -> int:
-    """min(steps, N), after the step and memory checks of a Krylov basis."""
+def krylov_steps(spec: GridSpec, steps: int) -> int:
+    """min(steps, N), after the step and memory checks of a Krylov basis on spec."""
     if steps < 1:
         raise ConfigError(f"a Krylov spectrum needs at least one step, got {steps}")
-    N = op.spec.n_nodes
+    N = spec.n_nodes
     steps = min(steps, N)
-    if steps > krylov_step_cap(op.spec):
+    if steps > krylov_step_cap(spec):
         raise CapacityError(
             f"{steps} Krylov steps on {N} nodes exceed the {DENSE_LIMIT}^2-double "
             "memory limit; use a smaller grid"
         )
-    _check_finite(op)
     return steps
 
 
@@ -532,7 +538,8 @@ def krylov_spectrum(op: DiscreteOperator, f: GridFunction, steps: int, *,
     """
     if f.spec != op.spec:
         raise GridMismatchError("start vector grid does not match the operator")
-    steps = _krylov_steps(op, steps)
+    steps = krylov_steps(op.spec, steps)
+    _check_finite(op)
     start = f.values.copy()
     norm = blas.dnrm2(start)
     if not 0.0 < norm < np.inf:

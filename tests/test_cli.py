@@ -28,6 +28,10 @@ from subfrac.cli import (
 from subfrac.errors import ConfigError
 
 
+# the kinds that diagonalize a Dirichlet grid by the dense eigh
+DENSE_KINDS = ("spectrum", "frac", "heat", "extend", "verify-all")
+
+
 def run_cli(argv):
     return main(argv)
 
@@ -130,6 +134,42 @@ def test_limit_fallback_is_reported(tmp_path, monkeypatch, capsys):
     assert not checks["boundary_limit_fallback_s=0.5"]["passed"]
     assert not report["passed"]
     assert "FAIL boundary_limit_fallback_s=0.5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("kind, s, code", [
+    ("limit", "1e-15", 0), ("limit", "1e-16", 2), ("limit", "1e-17", 2),
+    ("limit", "0.9999999999999999", 2), ("verify-all", "1e-300", 2)])
+def test_s_within_roundoff_of_zero_or_one_passes_or_exits_two(tmp_path, capsys, kind, s, code):
+    # two powers of the boundary limit's Hermite extrapolation coincide in
+    # double precision there; the run is refused with an error line, not a
+    # LinAlgError
+    assert run_cli([kind, "--mode", "euclidean_torus", "--n", "16", "--s", s,
+                    "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith(f"error: the boundary-limit extrapolation at s={float(s)} is singular")
+
+
+@pytest.mark.parametrize("argv", [
+    *([kind, "--mode", "heisenberg", "--n", "19"] for kind in DENSE_KINDS),
+    *([kind, "--mode", "euclidean_box", "--dims", "3", "--n", "19"] for kind in DENSE_KINDS),
+    ["limit", "--mode", "heisenberg", "--n", "107"],
+], ids=lambda argv: "-".join(x for x in argv if not x.startswith("--")))
+def test_grid_past_its_route_capacity_is_refused_before_assembly(tmp_path, capsys, monkeypatch,
+                                                                 argv):
+    # 19^3 = 6859 nodes are over DENSE_LIMIT; on 107^3 nodes the Krylov
+    # basis fits only 29 of its 32 starting steps
+    import subfrac.cli as cli
+
+    def assemble(*args):
+        raise AssertionError("assembled a grid past its route's capacity")
+
+    monkeypatch.setattr(cli, "assemble_operator", assemble)
+    assert run_cli([*argv, "--out", str(tmp_path)]) == 2
+    assert (("32 Krylov steps on 1225043 nodes exceed the 6000^2-double memory limit"
+             if argv[0] == "limit" else "over the dense eigendecomposition limit 6000")
+            in capsys.readouterr().err)
+    assert not (tmp_path / argv[0]).exists()
 
 
 def test_unknown_kind_is_rejected_before_any_output(tmp_path):
@@ -405,7 +445,7 @@ def test_verify_all_times_each_stage_in_provenance(tmp_path):
     # which stays bitwise the same
     argv = ["verify-all", "--mode", "euclidean_torus", "--n", "16", "--L", "10",
             "--seed", "3", "--out", None]
-    stages = ["extend", "frac", "heat", "limit", "spectrum"]
+    stages = ["extend", "frac", "group", "heat", "limit", "spectrum"]
     reports = []
     for sub in ("a", "b"):
         argv[-1] = str(tmp_path / sub)
@@ -581,13 +621,13 @@ def test_verify_all_builds_phi_once(tmp_path, monkeypatch):
     # frac, heat, extend and limit share the one seeded phi of the job
     import subfrac.cli as cli
 
-    build, specs = cli._phi, []
+    build, specs = cli.random_bump, []
 
-    def counted(config, spec):
+    def counted(spec, rng):
         specs.append(spec)
-        return build(config, spec)
+        return build(spec, rng)
 
-    monkeypatch.setattr(cli, "_phi", counted)
+    monkeypatch.setattr(cli, "random_bump", counted)
     code = run_cli(["verify-all", "--mode", "euclidean_torus", "--n", "16", "--L", "10",
                     "--out", str(tmp_path)])
     assert code == 0
