@@ -36,6 +36,7 @@ from .extension import (
     extension_constant,
     extension_constant_quadrature,
     extension_solve,
+    extrapolation_weights,
     path_agreement,
     pde_residual,
 )
@@ -204,10 +205,14 @@ class ExperimentConfig:
         object.__setattr__(self, "sweeps", tuple(
             ExtensionParams(s=s, t_values=self.t_values) for s in self.s_values
         ) if self.kind in EXTENSION_KINDS else ())
-        if self.kind in LIMIT_KINDS and len(self.t_values) < 3:
-            raise ConfigError(
-                f"{self.kind} needs at least 3 t values for the boundary limit, "
-                f"got {self.t_values}")
+        if self.kind in LIMIT_KINDS:
+            if len(self.t_values) < 3:
+                raise ConfigError(
+                    f"{self.kind} needs at least 3 t values for the boundary limit, "
+                    f"got {self.t_values}")
+            # an s whose extrapolation is singular raises AccuracyError
+            for params in self.sweeps:
+                extrapolation_weights(params.t_values[-3:], params.s)
         if self.kind == "frac":
             for s in self.s_values:
                 if s <= 0:
@@ -271,6 +276,10 @@ class Run:
     out_dir: Path
     checks: list = field(default_factory=list)
     wall_clock: dict = field(default_factory=dict)
+    # the Krylov route's BLAS threads and its reorthogonalized spectrum's
+    # Gram-Schmidt passes and steps; None off that route
+    krylov_threads: int | None = None
+    gram_schmidt: dict | None = None
 
     @property
     def spec(self) -> GridSpec:
@@ -363,10 +372,12 @@ def write_results(run: Run) -> None:
         "provenance": {
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
             "wall_clock_s": run.wall_clock,
-            # the BLAS threads of the run's dense eigh and applies; None
-            # when it made no dense decomposition
+            # the BLAS threads of the run's dense eigh and applies, and of
+            # its Krylov route; None when it took no such route
             "blas": {**blas_thread_api(),
-                     "dense_threads": getattr(vars(run).get("dec"), "blas_threads", None)},
+                     "dense_threads": getattr(vars(run).get("dec"), "blas_threads", None),
+                     "krylov_threads": run.krylov_threads},
+            "gram_schmidt": run.gram_schmidt,
         },
         "report": report_payload(run),
     }
@@ -524,6 +535,8 @@ def run_limit(run: Run) -> None:
         t0 = time.perf_counter()
         dec, gaps, profiles = _krylov_limit_spectrum(run.op, phi, sweeps)
         run.wall_clock["limit_krylov_doubling"] = time.perf_counter() - t0
+        run.krylov_threads = dec.blas_threads
+        run.gram_schmidt = {"passes": dec.passes, "steps": dec.steps}
         run.add_upper("krylov_orthogonality", dec.orthogonality(), 1e-12)
     else:
         dec, profiles = run.dec, run.profiles

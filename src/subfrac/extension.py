@@ -517,28 +517,34 @@ class BoundaryLimitResult:
     used_fallback: bool
 
 
-def _extrapolate_three(ts: Sequence[float], ws: Sequence[np.ndarray],
-                       dws: Sequence[np.ndarray], s: float) -> np.ndarray:
-    """w(0) from values w and t-derivatives dw at three points (Hermite).
+def extrapolation_weights(ts: Sequence[float], s: float) -> np.ndarray:
+    """The weights that take w(0) from values and t-derivatives at three points (Hermite).
 
     Fits w(t) = sum_p c_p t^p over the first six powers of the small-t
-    expansion, p in (0, 2-2s, 2, 4-2s, 4, 6-2s).  The derivative rows are
-    multiplied by t and t is scaled by its largest value, which keeps the
-    system well conditioned and leaves c_0 unchanged.  Within a few 1e-16 of
-    s = 0 or 1, two columns coincide in double precision and the system is
-    singular; that raises AccuracyError.
+    expansion, p in (0, 2-2s, 2, 4-2s, 4, 6-2s), and returns the six
+    weights of c_0 = w(0): three on the values, three on t times the
+    derivatives.  The derivative rows are multiplied by t and t is scaled by
+    its largest value, which keeps the system well conditioned and leaves
+    c_0 unchanged.  Within a few 1e-16 of s = 0 or 1, two columns coincide
+    in double precision and the system is singular; that raises
+    AccuracyError.
     """
     p = np.array([0.0, 2.0 - 2.0 * s, 2.0, 4.0 - 2.0 * s, 4.0, 6.0 - 2.0 * s])
     powers = (np.asarray(ts) / max(ts))[:, None] ** p
     M = np.vstack([powers, p * powers])
     try:
-        weights = np.linalg.solve(M.T, np.eye(6)[0])
+        return np.linalg.solve(M.T, np.eye(6)[0])
     except np.linalg.LinAlgError as exc:
         raise AccuracyError(f"the boundary-limit extrapolation at s={s} is singular: two of "
                             f"its powers {p.tolist()} coincide in double precision",
                             np.inf) from exc
+
+
+def _extrapolate_three(ts: Sequence[float], ws: Sequence[np.ndarray],
+                       dws: Sequence[np.ndarray], s: float) -> np.ndarray:
+    """w(0) from values w and t-derivatives dw at three points, by extrapolation_weights."""
     data = [*ws, *(t * dw for t, dw in zip(ts, dws))]
-    return sum(wt * d for wt, d in zip(weights, data))
+    return sum(wt * d for wt, d in zip(extrapolation_weights(ts, s), data))
 
 
 def boundary_limit(dec: Spectrum, profile: ExtensionProfile,

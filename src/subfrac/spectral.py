@@ -60,6 +60,14 @@ _THREAD_SYMBOLS = tuple((f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_t
 # invariant Krylov subspace, on which the Ritz spectrum is exact
 KRYLOV_BREAKDOWN = 1e-12
 
+# partial reorthogonalization (Simon, Math. Comp. 42, 1984, 115-142; Larsen's
+# PROPACK): a reorthogonalized Lanczos step makes its Gram-Schmidt pass only
+# when the estimated overlap of the new basis row with an older one exceeds
+# PRO_ETA, and once more on the step after.  On heis15 (seed 7) 91 of 256
+# steps make one, and max|V V^T - I| reads 1.8e-15 (0.9e-15 with a pass on
+# every step).
+PRO_ETA = 1e-13
+
 
 class Spectrum(Protocol):
     """A diagonalization of a positive self-adjoint operator on `spec`.
@@ -110,14 +118,14 @@ def _thread_api() -> _ThreadAPI | None:
 
 def blas_thread_api() -> dict:
     """The thread-count setter found in scipy's BLAS and the count in effect outside
-    the dense route, both None when there is no such setter."""
+    the one-thread scopes, both None when there is no such setter."""
     api = _thread_api()
     return {"api": api and api.name, "default_threads": api and api.get()}
 
 
 @contextmanager
-def _dense_threads(order: int):
-    """Run scipy's BLAS on one thread inside the block when order < SERIAL_ORDER.
+def _serial_blas(serial: bool):
+    """Run scipy's BLAS on one thread inside the block when `serial` holds.
 
     Yields the thread count in effect inside (None without a thread API);
     the count before is restored on the way out, an exception included.
@@ -125,7 +133,7 @@ def _dense_threads(order: int):
     restore each other's counts.
     """
     api = _thread_api()
-    if api is None or order >= SERIAL_ORDER:
+    if api is None or not serial:
         yield api and api.get()
         return
     previous = api.get()
@@ -242,7 +250,7 @@ class SpectralDecomposition:
         v = np.atleast_2d(values)[:, self.positions]
         g = self.fold @ f.values
         parts = []
-        with _dense_threads(self.order):
+        with _serial_blas(self.order < SERIAL_ORDER):
             for Q, cols in self._columns():
                 c = blas.dgemv(1.0, Q, g[cols], trans=1)
                 if len(v) == 1:
@@ -319,7 +327,7 @@ def spectral_decompose(op: DiscreteOperator) -> SpectralDecomposition:
     ends = np.cumsum(sizes)
     # Fortran order lets LAPACK overwrite each densified block in place; a
     # C-ordered array would cost scipy a hidden copy
-    with _dense_threads(max(sizes)):
+    with _serial_blas(max(sizes) < SERIAL_ORDER):
         pairs = [scipy.linalg.eigh(B[a:b, a:b].toarray(order="F"), driver="evd",
                                    overwrite_a=True, check_finite=False)
                  for a, b in zip(ends - sizes, ends)]
@@ -372,11 +380,14 @@ class KrylovSpectrum:
     (the eigenvalues, ascending) and the columns of Y are its eigenpairs.
     A `Spectrum` for f alone: apply_values raises EvaluationError for any
     other vector.  `reorthogonalize` records how the basis was built (see
-    krylov_spectrum).  `exhaustive` marks a basis that spans an invariant
-    subspace containing f, where the result is exact: a breakdown, or N
+    krylov_spectrum), and `passes` how many of its steps made a Gram-Schmidt
+    pass.  `exhaustive` marks a basis that spans an invariant subspace
+    containing f, where the result is exact: a breakdown, or N
     reorthogonalized steps.  `residual` (the A v of the last step, less its
-    projection on the basis) and `scale` (the largest ||A v|| seen) let
-    `extended` continue the recurrence.
+    projection on the basis), `scale` (the largest ||A v|| seen, the ||T||
+    of the estimate), `omega` (the estimate's last two rows) and `pending`
+    (whether the next step makes a pass) let `extended` continue the
+    recurrence.
     """
 
     spec: GridSpec
@@ -388,22 +399,35 @@ class KrylovSpectrum:
     start: np.ndarray = field(repr=False)
     exhaustive: bool
     reorthogonalize: bool
+    passes: int
     residual: np.ndarray = field(repr=False)
     scale: float
+    omega: np.ndarray = field(repr=False)
+    pending: bool
 
     @property
     def steps(self) -> int:
         return self.eigenvalues.size
 
+    @property
+    def blas_threads(self) -> int | None:
+        """The thread count of scipy's BLAS in this spectrum's steps and applies.
+
+        One, the whole Krylov route's count; None when scipy's BLAS has no
+        thread API.
+        """
+        return _thread_api() and 1
+
+    @_serial_blas(True)
     def apply_values(self, values: np.ndarray,
                      f: GridFunction) -> GridFunction | list[GridFunction]:
         """Apply diag(values) over the Ritz values: ||f|| V^T Y (values * Y[0]).
 
         f and values are checked once per call.  Each row then takes two
-        dgemv calls in scipy's BLAS, the one pool the Lanczos steps and the
-        dense route use (see SpectralDecomposition.apply_values): one on Y
-        and one on V^T, the transpose of the C-ordered basis, which is
-        Fortran-ordered and so goes to BLAS without a copy.  The rows of a
+        dgemv calls in scipy's BLAS on one thread, the pool the Lanczos
+        steps and the dense route use (see SpectralDecomposition.apply_values):
+        one on Y and one on V^T, the transpose of the C-ordered basis, which
+        is Fortran-ordered and so goes to BLAS without a copy.  The rows of a
         2-D values are applied one at a time, each bitwise its 1-D apply: as
         one (rows x k)(k x N) gemm, OpenBLAS threads the small product and
         keeps a second thread's buffer resident, which saves a few
@@ -419,32 +443,30 @@ class KrylovSpectrum:
                        [blas.dgemv(1.0, self.basis.T, blas.dgemv(norm, Y, row * first))
                         for row in np.atleast_2d(values)])
 
+    @_serial_blas(True)
     def orthogonality(self) -> float:
         """max |V V^T - I|: how far the Lanczos basis is from orthonormal."""
         # the upper triangle of V V^T, from the Fortran-ordered V^T without a copy
         gram = np.triu(blas.dsyrk(1.0, self.basis.T, trans=1))
         return float(np.abs(gram - np.eye(self.steps)).max())
 
+    @_serial_blas(True)
     def extended(self, op: DiscreteOperator, steps: int) -> "KrylovSpectrum":
         """This spectrum continued to min(steps, N) Lanczos steps on op.
 
         The steps already taken are kept, not recomputed, and the new ones
-        are taken in the same mode, so the result is bitwise the one
-        krylov_spectrum(op, f, steps, reorthogonalize=...) gives.  An exhaustive
-        spectrum, or one already `steps` long, is returned as it is.
+        are taken in the same mode from the carried recurrence state, so the
+        result is bitwise the one krylov_spectrum(op, f, steps,
+        reorthogonalize=...) gives.  An exhaustive spectrum, or one already
+        `steps` long, is returned as it is.
         """
         if op.spec != self.spec:
             raise GridMismatchError("operator grid does not match the Krylov spectrum")
         steps = krylov_steps(op.spec, steps)
         _check_finite(op)
-        done = self.steps
-        if self.exhaustive or steps <= done:
+        if self.exhaustive or steps <= self.steps:
             return self
-        V = np.empty((steps, self.basis.shape[1]))
-        alpha, beta = np.empty(steps), np.empty(steps - 1)
-        V[:done], alpha[:done], beta[:done - 1] = self.basis, self.alpha, self.beta
-        return _lanczos(op, V, alpha, beta, self.start, done, self.residual, self.scale,
-                        self.reorthogonalize)
+        return _lanczos(op, self.start, steps, self.reorthogonalize, self)
 
 
 def krylov_step_cap(spec: GridSpec) -> int:
@@ -466,22 +488,59 @@ def krylov_steps(spec: GridSpec, steps: int) -> int:
     return steps
 
 
-def _lanczos(op: DiscreteOperator, V: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
-             start: np.ndarray, done: int, w: np.ndarray | None, scale: float,
-             reorthogonalize: bool) -> KrylovSpectrum:
-    """Lanczos steps done .. len(V) - 1, filling V, alpha and beta in place; their Ritz spectrum.
+def _overlap_estimate(omega: np.ndarray, alpha: np.ndarray, beta: np.ndarray,
+                      j: int, a: float, b: float, norm: float) -> np.ndarray:
+    """Simon's estimate of v_{j+1} . v_k for k = 0 .. j + 1, from step j's alpha a and beta b.
 
-    The first `done` rows of V and entries of alpha (done - 1 of beta) are
-    already filled, and w is the residual of step done - 1 (None when
-    done = 0, with V[0] the normalized start vector).  A breakdown at step
-    j cuts V, alpha and beta to j steps and marks the spectrum exhaustive.
-    Every vector operation is a level-1 or level-2 call in scipy's BLAS that
-    updates w in place, so a step allocates only the product A V[j]; the
-    Gram-Schmidt pass hands V[:j+1]^T, Fortran-ordered, to dgemv without a
-    copy.
+    omega[1] holds the estimate of v_j . v_k (k <= j) and omega[0] that of
+    v_{j-1} . v_k (k < j); alpha[:j] and beta[:j] are filled.  Each k < j
+    follows
+      b w_{j+1,k} = beta_k w_{j,k+1} + (alpha_k - a) w_{j,k}
+                    + beta_{k-1} w_{j,k-1} - beta_{j-1} w_{j-1,k} + 3 eps (beta_k + b),
+    the roundoff term taking the sign of the rest; w_{j+1,j} = eps ||T|| / b,
+    with norm for ||T||, and w_{j+1,j+1} = 1.
+    """
+    eps = np.finfo(float).eps
+    row = np.empty(j + 2)
+    row[j], row[j + 1] = eps * norm / b, 1.0
+    if j > 0:
+        current, previous = omega[1], omega[0]
+        t = beta[:j] * current[1:j + 1]
+        t += (alpha[:j] - a) * current[:j]
+        t[1:] += beta[:j - 1] * current[:j - 1]
+        t -= beta[j - 1] * previous[:j]
+        t += np.copysign(3.0 * eps * (beta[:j] + b), t)
+        np.divide(t, b, out=row[:j])
+    return row
+
+
+def _lanczos(op: DiscreteOperator, start: np.ndarray, steps: int, reorthogonalize: bool,
+             prior: KrylovSpectrum | None = None) -> KrylovSpectrum:
+    """The Ritz spectrum of start after `steps` Lanczos steps, continuing `prior` when given.
+
+    prior's basis, alpha and beta are copied into the new arrays, and the
+    loop resumes from its residual and recurrence state.  A breakdown at
+    step j cuts V, alpha and beta to j steps and marks the spectrum
+    exhaustive.  Every vector operation is a level-1 or level-2 call in
+    scipy's BLAS, on the one thread its callers set, that updates w in
+    place, so a step allocates only the product A V[j] and O(j) for the
+    estimate; the Gram-Schmidt pass hands V[:j+1]^T, Fortran-ordered, to
+    dgemv without a copy.
     """
     A = op.matrix
-    steps = V.shape[0]
+    V = np.empty((steps, op.spec.n_nodes))
+    alpha, beta = np.empty(steps), np.empty(steps - 1)
+    # rows 0 and 1: the overlap estimates of the last two basis rows
+    omega = np.zeros((2, steps + 1))
+    if prior is None:
+        done, w, scale, pending, passes = 0, None, 0.0, False, 0
+        np.divide(start, blas.dnrm2(start), out=V[0])
+        omega[1, 0] = 1.0
+    else:
+        done = prior.steps
+        V[:done], alpha[:done], beta[:done - 1] = prior.basis, prior.alpha, prior.beta
+        omega[:, :done + 1] = prior.omega
+        w, scale, pending, passes = prior.residual, prior.scale, prior.pending, prior.passes
     # without orthogonality, N steps need not span the whole space
     exhaustive = reorthogonalize and steps == op.spec.n_nodes
     for j in range(done, steps):
@@ -494,33 +553,45 @@ def _lanczos(op: DiscreteOperator, V: np.ndarray, alpha: np.ndarray, beta: np.nd
         w = A @ V[j]
         scale = max(scale, blas.dnrm2(w))
         # the three-term recurrence, O(N), then (reorthogonalized) one
-        # classical Gram-Schmidt pass over the whole basis to remove what
-        # roundoff left of it
+        # classical Gram-Schmidt pass over the whole basis, O(j N), on
+        # the steps where the estimate says roundoff has built up
         if j > 0:
             w = blas.daxpy(V[j - 1], w, a=-beta[j - 1])
         a = blas.ddot(V[j], w)
         w = blas.daxpy(V[j], w, a=-a)
-        if reorthogonalize:
-            basis = V[:j + 1].T
-            h = blas.dgemv(1.0, basis, w, trans=1)
-            w = blas.dgemv(-1.0, basis, h, beta=1.0, y=w, overwrite_y=1)
-            a += h[j]
+        # a residual norm b at the breakdown level ends the loop on the next step
+        if reorthogonalize and (b := blas.dnrm2(w)) > KRYLOV_BREAKDOWN * scale:
+            row = _overlap_estimate(omega, alpha, beta, j, a, b, scale)
+            if pending or (j > 0 and np.abs(row[:j]).max() > PRO_ETA):
+                basis = V[:j + 1].T
+                h = blas.dgemv(1.0, basis, w, trans=1)
+                w = blas.dgemv(-1.0, basis, h, beta=1.0, y=w, overwrite_y=1)
+                a += h[j]
+                row[:j] = np.finfo(float).eps
+                pending, passes = not pending, passes + 1
+            omega[0, :j + 1] = omega[1, :j + 1]
+            omega[1, :j + 2] = row
         alpha[j] = a
     theta, Y = scipy.linalg.eigh_tridiagonal(alpha, beta)
     return KrylovSpectrum(spec=op.spec, eigenvalues=_clamped(theta), ritz_vectors=Y, basis=V,
                           alpha=alpha, beta=beta, start=start, exhaustive=exhaustive,
-                          reorthogonalize=reorthogonalize, residual=w, scale=scale)
+                          reorthogonalize=reorthogonalize, passes=passes, residual=w,
+                          scale=scale, omega=omega, pending=pending)
 
 
+@_serial_blas(True)
 def krylov_spectrum(op: DiscreteOperator, f: GridFunction, steps: int, *,
                     reorthogonalize: bool = True) -> KrylovSpectrum:
     """Ritz spectrum of f after min(steps, N) Lanczos steps on the assembled operator.
 
-    With `reorthogonalize` (full reorthogonalization), each step takes the
-    three-term recurrence and then one classical Gram-Schmidt pass against
-    the whole basis, so the basis stays orthonormal to roundoff, and N steps
-    give the exact spectrum.  Without it, step j takes the plain three-term
-    recurrence alone, O(N) vector work instead of O(j N): the basis loses
+    With `reorthogonalize` (partial reorthogonalization), each step takes
+    the three-term recurrence, and Simon's O(j) recurrence estimates the
+    overlap of the new basis row with each older one: when an estimate
+    exceeds PRO_ETA, that step and the next make one classical Gram-Schmidt
+    pass against the whole basis, which resets the estimates to eps.  The
+    basis stays orthonormal to a few eps, and N steps give the exact
+    spectrum.  Without it, step j takes the plain three-term recurrence
+    alone, O(N) vector work instead of O(j N): the basis loses
     orthogonality once Ritz values converge, but the Ritz approximation of
     m(J) f stays close to the best polynomial one (Musco, Musco and Sidford,
     SODA 2018), and only a breakdown makes it exact.  Either way the
@@ -528,13 +599,15 @@ def krylov_spectrum(op: DiscreteOperator, f: GridFunction, steps: int, *,
     applies its rows one at a time (a batched gemm keeps a second OpenBLAS
     thread's buffer resident).  Every vector product runs in scipy's BLAS,
     the one pool of scipy's eigh_tridiagonal and of the dense route, so
-    numpy's OpenBLAS pool is never woken to contend with it.  The basis is
-    a C-ordered steps x N array whose transpose reaches BLAS as a Fortran
-    array, without a copy.  It holds steps x N doubles, and a request above
-    DENSE_LIMIT^2 of them, the memory of the dense route at its limit,
-    raises CapacityError.  The ceiling bounds one basis; a doubling by
-    `extended` briefly holds the old half-length basis beside the new one,
-    1.5 bases in all.
+    numpy's OpenBLAS pool is never woken to contend with it; the steps, the
+    tridiagonal eigh, the applies and `orthogonality` run it on one thread,
+    so their results do not depend on the thread count the process started
+    with.  The basis is a C-ordered steps x N array whose transpose reaches
+    BLAS as a Fortran array, without a copy.  It holds steps x N doubles,
+    and a request above DENSE_LIMIT^2 of them, the memory of the dense route
+    at its limit, raises CapacityError.  The ceiling bounds one basis; a
+    doubling by `extended` briefly holds the old half-length basis beside
+    the new one, 1.5 bases in all.
     """
     if f.spec != op.spec:
         raise GridMismatchError("start vector grid does not match the operator")
@@ -544,10 +617,7 @@ def krylov_spectrum(op: DiscreteOperator, f: GridFunction, steps: int, *,
     norm = blas.dnrm2(start)
     if not 0.0 < norm < np.inf:
         raise ConfigError(f"Krylov start vector must be finite and nonzero, norm {norm}")
-    V = np.empty((steps, op.spec.n_nodes))
-    np.divide(start, norm, out=V[0])
-    return _lanczos(op, V, np.empty(steps), np.empty(steps - 1), start, 0, None, 0.0,
-                    reorthogonalize)
+    return _lanczos(op, start, steps, reorthogonalize)
 
 
 def eigen_probe(op: DiscreteOperator, dec: Spectrum) -> tuple[float, float]:

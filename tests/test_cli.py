@@ -141,13 +141,14 @@ def test_limit_fallback_is_reported(tmp_path, monkeypatch, capsys):
     ("limit", "0.9999999999999999", 2), ("verify-all", "1e-300", 2)])
 def test_s_within_roundoff_of_zero_or_one_passes_or_exits_two(tmp_path, capsys, kind, s, code):
     # two powers of the boundary limit's Hermite extrapolation coincide in
-    # double precision there; the run is refused with an error line, not a
-    # LinAlgError
+    # double precision there; the config refuses the run with an error line,
+    # not a LinAlgError, before any stage writes a file
     assert run_cli([kind, "--mode", "euclidean_torus", "--n", "16", "--s", s,
                     "--out", str(tmp_path)]) == code
     err = capsys.readouterr().err
     if code == 2:
         assert err.startswith(f"error: the boundary-limit extrapolation at s={float(s)} is singular")
+    assert (tmp_path / kind).exists() is (code == 0)
 
 
 @pytest.mark.parametrize("argv", [
@@ -467,11 +468,22 @@ def test_provenance_records_the_blas_threads_of_the_dense_route(tmp_path, argv, 
     assert run_cli([*argv, "--out", str(tmp_path)]) == 0
     payload = json.loads((tmp_path / argv[0] / "results.json").read_text())
     found = spectral.blas_thread_api()
-    # a dense route below SERIAL_ORDER runs on one thread; the Krylov and
-    # FFT routes run none
-    threads = 1 if dense and found["api"] else None
-    assert payload["provenance"]["blas"] == {**found, "dense_threads": threads}
-    assert "blas" not in json.dumps(payload["report"])
+    # a dense route below SERIAL_ORDER runs on one thread, and so does the
+    # Krylov route; the FFT route runs neither
+    krylov = argv[0] == "limit"
+    one = 1 if found["api"] else None
+    assert payload["provenance"]["blas"] == {**found, "dense_threads": one if dense else None,
+                                             "krylov_threads": one if krylov else None}
+    # the Gram-Schmidt passes of the Krylov route's reorthogonalized spectrum
+    gram_schmidt = payload["provenance"]["gram_schmidt"]
+    if krylov:
+        steps = {c["name"]: c for c in payload["report"]["checks"]}["krylov_steps_s=0.5"]
+        assert gram_schmidt["steps"] == steps["achieved"]
+        assert 0 < gram_schmidt["passes"] <= gram_schmidt["steps"]
+    else:
+        assert gram_schmidt is None
+    report = json.dumps(payload["report"])
+    assert "blas" not in report and "gram_schmidt" not in report and "passes" not in report
 
 
 @pytest.mark.skipif(spectral.blas_thread_api()["api"] is None,

@@ -348,14 +348,15 @@ def test_krylov_extended_is_the_longer_run(heis9, rng):
 def test_krylov_stays_orthogonal_on_a_clustered_spectrum():
     # the 48^2 torus has 2304 eigenvalues but only 305 distinct ones, so the
     # Ritz values converge early and the three-term recurrence alone would
-    # lose orthogonality; the one full Gram-Schmidt pass per step keeps it
+    # lose orthogonality; the Gram-Schmidt passes keep it, though not every
+    # step makes one
     spec = GridSpec(48, 10.0, 2, "euclidean_torus")
     op = assemble_operator("euclid", spec)
     phi = GridFunction(spec, np.random.default_rng(0).standard_normal(spec.n_nodes))
     kry = krylov_spectrum(op, phi, 1024)
-    assert kry.steps == 1024
+    assert kry.steps == 1024 and 0 < kry.passes < kry.steps
     V = kry.basis
-    assert np.abs(V @ V.T - np.eye(kry.steps)).max() <= 1e-12
+    assert np.abs(V @ V.T - np.eye(kry.steps)).max() <= 1e-14
 
 
 def test_krylov_foreign_vector_is_evaluation_error(heis9, rng):
@@ -553,20 +554,22 @@ def test_dense_apply_makes_no_copy_of_the_eigenbasis(heis9, rng, order):
 
 
 def test_krylov_route_runs_in_scipy_blas(heis9, rng, monkeypatch):
-    # a reorthogonalized step makes two dgemv calls (h = V w, then w -= V^T h),
-    # a plain step none, and each applied row two (on Y, then on V^T)
+    # a Gram-Schmidt pass makes two dgemv calls (h = V w, then w -= V^T h),
+    # and only a reorthogonalized step may make one: a plain step makes
+    # none; each applied row makes two (on Y, then on V^T)
     import subfrac.spectral as spectral
 
     op, _ = heis9
     f = grid_fn(op.spec, rng)
     blas = BlasRecorder()
     monkeypatch.setattr(spectral, "blas", blas)
-    for mode, per_step in ((True, 2), (False, 0)):
+    for mode in (True, False):
         del blas.calls[:]
         kry = krylov_spectrum(op, f, 16, reorthogonalize=mode)
-        assert blas.calls.count("dgemv") == 16 * per_step, mode
+        assert blas.calls.count("dgemv") == 2 * kry.passes, mode
         kry = kry.extended(op, 24)
-        assert blas.calls.count("dgemv") == 24 * per_step, mode
+        assert blas.calls.count("dgemv") == 2 * kry.passes, mode
+        assert kry.passes <= kry.steps and (kry.passes > 0) is mode
         Y, V = kry.ritz_vectors, kry.basis
         rows = np.array([kry.eigenvalues, np.exp(-kry.eigenvalues), np.ones(kry.steps)])
         del blas.calls[:]
@@ -578,6 +581,18 @@ def test_krylov_route_runs_in_scipy_blas(heis9, rng, monkeypatch):
         for row, got in zip(rows, batch):
             want = np.linalg.norm(f.values) * (V.T @ (Y @ (row * Y[0])))
             assert np.linalg.norm(got.values - want) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_krylov_passes_only_where_orthogonality_is_lost():
+    # partial reorthogonalization skips the Gram-Schmidt pass on the steps
+    # where Simon's estimate stays under PRO_ETA, yet keeps the basis
+    # orthonormal to a few eps; heis15-limit's grid and doubling length
+    spec = GridSpec(15, 4.0, 3, "heisenberg")
+    op = assemble_operator("j1", spec)
+    kry = krylov_spectrum(op, random_bump(spec, np.random.default_rng(7)), 256)
+    assert kry.steps == 256 and 0 < kry.passes < kry.steps
+    V = kry.basis
+    assert np.abs(V @ V.T - np.eye(kry.steps)).max() <= 1e-14
 
 
 def test_krylov_extension_allocates_only_the_new_basis(heis9, rng):
@@ -903,7 +918,7 @@ def two_threads():
 
 
 def _threads_seen(monkeypatch, api):
-    """Record the thread count at every eigh and dense-route BLAS call."""
+    """Record the thread count at every eigh, eigh_tridiagonal and spectral.py BLAS call."""
     import subfrac.spectral as spectral
 
     seen = []
@@ -920,6 +935,7 @@ def _threads_seen(monkeypatch, api):
             return counted(getattr(scipy.linalg.blas, name))
 
     monkeypatch.setattr(scipy.linalg, "eigh", counted(eigh))
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counted(scipy.linalg.eigh_tridiagonal))
     monkeypatch.setattr(spectral, "blas", Blas())
     return seen
 
@@ -957,18 +973,50 @@ def test_dense_route_at_the_cut_keeps_the_thread_count(heis9, rng, monkeypatch, 
 
 
 @needs_thread_api
+def test_krylov_route_runs_on_one_thread(heis9, rng, monkeypatch, two_threads):
+    # in either mode the Lanczos steps, the tridiagonal eigh, the applies and
+    # the orthogonality check run on one thread whatever the count outside,
+    # and the count comes back after each, an exception included
+    import subfrac.spectral as spectral
+
+    op, _ = heis9
+    f = grid_fn(op.spec, rng)
+    seen = _threads_seen(monkeypatch, two_threads)
+    for mode in (True, False):
+        kry = krylov_spectrum(op, f, 16, reorthogonalize=mode).extended(op, 32)
+        assert two_threads.get() == 2
+        kry.apply_values(kry.eigenvalues, f)
+        kry.apply_values(np.array([kry.eigenvalues, np.ones(kry.steps)]), f)
+        assert two_threads.get() == 2
+        kry.orthogonality()
+        assert two_threads.get() == 2 and kry.blas_threads == 1
+    # 2 x (32 steps of at least 3 calls, 2 eigh_tridiagonal calls, 6 apply dgemv, a dsyrk)
+    assert len(seen) > 2 * (3 * 32 + 2 + 6 + 1) and set(seen) == {1}
+
+    def failing(*args, **kwargs):
+        assert two_threads.get() == 1
+        raise RuntimeError("inside")
+
+    monkeypatch.setattr(spectral, "blas", type("Failing", (), {"dgemv": staticmethod(failing),
+                                                             "dnrm2": scipy.linalg.blas.dnrm2})())
+    with pytest.raises(RuntimeError, match="inside"):
+        kry.apply_values(kry.eigenvalues, f)
+    assert two_threads.get() == 2
+
+
+@needs_thread_api
 def test_thread_count_comes_back_after_the_scope_and_after_an_exception(two_threads):
     import subfrac.spectral as spectral
 
-    with spectral._dense_threads(1) as threads:
+    with spectral._serial_blas(True) as threads:
         assert threads == 1 and two_threads.get() == 1
     assert two_threads.get() == 2
     with pytest.raises(RuntimeError, match="inside"):
-        with spectral._dense_threads(1):
+        with spectral._serial_blas(True):
             assert two_threads.get() == 1
             raise RuntimeError("inside")
     assert two_threads.get() == 2
-    with spectral._dense_threads(spectral.SERIAL_ORDER) as threads:
+    with spectral._serial_blas(False) as threads:
         assert threads == 2 and two_threads.get() == 2
 
 
@@ -983,7 +1031,7 @@ def test_without_a_thread_api_the_scope_does_nothing(heis9, rng, monkeypatch, tw
     try:
         assert spectral._thread_api() is None
         assert spectral.blas_thread_api() == {"api": None, "default_threads": None}
-        with spectral._dense_threads(1) as threads:
+        with spectral._serial_blas(True) as threads:
             assert threads is None and two_threads.get() == 2
         op, want = heis9
         dec = _decompose_and_apply(op, rng)
