@@ -65,7 +65,7 @@ from .extension import (
     scalar_ode_residual,
     subordination_integral,
 )
-from .fourier import FourierDiagonal, fourier_decompose
+from .fourier import fourier_decompose
 from .estimates import (
     DecayFit,
     GaussianBoundResult,

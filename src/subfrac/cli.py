@@ -173,7 +173,9 @@ class ExperimentConfig:
     spec: GridSpec = field(init=False, repr=False, compare=False)
     # the ExtensionParams of each s on the extension kinds, empty on the others
     sweeps: tuple = field(init=False, repr=False, compare=False)
-    # whether the run takes the Krylov route: a `limit` on a Dirichlet grid
+    # the route of every kind but assemble: the euclid operator's transform
+    # (`fourier`); for j1 and j3, Lanczos on `limit` (`krylov`), else the dense eigh
+    fourier: bool = field(init=False, repr=False, compare=False)
     krylov: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -228,13 +230,12 @@ class ExperimentConfig:
                     raise ConfigError(f"heat semigroup needs t >= 0, got {t}")
                 if t == 0 and self.spec.periodic:
                     raise ConfigError(f"the torus kernel column needs t > 0, got {t}")
-        object.__setattr__(self, "krylov", self.kind == "limit" and not self.spec.periodic)
-        # a grid past its route's capacity is refused before it is assembled;
-        # every other kind but assemble takes the FFT on a torus, the dense eigh
-        # on a Dirichlet grid
+        object.__setattr__(self, "fourier", self.op == "euclid")
+        object.__setattr__(self, "krylov", self.kind == "limit" and not self.fourier)
+        # a grid past its route's capacity is refused before it is assembled
         if self.krylov:
             krylov_steps(self.spec, KRYLOV_START)
-        elif self.kind != "assemble" and not self.spec.periodic:
+        elif self.kind != "assemble" and not self.fourier:
             check_dense_capacity(self.spec)
         if self.kind == "verify-all" and self.mode == "heisenberg":
             # the commutator check reads the nodes two steps inside every
@@ -309,13 +310,13 @@ class Run:
 
     @functools.cached_property
     def dec(self):
-        """Diagonalize the operator: the FFT on a torus, the dense eigh otherwise.
+        """Diagonalize the operator: its transform when it is euclid, the dense eigh otherwise.
 
         Either way, spectrum.csv records the eigenvalues and the probes check
         the result against the assembled matrix.
         """
         op = self.op
-        dec = fourier_decompose(op) if self.spec.periodic else spectral_decompose(op)
+        dec = fourier_decompose(op) if self.config.fourier else spectral_decompose(op)
         export_spectrum_csv(dec, self.out_dir / "spectrum.csv")
         self.add_upper("min_eigenvalue_negativity", max(-dec.eigenvalues.min(), 0.0), 0.0)
         orthogonality, residual = eigen_probe(op, dec)
@@ -519,9 +520,9 @@ def _krylov_limit_spectrum(op, phi: GridFunction, sweeps: list):
 def run_limit(run: Run) -> None:
     """The boundary limit of each s.
 
-    A `limit` run on a Dirichlet grid (lambda_min > 0) takes the Krylov
-    route; a torus, whose zero mode the Ritz values resolve slowly, and
-    verify-all read the run's diagonalization and extension profiles.
+    A `limit` of a Heisenberg operator takes the Krylov route; the euclid
+    operator, which its transform diagonalizes in O(N log N), and verify-all
+    read the run's diagonalization and extension profiles.
 
     On the Krylov route the sparse identity checks J^{-s}(A phi) = J^{1-s} phi
     for each s, with A the assembled matrix: J^{1-s} phi comes from the

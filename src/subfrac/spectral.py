@@ -1,13 +1,13 @@
 """Dense and Krylov diagonalizations and the spectral functional calculus m(J).
 
-A multiplier m acts as m(J) = Q diag(m(lambda)) Q^T.  Everything here other
+A multiplier m acts as m(J) = W diag(m(lambda)) W*.  Everything here other
 than the decompositions themselves goes through the three members of
 `Spectrum`, so fractional powers, the heat semigroup and heat-kernel columns
-run unchanged on the dense eigenbasis (`SpectralDecomposition`), on the FFT
-diagonalization of the torus (`fourier.FourierDiagonal`) and on the Ritz
-spectrum of one vector (`KrylovSpectrum`), which gives m(J) f for that vector
-alone without forming the eigenbasis (Higham, Functions of Matrices, SIAM 2008, ch. 13; Musco,
-Musco and Sidford, SODA 2018).
+run unchanged on a full diagonalization (`SpectralDecomposition`: a
+transform, then blocks; the dense eigh here, the FFT and DST in `fourier`)
+and on the Ritz spectrum of one vector (`KrylovSpectrum`), which gives m(J) f
+for that vector alone without forming the eigenbasis (Higham, Functions of
+Matrices, SIAM 2008, ch. 13; Musco, Musco and Sidford, SODA 2018).
 """
 
 from __future__ import annotations
@@ -174,28 +174,28 @@ def _fields(spec: GridSpec, values: np.ndarray, rows) -> GridFunction | list[Gri
 
 @dataclass
 class SpectralDecomposition:
-    """Ascending eigenvalues >= 0 of an operator and its eigenbasis, by blocks.
+    """Eigenvalues >= 0 of an operator and its eigenbasis W diag(Q_1, Q_2, ...).
 
-    The eigenbasis is U diag(Q_1, Q_2, ...) with its columns permuted to
-    the order of the eigenvalues: `basis` (U) is a sparse orthogonal N x N
-    matrix with at most two nonzeros per column (see _fold_basis), `blocks`
-    holds each Q_b, the eigenbasis of one diagonal block of U^T A U, and
-    `positions[j]` is the index in `eigenvalues` of column j of diag(Q_b).
-    No N x N dense array is held.  Each Q_b is held in Fortran order, as
-    scipy's eigh returns it; a C-ordered one is converted once, here, as U
-    is transposed once into `fold` (U^T).
+    The orthogonal or unitary transform W is given as `forward` (f -> W* f)
+    and `inverse` (rows x N coefficients -> the real part of W c, row by
+    row).  Each of `blocks` is a dense Q_b, the eigenbasis of one diagonal
+    block of W* A W, or the size of a block that W already diagonalizes.
+    `positions[j]` is the index in `eigenvalues` of column j of diag(Q_b),
+    or None when the eigenvalues keep the transform's order.  No N x N
+    dense array is held.  Each Q_b is held in Fortran order, as scipy's eigh
+    returns it; a C-ordered one is converted once, here.
     """
 
     eigenvalues: np.ndarray = field(repr=False)
-    basis: sp.csr_matrix = field(repr=False)
     blocks: tuple = field(repr=False)
-    positions: np.ndarray = field(repr=False)
     spec: GridSpec
-    fold: sp.csr_matrix = field(init=False, repr=False)
+    forward: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    inverse: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    positions: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.blocks = tuple(np.asfortranarray(Q, dtype=float) for Q in self.blocks)
-        self.fold = self.basis.T.tocsr()
+        self.blocks = tuple(Q if np.ndim(Q) == 0 else np.asfortranarray(Q, dtype=float)
+                            for Q in self.blocks)
 
     @property
     def n(self) -> int:
@@ -203,41 +203,49 @@ class SpectralDecomposition:
 
     @property
     def order(self) -> int:
-        """The order of the largest block."""
-        return max(Q.shape[0] for Q in self.blocks)
+        """The order of the largest dense block, 0 when W diagonalizes every block."""
+        return max((len(Q) for Q, _ in self._columns() if Q is not None), default=0)
 
     @property
     def blas_threads(self) -> int | None:
         """The thread count of scipy's BLAS in this decomposition's eigh and applies.
 
-        One below SERIAL_ORDER; None when scipy's BLAS has no thread API.
+        One below SERIAL_ORDER; None without a dense block, or when scipy's
+        BLAS has no thread API.
         """
         api = _thread_api()
-        return api and (1 if self.order < SERIAL_ORDER else api.get())
+        if api is None or not self.order:
+            return None
+        return 1 if self.order < SERIAL_ORDER else api.get()
 
     def _columns(self):
-        """Each block with the slice of the columns of U that it spans."""
+        """Each block, its dense Q_b or None, with the slice of the columns of W that it spans."""
         start = 0
         for Q in self.blocks:
-            yield Q, slice(start, start + Q.shape[0])
-            start += Q.shape[0]
+            dense = np.ndim(Q) == 2
+            size = len(Q) if dense else Q
+            yield (Q if dense else None), slice(start, start + size)
+            start += size
 
     def eigenvector(self, k: int) -> np.ndarray:
-        """The unit eigenvector of eigenvalues[k], as N values."""
-        j = np.flatnonzero(self.positions == range(self.n)[k])[0]
+        """The unit eigenvector of eigenvalues[k], as N values (on a real transform)."""
+        k = range(self.n)[k]
+        j = k if self.positions is None else np.flatnonzero(self.positions == k)[0]
         column = np.zeros(self.n)
+        column[j] = 1.0
         for Q, cols in self._columns():
-            if cols.start <= j < cols.stop:
+            if Q is not None and cols.start <= j < cols.stop:
                 column[cols] = Q[:, j - cols.start]
-        return self.basis @ column
+        return self.inverse(column[None])[0]
 
     def apply_values(self, values: np.ndarray,
                      f: GridFunction) -> GridFunction | list[GridFunction]:
-        """Apply diag(values) in the eigenbasis: U diag(Q_b) (values * diag(Q_b)^T U^T f).
+        """Apply diag(values) in the eigenbasis: W diag(Q_b) (values * diag(Q_b)^T W* f).
 
-        U^T f and the product by U are sparse, O(N).  Each block's Q_b^T f
-        is a dgemv call; the rows of a 2-D values share it and go through
-        one dgemm, and a single row, 1-D or not, takes one dgemv.  The products
+        W* f is taken once, and W once over every output row.  A block that
+        W diagonalizes is multiplied through.  A dense block's Q_b^T W* f is
+        a dgemv call; the rows of a 2-D values share it and go through one
+        dgemm, and a single row, 1-D or not, takes one dgemv.  The products
         run in scipy's BLAS, whose LAPACK built Q_b: the numpy and scipy
         wheels each load their own OpenBLAS with its own thread pool, and
         waking numpy's pool beside scipy's for these O(N^2) products costs
@@ -247,22 +255,26 @@ class SpectralDecomposition:
         """
         values = _checked_values(self, values, f)
         # the multipliers in the column order of diag(Q_b), one row per output
-        v = np.atleast_2d(values)[:, self.positions]
-        g = self.fold @ f.values
-        parts = []
-        with _serial_blas(self.order < SERIAL_ORDER):
+        v = np.atleast_2d(values)
+        if self.positions is not None:
+            v = v[:, self.positions]
+        g = self.forward(f.values)
+        c = np.empty((len(v), self.n), dtype=g.dtype)
+        # a decomposition without a dense block calls no BLAS
+        with _serial_blas(0 < self.order < SERIAL_ORDER):
             for Q, cols in self._columns():
-                c = blas.dgemv(1.0, Q, g[cols], trans=1)
+                if Q is None:
+                    np.multiply(v[:, cols], g[cols], out=c[:, cols])
+                    continue
+                b = blas.dgemv(1.0, Q, g[cols], trans=1)
                 if len(v) == 1:
                     # one row as a dgemv, not a one-column dgemm: 19 vs 22 us
                     # at order 365, and 0.50 vs 0.91 ms at 1695 on two threads
-                    parts.append(blas.dgemv(1.0, Q, v[0, cols] * c))
+                    c[0, cols] = blas.dgemv(1.0, Q, v[0, cols] * b)
                 else:
-                    # Q (v * c)^T is k x rows, one column per output
-                    parts.append(blas.dgemm(1.0, Q, (v[:, cols] * c).T))
-        out = self.basis @ np.concatenate(parts)
-        # out is N values or N x rows, so this transpose has one contiguous row per output
-        return _fields(self.spec, values, np.ascontiguousarray(out.reshape(self.n, -1).T))
+                    # Q (v * b)^T is k x rows, one column per output
+                    c[:, cols] = blas.dgemm(1.0, Q, (v[:, cols] * b).T).T
+        return _fields(self.spec, values, np.ascontiguousarray(self.inverse(c)))
 
 
 def _grid_involution(spec: GridSpec) -> np.ndarray:
@@ -335,9 +347,9 @@ def spectral_decompose(op: DiscreteOperator) -> SpectralDecomposition:
     order = np.argsort(w, kind="stable")
     positions = np.empty(N, dtype=np.intp)
     positions[order] = np.arange(N)
-    return SpectralDecomposition(eigenvalues=_clamped(w[order]), basis=U,
-                                 blocks=tuple(Q for _, Q in pairs), positions=positions,
-                                 spec=op.spec)
+    return SpectralDecomposition(eigenvalues=_clamped(w[order]), blocks=tuple(Q for _, Q in pairs),
+                                 spec=op.spec, forward=U.T.tocsr().__matmul__,
+                                 inverse=lambda c: (U @ c.T).T, positions=positions)
 
 
 def check_dense_capacity(spec: GridSpec) -> None:
@@ -627,7 +639,7 @@ def eigen_probe(op: DiscreteOperator, dec: Spectrum) -> tuple[float, float]:
     ||apply(1, x) - x|| / ||X|| and ||A x - apply(lambda, x)|| / (lambda_max ||X||)
     in Frobenius norms, through `apply_values` alone: O(N^2) work on the
     dense eigenbasis, where forming Q^T Q or AQ - Q Lambda would be O(N^3),
-    and O(N log N) on the FFT.  A is the assembled sparse operator, so the
+    and O(N log N) on the FFT or DST.  A is the assembled sparse operator, so the
     residual does not come from the diagonalization and also covers the
     eigenvalues that were clamped to 0.
     """

@@ -13,8 +13,10 @@ difference schemes:
   Dirichlet quadratic form; on the torus the rows wrap and stay square.
 
 The assembled operator A = sum_j B_j^T B_j realizes the POSITIVE sub-Laplacian
-(-sum_j X_j^2): symmetric and PSD by construction, consistent to O(h) at
-interior nodes (O(h^2) for the constant-coefficient euclid case).
+(-sum_j X_j^2): symmetric and PSD by construction, consistent to O(h^2) at
+interior nodes for euclid.  For j1 and j3 the observed orders from n = 9 to
+17, 33 and 65 are 1.41, 1.83 and 1.96 (L = 4, a Gaussian): each frozen
+coefficient (x2 in X1, x1 in X2) is constant along the axis it differences.
 """
 
 from __future__ import annotations

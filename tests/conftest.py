@@ -23,8 +23,9 @@ def _decompose(kind, n, L, dims, mode):
 
 
 def fft_gap(dec, s, phi):
-    """Max relative node gap of J^s phi on dec from J^s phi on the FFT diagonalization."""
-    fft = subfrac.fractional_power(subfrac.FourierDiagonal.for_spec(phi.spec), s, phi).values
+    """Max relative node gap of J^s phi on dec from J^s phi on the FFT (torus) or DST (box)."""
+    fourier = subfrac.fourier_decompose(subfrac.assemble_operator("euclid", phi.spec))
+    fft = subfrac.fractional_power(fourier, s, phi).values
     gap = np.abs(subfrac.fractional_power(dec, s, phi).values - fft).max(initial=0.0)
     return float(gap / max(np.abs(fft).max(initial=0.0), 1e-300))
 

@@ -28,7 +28,7 @@ from subfrac.cli import (
 from subfrac.errors import ConfigError
 
 
-# the kinds that diagonalize a Dirichlet grid by the dense eigh
+# the kinds that diagonalize a Heisenberg grid by the dense eigh
 DENSE_KINDS = ("spectrum", "frac", "heat", "extend", "verify-all")
 
 
@@ -153,7 +153,6 @@ def test_s_within_roundoff_of_zero_or_one_passes_or_exits_two(tmp_path, capsys, 
 
 @pytest.mark.parametrize("argv", [
     *([kind, "--mode", "heisenberg", "--n", "19"] for kind in DENSE_KINDS),
-    *([kind, "--mode", "euclidean_box", "--dims", "3", "--n", "19"] for kind in DENSE_KINDS),
     ["limit", "--mode", "heisenberg", "--n", "107"],
 ], ids=lambda argv: "-".join(x for x in argv if not x.startswith("--")))
 def test_grid_past_its_route_capacity_is_refused_before_assembly(tmp_path, capsys, monkeypatch,
@@ -171,6 +170,25 @@ def test_grid_past_its_route_capacity_is_refused_before_assembly(tmp_path, capsy
              if argv[0] == "limit" else "over the dense eigendecomposition limit 6000")
             in capsys.readouterr().err)
     assert not (tmp_path / argv[0]).exists()
+
+
+@pytest.mark.parametrize("kind", ["spectrum", "verify-all"])
+def test_box_past_the_dense_wall_takes_the_dst(tmp_path, monkeypatch, kind):
+    # 19^3 = 6859 nodes are over DENSE_LIMIT, which no longer caps a box:
+    # the DST diagonalizes it, checked by the probes against the operator
+    import subfrac.cli as cli
+    import subfrac.spectral as spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a box run called the dense eigendecomposition")
+
+    monkeypatch.setattr(spectral, "spectral_decompose", refuse)
+    monkeypatch.setattr(cli, "spectral_decompose", refuse)
+    assert run_cli([kind, "--mode", "euclidean_box", "--dims", "3", "--n", "19", "--L", "4",
+                    "--out", str(tmp_path)]) == 0
+    checks = _checks(tmp_path, kind)
+    for name in EIGEN_PROBES:
+        assert checks[name]["passed"] and checks[name]["tolerance"] == 1e-12, name
 
 
 def test_unknown_kind_is_rejected_before_any_output(tmp_path):

@@ -263,9 +263,11 @@ def test_weighted_euclid_closed_form(torus256):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="1e-3 is unattainable at dense-cap resolution: the error of the "
-    "linear interpolation along x3 of the peaked kernels dominates at h ~ 0.3-0.6 "
-    "(measured gap ~1e-2, shrinking ~h^2; reaching 1e-3 needs ~41^3 nodes)",
+    reason="1e-3 is unattainable at dense-cap resolution: the gap reads 2.6e-2 "
+    "at s = 0.3 on the 15^3 box, and a cubic interpolation along x3 in place "
+    "of the linear one only moved it to 2.2e-2, so most of it likely comes "
+    "from the box's J not being invariant under group translations, not "
+    "from the interpolation of the peaked kernels",
 )
 def test_kernel_reconstruction_spec_tolerance(heis15):
     op, dec = heis15

@@ -740,7 +740,7 @@ def test_boundary_limit_with_phi_in_the_kernel_reads_against_the_data_scale(c):
     # a constant is the torus kernel, so the reference -C(s) J^s phi is 0
     # and the error is taken against max(||phi||_2, 1) instead
     spec = subfrac.GridSpec(64, 10.0, 1, "euclidean_torus")
-    dec = subfrac.FourierDiagonal.for_spec(spec)
+    dec = subfrac.fourier_decompose(subfrac.assemble_operator("euclid", spec))
     phi = GridFunction(spec, np.full(spec.n_nodes, c))
     psi = torus_bump(spec)
     profile = extension_solve(dec, ExtensionParams(s=0.5, t_values=(0.2, 0.1, 0.05)), psi)

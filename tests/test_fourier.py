@@ -6,11 +6,11 @@ import pytest
 import subfrac
 from subfrac import (
     ExtensionParams,
-    FourierDiagonal,
     GridFunction,
     GridSpec,
     assemble_operator,
     boundary_limit,
+    eigen_probe,
     extension_constant,
     extension_solve,
     extension_solve_tau_grid,
@@ -38,20 +38,47 @@ def torus2d():
     return op, spectral_decompose(op)
 
 
-def test_requires_torus():
-    with pytest.raises(ConfigError):
-        FourierDiagonal.for_spec(GridSpec(9, 1.0, 1, "euclidean_box"))
-
-
 def test_fourier_decompose_needs_the_torus_laplacian(torus64):
+    # the euclid Laplacian, which the FFT diagonalizes on the torus and the
+    # DST on the box; no other operator
     op, _ = torus64
-    assert np.array_equal(fourier_decompose(op).eigenvalues,
-                          FourierDiagonal.for_spec(op.spec).eigenvalues)
     box = assemble_operator("euclid", GridSpec(9, 1.0, 1, "euclidean_box"))
-    with pytest.raises(ConfigError, match="euclidean_torus"):
-        fourier_decompose(box)
-    with pytest.raises(ConfigError, match="euclid torus operator"):
+    for grid in (op, box):
+        assert max(eigen_probe(grid, fourier_decompose(grid))) <= 1e-12
+    with pytest.raises(ConfigError, match="euclid operator, not 'j1'"):
         fourier_decompose(dataclasses.replace(op, kind="j1"))
+
+
+# the Dirichlet box in 1-D, 2-D and 3-D, for the DST against the dense eigh
+BOXES = {"box1d": GridSpec(41, 10.0, 1, "euclidean_box"),
+         "box2d": GridSpec(25, 4.0, 2, "euclidean_box"),
+         "box3d": GridSpec(9, 4.0, 3, "euclidean_box")}
+
+
+@pytest.fixture(scope="module", params=list(BOXES))
+def box(request):
+    op = assemble_operator("euclid", BOXES[request.param])
+    return op, spectral_decompose(op)
+
+
+def test_box_closed_form_matches_dense_eigenvalues(box):
+    # per axis the Dirichlet second difference with a zero ghost one h
+    # outside each face: (4 / h^2) sin^2(k pi / (2 (n + 1))), k = 1 .. n
+    op, dec = box
+    n, h, dims = op.spec.n_per_axis, op.spec.spacing, op.spec.dims
+    axis = 4.0 / h ** 2 * np.sin(np.arange(1, n + 1) * np.pi / (2 * (n + 1))) ** 2
+    closed = np.sort(sum(np.meshgrid(*[axis] * dims, indexing="ij")).ravel())
+    assert np.abs(closed - dec.eigenvalues).max() <= 1e-14 * dec.eigenvalues[-1]
+
+
+@pytest.mark.parametrize("s", [0.3, 0.7])
+def test_dst_matches_dense_on_the_box(box, rng, s):
+    op, dec = box
+    dst = fourier_decompose(op)
+    lam_max = dec.eigenvalues[-1]
+    assert np.abs(np.sort(dst.eigenvalues) - dec.eigenvalues).max() <= 1e-13 * lam_max
+    phi = GridFunction(op.spec, rng.standard_normal(op.spec.n_nodes))
+    assert fft_gap(dec, s, phi) <= 1e-12
 
 
 def test_mirrored_and_permuted_frequencies_share_one_symbol_value(monkeypatch):
@@ -61,7 +88,7 @@ def test_mirrored_and_permuted_frequencies_share_one_symbol_value(monkeypatch):
 
     n = 48
     spec = GridSpec(n, 10.0, 2, "euclidean_torus")
-    diag = FourierDiagonal.for_spec(spec)
+    diag = fourier_decompose(assemble_operator("euclid", spec))
     sym = diag.eigenvalues.reshape(n, n)
     mirror = -np.arange(n) % n
     assert np.array_equal(sym[mirror], sym)
@@ -88,7 +115,7 @@ def test_mirrored_and_permuted_frequencies_share_one_symbol_value(monkeypatch):
 
 def test_symbol_multiset_matches_dense_eigenvalues(torus64, torus2d):
     for op, dec in (torus64, torus2d):
-        sym = np.sort(FourierDiagonal.for_spec(op.spec).eigenvalues)
+        sym = np.sort(fourier_decompose(op).eigenvalues)
         assert np.abs(sym - dec.eigenvalues).max() <= 1e-9
         assert sym[0] == 0.0
 
@@ -96,7 +123,7 @@ def test_symbol_multiset_matches_dense_eigenvalues(torus64, torus2d):
 def test_fractional_s1_matches_operator(torus64, rng):
     op, dec = torus64
     phi = GridFunction(op.spec, rng.standard_normal(op.spec.n_nodes))
-    got = fractional_power(FourierDiagonal.for_spec(phi.spec), 1.0, phi).values
+    got = fractional_power(fourier_decompose(op), 1.0, phi).values
     want = op.apply(phi).values
     assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
@@ -104,7 +131,7 @@ def test_fractional_s1_matches_operator(torus64, rng):
 def test_constant_maps_to_zero(torus64):
     op, _ = torus64
     phi = GridFunction(op.spec, np.full(op.spec.n_nodes, 3.0))
-    got = fractional_power(FourierDiagonal.for_spec(phi.spec), 0.5, phi).values
+    got = fractional_power(fourier_decompose(op), 0.5, phi).values
     assert np.abs(got).max() <= 1e-12
 
 
@@ -112,7 +139,7 @@ def test_single_mode_diagonal_action(torus64):
     op, _ = torus64
     spec = op.spec
     n = spec.n_per_axis
-    diag = FourierDiagonal.for_spec(spec)
+    diag = fourier_decompose(op)
     k = 5
     x = spec.axis_coordinates()
     mode = np.cos(2 * np.pi * k * np.arange(n) / n)
@@ -139,7 +166,7 @@ def test_boundary_limit_through_fourier_path(torus64):
     # dense one and must reproduce -C(s) (-Delta_h)^s phi at the same tolerance
     op, _ = torus64
     spec = op.spec
-    diag = FourierDiagonal.for_spec(spec)
+    diag = fourier_decompose(op)
     phi = gaussian_bump(spec, [0.2 * spec.extent], 8 * spec.spacing)
     for s in (0.3, 0.7):
         params = ExtensionParams(s=s, t_values=(0.2, 0.1, 0.05))
@@ -152,7 +179,7 @@ def test_boundary_limit_through_fourier_path(torus64):
 def test_fourier_path_error_shrinks_under_refinement(torus64):
     op, _ = torus64
     spec = op.spec
-    diag = FourierDiagonal.for_spec(spec)
+    diag = fourier_decompose(op)
     phi = gaussian_bump(spec, [0.2 * spec.extent], 8 * spec.spacing)
     errs = []
     for t0 in (0.4, 0.2, 0.1):
@@ -203,7 +230,7 @@ def test_dense_and_fourier_spectra_agree(request, grid, call):
     # the functional calculus sees only the Spectrum members, so the dense
     # eigenbasis and the FFT must give the same numbers to roundoff
     op, dec = request.getfixturevalue(grid)
-    diag = FourierDiagonal.for_spec(op.spec)
+    diag = fourier_decompose(op)
     results = []
     for spectrum in (dec, diag):
         rng = np.random.default_rng(20240817)

@@ -9,11 +9,11 @@ import scipy.sparse as sp
 
 import subfrac
 from subfrac import (
-    FourierDiagonal,
     GridFunction,
     GridSpec,
     assemble_operator,
     eigen_probe,
+    fourier_decompose,
     fractional_power,
     heat_apply,
     heat_kernel_column,
@@ -93,7 +93,7 @@ def test_eigen_probe_passes_and_flags_broken_bases(heis9, torus_small):
     assert eigen_probe(op, shifted)[1] >= 1e-8
     # the same probe on the FFT diagonalization of a torus, through apply_values
     op, _ = torus_small
-    diag = FourierDiagonal.for_spec(op.spec)
+    diag = fourier_decompose(op)
     orthogonality, residual = eigen_probe(op, diag)
     assert orthogonality <= 1e-12 and residual <= 1e-12
     scaled = dataclasses.replace(diag, eigenvalues=diag.eigenvalues * (1.0 + 1e-6))
@@ -443,18 +443,20 @@ def test_scalar_multiplier_is_evaluation_error(torus_small, rng):
 
 def _routes(heis9, rng):
     """(spectrum, f) on the dense heis9 eigenbasis, the Ritz spectrum of f on
-    heis9, and the FFT diagonal of a 2-D torus."""
+    heis9, the FFT diagonal of a 2-D torus and the DST diagonal of a 2-D box."""
     op, dec = heis9
     f = grid_fn(op.spec, rng)
     torus = GridSpec(12, 1.0, 2, "euclidean_torus")
+    box = GridSpec(9, 1.0, 2, "euclidean_box")
     return {
         "dense": (dec, f),
         "krylov": (krylov_spectrum(op, f, 64), f),
-        "fft": (FourierDiagonal.for_spec(torus), grid_fn(torus, rng)),
+        "fft": (fourier_decompose(assemble_operator("euclid", torus)), grid_fn(torus, rng)),
+        "dst": (fourier_decompose(assemble_operator("euclid", box)), grid_fn(box, rng)),
     }
 
 
-@pytest.mark.parametrize("route", ["dense", "krylov", "fft"])
+@pytest.mark.parametrize("route", ["dense", "krylov", "fft", "dst"])
 def test_batched_apply_matches_one_row_at_a_time(heis9, rng, route):
     spectrum, f = _routes(heis9, rng)[route]
     lam = spectrum.eigenvalues
@@ -468,7 +470,7 @@ def test_batched_apply_matches_one_row_at_a_time(heis9, rng, route):
         assert np.linalg.norm(got.values - want.values) <= 1e-14 * np.linalg.norm(want.values)
 
 
-@pytest.mark.parametrize("route", ["dense", "krylov", "fft"])
+@pytest.mark.parametrize("route", ["dense", "krylov", "fft", "dst"])
 def test_batched_apply_checks_shape_and_finiteness(heis9, rng, route):
     spectrum, f = _routes(heis9, rng)[route]
     lam = spectrum.eigenvalues
