@@ -281,6 +281,11 @@ class Run:
     # Gram-Schmidt passes and steps; None off that route
     krylov_threads: int | None = None
     gram_schmidt: dict | None = None
+    # the eigenvalues each spectrum's clamp set to 0: the dense eigh's, the
+    # reorthogonalized Ritz spectrum's and the plain one's; None where the
+    # run took no such spectrum, or the transform's exact symbol
+    clamped: dict = field(
+        default_factory=lambda: dict.fromkeys(("dense", "krylov", "krylov_plain")))
 
     @property
     def spec(self) -> GridSpec:
@@ -317,6 +322,7 @@ class Run:
         """
         op = self.op
         dec = fourier_decompose(op) if self.config.fourier else spectral_decompose(op)
+        self.clamped["dense"] = dec.clamped
         export_spectrum_csv(dec, self.out_dir / "spectrum.csv")
         self.add_upper("min_eigenvalue_negativity", max(-dec.eigenvalues.min(), 0.0), 0.0)
         orthogonality, residual = eigen_probe(op, dec)
@@ -379,6 +385,7 @@ def write_results(run: Run) -> None:
                      "dense_threads": getattr(vars(run).get("dec"), "blas_threads", None),
                      "krylov_threads": run.krylov_threads},
             "gram_schmidt": run.gram_schmidt,
+            "clamped_eigenvalues": run.clamped,
         },
         "report": report_payload(run),
     }
@@ -538,6 +545,7 @@ def run_limit(run: Run) -> None:
         run.wall_clock["limit_krylov_doubling"] = time.perf_counter() - t0
         run.krylov_threads = dec.blas_threads
         run.gram_schmidt = {"passes": dec.passes, "steps": dec.steps}
+        run.clamped["krylov"] = dec.clamped
         run.add_upper("krylov_orthogonality", dec.orthogonality(), 1e-12)
     else:
         dec, profiles = run.dec, run.profiles
@@ -552,6 +560,7 @@ def run_limit(run: Run) -> None:
         t0 = time.perf_counter()
         kry = krylov_spectrum(run.op, a_phi, steps, reorthogonalize=False)
         run.wall_clock["limit_krylov_plain"] = time.perf_counter() - t0
+        run.clamped["krylov_plain"] = kry.clamped
         identities = [
             _relative_gap(kry.apply_values(positive_power(kry.eigenvalues, -params.s), a_phi), psi)
             for psi, params in zip(psis, sweeps)]

@@ -12,13 +12,29 @@ the spectrum is exact.  The tests hold both transforms to the dense route.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .errors import ConfigError
 from .spectral import SpectralDecomposition, _check_finite
 from .stencils import DiscreteOperator
+
+
+def _dst1(x: np.ndarray, axes=None) -> np.ndarray:
+    """The orthonormal DST-I of x along each of `axes` (all by default); it is its own inverse.
+
+    Along an axis of length n it is the real FFT X of the odd extension
+    [0, x, 0, -x reversed], of length 2(n + 1): y = -Im(X[1 : n + 1]) /
+    sqrt(2(n + 1)).  numpy.fft, which the torus uses too, is loaded with
+    the package, and scipy.fft would cost a box run its import.
+    """
+    for a in range(x.ndim) if axes is None else axes:
+        y = np.moveaxis(x, a, -1)
+        n = y.shape[-1]
+        odd = np.zeros(y.shape[:-1] + (2 * n + 2,))
+        odd[..., 1:n + 1] = y
+        np.negative(y[..., ::-1], out=odd[..., n + 2:])
+        x = np.moveaxis(np.fft.rfft(odd)[..., 1:n + 1].imag / -np.sqrt(2.0 * (n + 1)), -1, a)
+    return x
 
 
 def fourier_decompose(op: DiscreteOperator) -> SpectralDecomposition:
@@ -42,11 +58,9 @@ def fourier_decompose(op: DiscreteOperator) -> SpectralDecomposition:
         axis = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.minimum(k, n - k) / n)) / (h * h)
         forward, inverse = np.fft.fftn, np.fft.ifftn
     else:
-        import scipy.fft  # only the box loads it
-
         axis = (2.0 - 2.0 * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))) / (h * h)
         # the orthonormal DST-I is its own inverse
-        forward = inverse = functools.partial(scipy.fft.dstn, type=1, norm="ortho")
+        forward = inverse = _dst1
     mesh = np.meshgrid(*([axis] * dims), indexing="ij")
     return SpectralDecomposition(
         eigenvalues=sum(mesh).ravel(), blocks=(spec.n_nodes,), spec=spec,

@@ -75,8 +75,7 @@ class Spectrum(Protocol):
     `apply_values(values, f)` applies diag(values) in the eigenbasis, with
     values[i] the multiplier at eigenvalues[i], and returns a GridFunction.
     A 2-D `values` holds one multiplier per row; the call then returns the
-    list of their GridFunctions, from one pass over f and the eigenbasis
-    (row by row on a Ritz spectrum).
+    list of their GridFunctions, from one pass over f and the eigenbasis.
     """
 
     spec: GridSpec
@@ -181,9 +180,11 @@ class SpectralDecomposition:
     row).  Each of `blocks` is a dense Q_b, the eigenbasis of one diagonal
     block of W* A W, or the size of a block that W already diagonalizes.
     `positions[j]` is the index in `eigenvalues` of column j of diag(Q_b),
-    or None when the eigenvalues keep the transform's order.  No N x N
-    dense array is held.  Each Q_b is held in Fortran order, as scipy's eigh
-    returns it; a C-ordered one is converted once, here.
+    or None when the eigenvalues keep the transform's order.  `clamped`
+    counts the eigenvalues of an eigh that _clamped set to 0, None on a
+    transform's exact symbol.  No N x N dense array is held.  Each Q_b is
+    held in Fortran order, as scipy's eigh returns it; a C-ordered one is
+    converted once, here.
     """
 
     eigenvalues: np.ndarray = field(repr=False)
@@ -192,6 +193,7 @@ class SpectralDecomposition:
     forward: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     inverse: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     positions: np.ndarray | None = field(default=None, repr=False)
+    clamped: int | None = None
 
     def __post_init__(self):
         self.blocks = tuple(Q if np.ndim(Q) == 0 else np.asfortranarray(Q, dtype=float)
@@ -347,9 +349,11 @@ def spectral_decompose(op: DiscreteOperator) -> SpectralDecomposition:
     order = np.argsort(w, kind="stable")
     positions = np.empty(N, dtype=np.intp)
     positions[order] = np.arange(N)
-    return SpectralDecomposition(eigenvalues=_clamped(w[order]), blocks=tuple(Q for _, Q in pairs),
+    eigenvalues, clamped = _clamped(w[order])
+    return SpectralDecomposition(eigenvalues=eigenvalues, blocks=tuple(Q for _, Q in pairs),
                                  spec=op.spec, forward=U.T.tocsr().__matmul__,
-                                 inverse=lambda c: (U @ c.T).T, positions=positions)
+                                 inverse=lambda c: (U @ c.T).T, positions=positions,
+                                 clamped=clamped)
 
 
 def check_dense_capacity(spec: GridSpec) -> None:
@@ -367,10 +371,11 @@ def _check_finite(op: DiscreteOperator) -> None:
         raise ConfigError("operator has a non-finite entry")
 
 
-def _clamped(w: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues w of a PSD operator, roundoff-scale ones set to 0.
+def _clamped(w: np.ndarray) -> tuple[np.ndarray, int]:
+    """Ascending eigenvalues w of a PSD operator, roundoff-scale ones set to 0, and their count.
 
-    Raises ConfigError when w[0] is negative beyond roundoff.
+    The count is of the nonzero eigenvalues set to 0.  Raises ConfigError
+    when w[0] is negative beyond roundoff.
     """
     scale = max(abs(w[0]), abs(w[-1]))
     if w[0] < -EIG_CLAMP * scale:
@@ -379,8 +384,8 @@ def _clamped(w: np.ndarray) -> np.ndarray:
         )
     # snap roundoff-scale eigenvalues (either sign) to exact zero so that
     # lambda^s does not amplify a spurious +1e-13 kernel eigenvalue
-    w = np.where(np.abs(w) < EIG_CLAMP * scale, 0.0, w)
-    return np.clip(w, 0.0, None)
+    small = np.abs(w) < EIG_CLAMP * scale
+    return np.clip(np.where(small, 0.0, w), 0.0, None), int(np.count_nonzero(w[small]))
 
 
 @dataclass
@@ -391,19 +396,20 @@ class KrylovSpectrum:
     is the tridiagonal (alpha on the diagonal, beta beside it), and theta
     (the eigenvalues, ascending) and the columns of Y are its eigenpairs.
     A `Spectrum` for f alone: apply_values raises EvaluationError for any
-    other vector.  `reorthogonalize` records how the basis was built (see
-    krylov_spectrum), and `passes` how many of its steps made a Gram-Schmidt
-    pass.  `exhaustive` marks a basis that spans an invariant subspace
-    containing f, where the result is exact: a breakdown, or N
-    reorthogonalized steps.  `residual` (the A v of the last step, less its
-    projection on the basis), `scale` (the largest ||A v|| seen, the ||T||
-    of the estimate), `omega` (the estimate's last two rows) and `pending`
-    (whether the next step makes a pass) let `extended` continue the
-    recurrence.
+    other vector.  `clamped` counts the Ritz values _clamped set to 0.
+    `reorthogonalize` records how the basis was built (see krylov_spectrum),
+    and `passes` how many of its steps made a Gram-Schmidt pass.
+    `exhaustive` marks a basis that spans an invariant subspace containing
+    f, where the result is exact: a breakdown, or N reorthogonalized steps.
+    `residual` (the A v of the last step, less its projection on the
+    basis), `scale` (the largest ||A v|| seen, the ||T|| of the estimate),
+    `omega` (the estimate's last two rows) and `pending` (whether the next
+    step makes a pass) let `extended` continue the recurrence.
     """
 
     spec: GridSpec
     eigenvalues: np.ndarray = field(repr=False)
+    clamped: int
     ritz_vectors: np.ndarray = field(repr=False)
     basis: np.ndarray = field(repr=False)
     alpha: np.ndarray = field(repr=False)
@@ -435,25 +441,28 @@ class KrylovSpectrum:
                      f: GridFunction) -> GridFunction | list[GridFunction]:
         """Apply diag(values) over the Ritz values: ||f|| V^T Y (values * Y[0]).
 
-        f and values are checked once per call.  Each row then takes two
-        dgemv calls in scipy's BLAS on one thread, the pool the Lanczos
-        steps and the dense route use (see SpectralDecomposition.apply_values):
-        one on Y and one on V^T, the transpose of the C-ordered basis, which
-        is Fortran-ordered and so goes to BLAS without a copy.  The rows of a
-        2-D values are applied one at a time, each bitwise its 1-D apply: as
-        one (rows x k)(k x N) gemm, OpenBLAS threads the small product and
-        keeps a second thread's buffer resident, which saves a few
-        milliseconds but costs CPU and about 0.5 MiB of peak memory on a
-        15^3 grid (the reason eigen_probe loops too).
+        f and values are checked once per call.  The products run in scipy's
+        BLAS on one thread, the pool the Lanczos steps and the dense route
+        use (see SpectralDecomposition.apply_values), so the result does not
+        depend on the thread count.  The rows of a 2-D values share one pass
+        over the basis: one dgemm takes their coefficients ||f|| Y (values *
+        Y[0])^T, k x rows, and a second multiplies V^T by them.  A single
+        row, 1-D or not, takes two dgemv calls, on Y and on V^T.  V^T, the
+        transpose of the C-ordered basis, is Fortran-ordered, so either
+        call hands it to BLAS without a copy; asking BLAS to transpose the
+        C-ordered V itself would cost f2py a copy of the basis.
         """
         values = _checked_values(self, values, f)
         if not np.array_equal(f.values, self.start):
             raise EvaluationError("a Krylov spectrum applies only to its start vector")
-        Y, first = self.ritz_vectors, self.ritz_vectors[0]
+        Y, first, v = self.ritz_vectors, self.ritz_vectors[0], np.atleast_2d(values)
         norm = blas.dnrm2(self.start)
-        return _fields(self.spec, values,
-                       [blas.dgemv(1.0, self.basis.T, blas.dgemv(norm, Y, row * first))
-                        for row in np.atleast_2d(values)])
+        if len(v) == 1:
+            rows = [blas.dgemv(1.0, self.basis.T, blas.dgemv(norm, Y, v[0] * first))]
+        else:
+            # N x rows, one column per output
+            rows = blas.dgemm(1.0, self.basis.T, blas.dgemm(norm, Y, (v * first).T)).T
+        return _fields(self.spec, values, rows)
 
     @_serial_blas(True)
     def orthogonality(self) -> float:
@@ -469,8 +478,11 @@ class KrylovSpectrum:
         The steps already taken are kept, not recomputed, and the new ones
         are taken in the same mode from the carried recurrence state, so the
         result is bitwise the one krylov_spectrum(op, f, steps,
-        reorthogonalize=...) gives.  An exhaustive spectrum, or one already
-        `steps` long, is returned as it is.
+        reorthogonalize=...) gives.  This spectrum's basis becomes a view of
+        the leading rows of the new one, the same values, so its applies do
+        not change and the doubling holds one basis, not the old one beside
+        the new.  An exhaustive spectrum, or one already `steps` long, is
+        returned as it is.
         """
         if op.spec != self.spec:
             raise GridMismatchError("operator grid does not match the Krylov spectrum")
@@ -482,7 +494,11 @@ class KrylovSpectrum:
 
 
 def krylov_step_cap(spec: GridSpec) -> int:
-    """The most Lanczos steps whose basis, steps x N doubles, fits in DENSE_LIMIT^2."""
+    """The most Lanczos steps whose basis, steps x N doubles, fits in DENSE_LIMIT^2.
+
+    The bound is on the one basis the route holds, a doubling by `extended`
+    included.
+    """
     return DENSE_LIMIT ** 2 // spec.n_nodes
 
 
@@ -531,11 +547,15 @@ def _lanczos(op: DiscreteOperator, start: np.ndarray, steps: int, reorthogonaliz
     """The Ritz spectrum of start after `steps` Lanczos steps, continuing `prior` when given.
 
     prior's basis, alpha and beta are copied into the new arrays, and the
-    loop resumes from its residual and recurrence state.  A breakdown at
-    step j cuts V, alpha and beta to j steps and marks the spectrum
-    exhaustive.  Every vector operation is a level-1 or level-2 call in
-    scipy's BLAS, on the one thread its callers set, that updates w in
-    place, so a step allocates only the product A V[j] and O(j) for the
+    loop resumes from its residual and recurrence state.  prior's basis is
+    then rebound to the copy, a view of the new basis's leading rows, so its
+    old buffer is freed before the new rows are written and the doubling's
+    resident memory peaks at the one new basis.  A later extension of prior
+    allocates its own basis again, so the shared rows are never written.
+    A breakdown at step j cuts V, alpha and beta to j steps and marks the
+    spectrum exhaustive.  Every vector operation is a level-1 or level-2
+    call in scipy's BLAS, on the one thread its callers set, that updates w
+    in place, so a step allocates only the product A V[j] and O(j) for the
     estimate; the Gram-Schmidt pass hands V[:j+1]^T, Fortran-ordered, to
     dgemv without a copy.
     """
@@ -551,6 +571,7 @@ def _lanczos(op: DiscreteOperator, start: np.ndarray, steps: int, reorthogonaliz
     else:
         done = prior.steps
         V[:done], alpha[:done], beta[:done - 1] = prior.basis, prior.alpha, prior.beta
+        prior.basis = V[:done]
         omega[:, :done + 1] = prior.omega
         w, scale, pending, passes = prior.residual, prior.scale, prior.pending, prior.passes
     # without orthogonality, N steps need not span the whole space
@@ -585,8 +606,9 @@ def _lanczos(op: DiscreteOperator, start: np.ndarray, steps: int, reorthogonaliz
             omega[1, :j + 2] = row
         alpha[j] = a
     theta, Y = scipy.linalg.eigh_tridiagonal(alpha, beta)
-    return KrylovSpectrum(spec=op.spec, eigenvalues=_clamped(theta), ritz_vectors=Y, basis=V,
-                          alpha=alpha, beta=beta, start=start, exhaustive=exhaustive,
+    theta, clamped = _clamped(theta)
+    return KrylovSpectrum(spec=op.spec, eigenvalues=theta, clamped=clamped, ritz_vectors=Y,
+                          basis=V, alpha=alpha, beta=beta, start=start, exhaustive=exhaustive,
                           reorthogonalize=reorthogonalize, passes=passes, residual=w,
                           scale=scale, omega=omega, pending=pending)
 
@@ -608,18 +630,17 @@ def krylov_spectrum(op: DiscreteOperator, f: GridFunction, steps: int, *,
     m(J) f stays close to the best polynomial one (Musco, Musco and Sidford,
     SODA 2018), and only a breakdown makes it exact.  Either way the
     process stops early at an invariant subspace, and a 2-D apply_values
-    applies its rows one at a time (a batched gemm keeps a second OpenBLAS
-    thread's buffer resident).  Every vector product runs in scipy's BLAS,
-    the one pool of scipy's eigh_tridiagonal and of the dense route, so
-    numpy's OpenBLAS pool is never woken to contend with it; the steps, the
-    tridiagonal eigh, the applies and `orthogonality` run it on one thread,
-    so their results do not depend on the thread count the process started
-    with.  The basis is a C-ordered steps x N array whose transpose reaches
-    BLAS as a Fortran array, without a copy.  It holds steps x N doubles,
-    and a request above DENSE_LIMIT^2 of them, the memory of the dense route
-    at its limit, raises CapacityError.  The ceiling bounds one basis; a
-    doubling by `extended` briefly holds the old half-length basis beside
-    the new one, 1.5 bases in all.
+    reads the basis once for all its rows.  Every vector product runs in
+    scipy's BLAS, the one pool of scipy's eigh_tridiagonal and of the dense
+    route, so numpy's OpenBLAS pool is never woken to contend with it; the
+    steps, the tridiagonal eigh, the applies and `orthogonality` run it on
+    one thread, so their results do not depend on the thread count the
+    process started with.  The basis is a C-ordered steps x N array whose
+    transpose reaches BLAS as a Fortran array, without a copy.  It holds
+    steps x N doubles, and a request above DENSE_LIMIT^2 of them, the memory
+    of the dense route at its limit, raises CapacityError.  The ceiling
+    bounds one basis, and a doubling by `extended` holds one: the old
+    half-length basis becomes a view of the new one's leading rows.
     """
     if f.spec != op.spec:
         raise GridMismatchError("start vector grid does not match the operator")

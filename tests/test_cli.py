@@ -191,6 +191,21 @@ def test_box_past_the_dense_wall_takes_the_dst(tmp_path, monkeypatch, kind):
         assert checks[name]["passed"] and checks[name]["tolerance"] == 1e-12, name
 
 
+def test_box_verify_all_does_not_import_scipy_fft(tmp_path):
+    # the box's DST-I is taken with numpy.fft, which the package loads
+    # anyway; a fresh process, since another test may have loaded scipy.fft
+    src = str(Path(subfrac.__file__).resolve().parent.parent)
+    code = ("import sys; from subfrac.cli import main; "
+            f"code = main(['verify-all', '--mode', 'euclidean_box', '--dims', '2', '--n', '13', "
+            f"'--out', {str(tmp_path)!r}]); "
+            "sys.exit(code or ('scipy.fft' in sys.modules and 'scipy.fft was imported'))")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_unknown_kind_is_rejected_before_any_output(tmp_path):
     out = tmp_path / "runs"
     with pytest.raises(ConfigError, match="unknown experiment kind"):
@@ -502,6 +517,24 @@ def test_provenance_records_the_blas_threads_of_the_dense_route(tmp_path, argv, 
         assert gram_schmidt is None
     report = json.dumps(payload["report"])
     assert "blas" not in report and "gram_schmidt" not in report and "passes" not in report
+
+
+@pytest.mark.parametrize("argv, clamped", [
+    (["spectrum", "--mode", "heisenberg", "--n", "9", "--L", "2"],
+     {"dense": 0, "krylov": None, "krylov_plain": None}),
+    (["limit", "--mode", "heisenberg", "--n", "5", "--L", "2"],
+     {"dense": None, "krylov": 0, "krylov_plain": 0}),
+    (["verify-all", "--mode", "euclidean_torus", "--n", "16", "--L", "10"],
+     {"dense": None, "krylov": None, "krylov_plain": None}),
+], ids=["heis9", "krylov", "torus"])
+def test_provenance_counts_the_clamped_eigenvalues(tmp_path, argv, clamped):
+    # the dense eigh and both Ritz spectra count the eigenvalues their clamp
+    # set to 0, none on a Dirichlet grid; the torus's FFT symbol is exact and
+    # is not clamped, so its count is None
+    assert run_cli([*argv, "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / argv[0] / "results.json").read_text())
+    assert payload["provenance"]["clamped_eigenvalues"] == clamped
+    assert "clamped" not in json.dumps(payload["report"])
 
 
 @pytest.mark.skipif(spectral.blas_thread_api()["api"] is None,

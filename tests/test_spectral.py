@@ -26,6 +26,7 @@ from subfrac import (
 from subfrac.errors import CapacityError, ConfigError, EvaluationError, GridMismatchError
 from subfrac.extension import ExtensionParams, boundary_limit, extension_solve
 from subfrac.group import GROUPS
+from subfrac.spectral import _clamped
 from subfrac.stencils import DiscreteOperator
 
 
@@ -63,6 +64,18 @@ def test_zero_operator():
     assert np.array_equal(dec.eigenvalues, np.zeros(5))
     Q = dense_basis(dec)
     assert np.abs(Q.T @ Q - np.eye(5)).max() <= 1e-12
+
+
+def test_clamp_counts_the_eigenvalues_it_sets_to_zero(heis9, torus64, rng):
+    # the torus's constant mode comes out of eigh at roundoff and is set to
+    # 0; j1 on the Dirichlet box has no kernel; an exact 0 is not counted
+    # and the FFT's symbol is not clamped at all
+    w, count = _clamped(np.array([-1e-14, 0.0, 1e-13, 1.0]))
+    assert np.array_equal(w, [0.0, 0.0, 0.0, 1.0]) and count == 2
+    assert torus64[1].clamped == 1 and torus64[1].eigenvalues[0] == 0.0
+    op, dec = heis9
+    assert dec.clamped == 0 and krylov_spectrum(op, grid_fn(op.spec, rng), 32).clamped == 0
+    assert fourier_decompose(torus64[0]).clamped is None
 
 
 def test_orthonormality_and_reconstruction(heis9):
@@ -558,7 +571,8 @@ def test_dense_apply_makes_no_copy_of_the_eigenbasis(heis9, rng, order):
 def test_krylov_route_runs_in_scipy_blas(heis9, rng, monkeypatch):
     # a Gram-Schmidt pass makes two dgemv calls (h = V w, then w -= V^T h),
     # and only a reorthogonalized step may make one: a plain step makes
-    # none; each applied row makes two (on Y, then on V^T)
+    # none; one applied row makes two dgemv (on Y, then on V^T), bitwise
+    # its 1-D apply, and a batch of rows two dgemm, one pass over V^T
     import subfrac.spectral as spectral
 
     op, _ = heis9
@@ -576,10 +590,14 @@ def test_krylov_route_runs_in_scipy_blas(heis9, rng, monkeypatch):
         rows = np.array([kry.eigenvalues, np.exp(-kry.eigenvalues), np.ones(kry.steps)])
         del blas.calls[:]
         one_d = kry.apply_values(rows[0], f)
-        assert blas.calls.count("dgemv") == 2
+        assert [c for c in blas.calls if c.startswith("dgem")] == ["dgemv", "dgemv"]
+        del blas.calls[:]
+        one_row = kry.apply_values(rows[:1], f)
+        assert [c for c in blas.calls if c.startswith("dgem")] == ["dgemv", "dgemv"]
+        assert len(one_row) == 1 and np.array_equal(one_row[0].values, one_d.values)
+        del blas.calls[:]
         batch = kry.apply_values(rows, f)
-        assert blas.calls.count("dgemv") == 2 + 2 * len(rows)
-        assert np.array_equal(batch[0].values, one_d.values)
+        assert [c for c in blas.calls if c.startswith("dgem")] == ["dgemm", "dgemm"]
         for row, got in zip(rows, batch):
             want = np.linalg.norm(f.values) * (V.T @ (Y @ (row * Y[0])))
             assert np.linalg.norm(got.values - want) <= 1e-14 * np.linalg.norm(want)
@@ -615,6 +633,35 @@ def test_krylov_extension_allocates_only_the_new_basis(heis9, rng):
             tracemalloc.stop()
         assert longer.steps == 2 * k
         assert longer.basis.nbytes <= peak < longer.basis.nbytes + k * N * 8, mode
+
+
+def test_krylov_doubling_keeps_one_basis(heis9, rng):
+    # after a doubling the k-step spectrum's basis is a view of the longer
+    # basis's leading rows, so the two share one buffer; the shorter
+    # spectrum's applies keep their bits, and extending it again allocates
+    # a fresh basis and gives the same longer spectrum
+    op, _ = heis9
+    f, k = grid_fn(op.spec, rng), 32
+    for mode in (True, False):
+        kry = krylov_spectrum(op, f, k, reorthogonalize=mode)
+        rows = np.array([kry.eigenvalues, np.exp(-kry.eigenvalues), np.ones(k)])
+
+        def applies():
+            return [kry.apply_values(rows[0], f).values,
+                    *(g.values for g in kry.apply_values(rows, f))]
+
+        before = applies()
+        longer = kry.extended(op, 2 * k)
+        assert np.shares_memory(kry.basis, longer.basis), mode
+        assert kry.basis.shape == (k, op.spec.n_nodes)
+        assert all(np.array_equal(a, b) for a, b in zip(applies(), before)), mode
+        again = kry.extended(op, 2 * k)
+        assert not np.shares_memory(again.basis, longer.basis), mode
+        for name in ("eigenvalues", "ritz_vectors", "basis", "alpha", "beta", "residual",
+                     "omega"):
+            assert np.array_equal(getattr(again, name), getattr(longer, name)), (mode, name)
+        assert (again.scale, again.passes, again.pending) == (longer.scale, longer.passes,
+                                                              longer.pending)
 
 
 def _reference_lanczos(A, f, steps, reorthogonalize):
@@ -992,8 +1039,9 @@ def test_krylov_route_runs_on_one_thread(heis9, rng, monkeypatch, two_threads):
         assert two_threads.get() == 2
         kry.orthogonality()
         assert two_threads.get() == 2 and kry.blas_threads == 1
-    # 2 x (32 steps of at least 3 calls, 2 eigh_tridiagonal calls, 6 apply dgemv, a dsyrk)
-    assert len(seen) > 2 * (3 * 32 + 2 + 6 + 1) and set(seen) == {1}
+    # 2 x (32 steps of at least 3 calls, 2 eigh_tridiagonal calls, 2 apply
+    # dgemv and 2 apply dgemm, a dsyrk)
+    assert len(seen) > 2 * (3 * 32 + 2 + 4 + 1) and set(seen) == {1}
 
     def failing(*args, **kwargs):
         assert two_threads.get() == 1
