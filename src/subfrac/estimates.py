@@ -200,10 +200,11 @@ def measure_ball_volumes(r_values: Sequence[float], lattice_h: float,
                          group: Group) -> np.ndarray:
     """Lebesgue volume of the balls of group.norm in R^3, by lattice count times h^3.
 
-    Counted one (x1, x2) column at a time: with rho^2 = x1^2 + x2^2 and w
-    the weight of x3, the norm is below r exactly where
-    gauge x3^2 < r^(2w) - rho^(2w), so each column's count is a search of
-    the sorted x3 terms, shared by every column.
+    Counted by (x1, x2) column: with rho^2 = x1^2 + x2^2 and w the weight
+    of x3, the norm is below r exactly where gauge x3^2 < r^(2w) - rho^(2w),
+    so a column's count is a search of that room among the sorted x3 terms.
+    The columns are sorted by rho^(2w) once, and each radius searches only
+    the leading ones with room > 0: every other column counts 0.
     """
     r = np.asarray(sorted(r_values), dtype=float)
     if r.size == 0:
@@ -221,9 +222,13 @@ def measure_ball_volumes(r_values: Sequence[float], lattice_h: float,
     ax12 = np.arange(-rmax, rmax + lattice_h / 2.0, lattice_h)
     ax3 = np.arange(-r3max, r3max + lattice_h / 2.0, lattice_h)
     rho2 = (ax12[:, None] ** 2 + ax12[None, :] ** 2).ravel()
-    room = r[:, None] ** (2 * w) - (rho2 ** w)[None, :]
-    counts = np.searchsorted(np.sort(gauge * ax3 ** 2), room, side="left").sum(axis=1)
-    return counts * lattice_h ** 3
+    lead = np.sort(rho2 ** w)
+    x3_terms = np.sort(gauge * ax3 ** 2)
+    counts = []
+    for top in r ** (2 * w):
+        live = lead[: np.searchsorted(lead, top, side="left")]
+        counts.append(np.searchsorted(x3_terms, top - live, side="left").sum())
+    return np.array(counts) * lattice_h ** 3
 
 
 def volume_growth_fit(r_values: Sequence[float], lattice_h: float, group: Group) -> DecayFit:

@@ -56,8 +56,12 @@ from .errors import AccuracyError, ConfigError
 from .group import GridFunction, lp_norm
 from .spectral import Spectrum, positive_power
 
-# log-axis trapezoid controls of the quadrature validation routes
-QUAD_NODES = 400
+# log-axis trapezoid controls of the quadrature validation routes.  The
+# first level has QUAD_NODES intervals; at 100 it is already at roundoff on
+# the heis9 and torus2d sweeps, so PATH B converges after one doubling (201
+# nodes, where a 400-interval start took 801 to prove the same), and the C(s)
+# cross-check converges within two from s = 0.01 to 0.9999
+QUAD_NODES = 100
 QUAD_RTOL = 1e-10
 QUAD_TAIL = 40.0
 QUAD_DOUBLINGS = 6
@@ -109,6 +113,9 @@ def extension_multiplier_values(s: float, t: float,
     z ~ 1e10, is not evaluated there).  F is clamped into [0, 1].  d2F/dt2
     is the difference of two terms that, near s = 1/2, cancel as q -> 0;
     _check_second_derivative tells when that has cost it half its digits.
+    K_{2-s} is evaluated, not taken from the recurrence K_{2-s} = K_s +
+    (2(1-s)/z) K_{1-s}: that would make d2F/dt2 equal lam F - ((1-2s)/t)
+    dF/dt, the extension ODE itself, and pde_residual would test nothing.
     """
     _check_s(s)
     if not 0.0 < t < np.inf:

@@ -286,6 +286,15 @@ def group_convolve(f: GridFunction, g: GridFunction) -> GridFunction:
 
 
 def _heisenberg_convolve(f3: np.ndarray, g3: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """h^3 sum_b f(b) g(b^-1.a) on the (n, n, n) arrays, one x1 index a1 at a time.
+
+    For each a1, every (a2, b1, b2) whose x1, x2 offset c = a - b + half
+    lies on the grid is one row q, taken by one np.nonzero in a2, b1, b2
+    order.  Row q samples g's x3 line at c by linear interpolation, shifted
+    by the law's x3 term; the sum over b3 is one einsum per row, and the
+    rows of each a2 are added to out[a1, a2] in that order, so every (a, b)
+    pair rounds as a loop over (a1, a2) would.
+    """
     n = spec.n_per_axis
     h = spec.spacing
     ax = spec.axis_coordinates()
@@ -295,39 +304,33 @@ def _heisenberg_convolve(f3: np.ndarray, g3: np.ndarray, spec: GridSpec) -> np.n
     # integer index k along x3 maps to gpad[..., k+1]; both pads are zero
     gpad = np.zeros((n, n, n + 2))
     gpad[:, :, 1 : n + 1] = g3
-    b1g, b2g = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    # b^-1.a for b = (x1, x2, 0) has the x3 offset a3 - b3 + ((-b).(a1, a2, 0))_3
-    b_inverse = group.inverse(np.stack([ax[b1g], ax[b2g], np.zeros((n, n))], axis=-1))
+    gflat = gpad.ravel()
+    idx = np.arange(n)
+    # on_grid[a2, b2]: c2 = a2 - b2 + half lies in [0, n)
+    on_grid = np.abs(idx[:, None] - idx[None, :]) <= half
     m = np.arange(2 * n - 1)
+    f_rev = f3[:, :, ::-1]
     for a1 in range(n):
-        for a2 in range(n):
-            c1 = a1 - b1g + half
-            c2 = a2 - b2g + half
-            valid = (c1 >= 0) & (c1 < n) & (c2 >= 0) & (c2 < n)
-            if not valid.any():
-                continue
-            twist = group.mul(b_inverse, (ax[a1], ax[a2], 0.0))[..., 2]
-            vb1 = b1g[valid]
-            vb2 = b2g[valid]
-            vc1 = c1[valid]
-            vc2 = c2[valid]
-            shift = twist[valid] / h
-            # row q, offset m = a3-b3+(n-1): sample g at real x3-index
-            ridx = m[None, :] - (n - 1) + half + shift[:, None]
-            # floor(ridx) in [-1, n - 1], tested before a far-off index overflows
-            # the cast, so k + 1 and k + 2 index gpad's n + 2 columns
-            in_range = (ridx >= -1) & (ridx < n)
-            k = np.floor(np.where(in_range, ridx, 0.0)).astype(int)
-            w = ridx - k
-            rows = gpad[vc1, vc2, :]
-            samp = (1.0 - w) * np.take_along_axis(rows, k + 1, axis=1)
-            samp += w * np.take_along_axis(rows, k + 2, axis=1)
-            samp[~in_range] = 0.0
-            # out[a3] = sum_q sum_b3 f[q, b3] * samp[q, a3 - b3 + n - 1]
-            windows = np.lib.stride_tricks.sliding_window_view(samp, n, axis=1)
-            out[a1, a2, :] += np.einsum(
-                "qb,qab->a", f3[vb1, vb2, ::-1], windows
-            )
+        a2, b1, b2 = np.nonzero(on_grid[:, None, :] & on_grid[a1][None, :, None])
+        c1, c2 = a1 - b1 + half, a2 - b2 + half
+        # b^-1.a for b = (x1, x2, 0) has the x3 offset a3 - b3 + ((-b).(a1, a2, 0))_3
+        b_inverse = group.inverse(np.stack([ax[b1], ax[b2], np.zeros(b1.size)], axis=-1))
+        a = np.stack([np.full(a2.size, ax[a1]), ax[a2], np.zeros(a2.size)], axis=-1)
+        shift = group.mul(b_inverse, a)[:, 2] / h
+        # row q, offset m = a3-b3+(n-1): sample g at real x3-index
+        ridx = m[None, :] - (n - 1) + half + shift[:, None]
+        # floor(ridx) in [-1, n - 1], tested before a far-off index overflows
+        # the cast, so k + 1 and k + 2 index gpad's n + 2 columns at (c1, c2)
+        in_range = (ridx >= -1) & (ridx < n)
+        k = np.floor(np.where(in_range, ridx, 0.0)).astype(int)
+        w = ridx - k
+        at = k + ((c1 * n + c2) * (n + 2) + 1)[:, None]  # gpad[c1, c2, k + 1], flat
+        samp = (1.0 - w) * gflat[at]
+        samp += w * gflat[at + 1]
+        samp[~in_range] = 0.0
+        # out[a1, a2, a3] += sum_b3 f[b, b3] * samp[q, a3 - b3 + n - 1] over the rows q of a2
+        windows = np.lib.stride_tricks.sliding_window_view(samp, n, axis=1)
+        np.add.at(out[a1], a2, np.einsum("qb,qab->qa", f_rev[b1, b2], windows))
     return out * h ** 3
 
 

@@ -291,6 +291,31 @@ def _grid_involution(spec: GridSpec) -> np.ndarray:
     return np.ravel_multi_index(tuple(image), (n,) * dims)
 
 
+def _two_entry_product(m: sp.csr_matrix) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> m x for a CSR matrix m with one or two entries in each row, by index arithmetic.
+
+    x is N values, or rows x N with m applied to each row.  Each output is
+    0 + (first entry) + (second entry) of its row in stored order, as a
+    sparse product sums them, so for finite x it is bitwise that product;
+    adding the 0 first turns a -0.0 into +0.0, as it does there.
+    """
+    start = m.indptr[:-1]
+    two = np.diff(m.indptr) == 2
+    second = np.where(two, start + 1, start)
+    # a lone entry is followed by a 0 at its own index
+    index = np.stack([m.indices[start], m.indices[second]])
+    value = np.stack([m.data[start], np.where(two, m.data[second], 0.0)])
+
+    def product(x: np.ndarray) -> np.ndarray:
+        terms = x.take(index, axis=-1)
+        terms *= value
+        out = terms[..., 0, :] + 0.0
+        out += terms[..., 1, :]
+        return out
+
+    return product
+
+
 def _fold_basis(perm: np.ndarray) -> tuple[sp.csr_matrix, list[int]]:
     """The orthogonal N x N basis U = [U_e U_o] of an involution P, and its block sizes.
 
@@ -326,8 +351,10 @@ def spectral_decompose(op: DiscreteOperator) -> SpectralDecomposition:
     with U = I.  LAPACK's divide-and-conquer driver (evd) computes each
     block, on one thread of scipy's BLAS when the larger block's order is
     below SERIAL_ORDER; the eigenvalues merge into one ascending array by a
-    stable sort, and roundoff-negative ones clamp to 0.  eigen_probe checks
-    the result against the operator.
+    stable sort, and roundoff-negative ones clamp to 0.  U has one or two
+    entries in each row and column, so an apply takes U^T f and U c by
+    index arithmetic on them (_two_entry_product).  eigen_probe checks the
+    result against the operator.
     """
     check_dense_capacity(op.spec)
     _check_finite(op)
@@ -351,8 +378,8 @@ def spectral_decompose(op: DiscreteOperator) -> SpectralDecomposition:
     positions[order] = np.arange(N)
     eigenvalues, clamped = _clamped(w[order])
     return SpectralDecomposition(eigenvalues=eigenvalues, blocks=tuple(Q for _, Q in pairs),
-                                 spec=op.spec, forward=U.T.tocsr().__matmul__,
-                                 inverse=lambda c: (U @ c.T).T, positions=positions,
+                                 spec=op.spec, forward=_two_entry_product(U.T.tocsr()),
+                                 inverse=_two_entry_product(U), positions=positions,
                                  clamped=clamped)
 
 

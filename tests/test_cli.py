@@ -626,6 +626,42 @@ def test_sparse_identity_builds_one_basis_for_every_s(tmp_path, monkeypatch):
         assert check["passed"] and check["tolerance"] == 1e-12
 
 
+@pytest.mark.parametrize("kind, mode, calls", [
+    ("frac", "heisenberg", 1 + 3),
+    ("heat", "heisenberg", 1 + 3),
+    ("heat", "euclidean_torus", 1 + 3 + 1),
+])
+def test_frac_and_heat_take_their_outputs_over_phi_in_one_apply(tmp_path, monkeypatch, kind,
+                                                                 mode, calls):
+    # J^s and J^{s/2} of phi for every s (H_t and H_{t/2} for every t) come
+    # from one 2-D apply, each second half from one apply on its own input,
+    # and a torus's kernel columns from one more apply on the delta
+    import subfrac.cli as cli
+
+    apply, shapes = spectral.SpectralDecomposition.apply_values, []
+
+    def counted(self, values, f):
+        shapes.append(np.shape(values))
+        return apply(self, values, f)
+
+    stage = cli.RUNNERS[kind][0]
+
+    def measured(run):
+        run.dec  # built and probed before the count starts
+        monkeypatch.setattr(spectral.SpectralDecomposition, "apply_values", counted)
+        stage(run)
+
+    monkeypatch.setitem(cli.RUNNERS, kind, (measured,))
+    grid = ["--n", "5", "--L", "2"] if mode == "heisenberg" else ["--n", "16", "--L", "10"]
+    code = run_cli([kind, "--mode", mode, *grid, "--s", "0.3,0.5,0.7",
+                    "--t", "0.2,0.1,0.05", "--out", str(tmp_path)])
+    assert code == 0
+    assert len(shapes) == calls
+    assert shapes[0][0] == 2 * 3
+    if mode == "euclidean_torus":
+        assert shapes[1][0] == 3
+
+
 def test_torus_runs_never_densify(tmp_path, monkeypatch):
     # every torus subcommand takes the FFT diagonalization, checked by the
     # probes against the assembled operator

@@ -55,7 +55,9 @@ def test_constant_closed_form_values():
 
 
 def test_constant_vs_direct_quadrature():
-    for s in (0.1, 0.3, 0.5, 0.7, 0.9):
+    # from a QUAD_NODES-interval first level, within QUAD_DOUBLINGS, out to
+    # both ends of (0, 1)
+    for s in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.9999):
         closed = extension_constant(s)
         quad = extension_constant_quadrature(s)
         assert abs(closed - quad) <= 1e-10 * closed
@@ -506,6 +508,25 @@ def test_one_batched_apply_per_s(heis9, rng, monkeypatch):
         assert len(us) == len(ts)
         for u, ub in zip(profile.u, us):
             assert np.linalg.norm(u.values - ub.values) <= 1e-6 * np.linalg.norm(u.values)
+
+
+@pytest.mark.parametrize("grid, s_values", [
+    ("heis9", (0.1, 0.3, 0.5, 0.7, 0.9)),
+    ("torus2d", (0.3, 0.5, 0.7)),
+])
+def test_path_b_converges_after_one_doubling(grid, s_values, request, rng):
+    # the sweeps of the heis9 and torus2d verify-all runs: the QUAD_NODES
+    # first level is already at roundoff, and one doubling proves it
+    if grid == "torus2d":
+        spec = subfrac.GridSpec(48, 10.0, 2, "euclidean_torus")
+        dec = subfrac.fourier_decompose(subfrac.assemble_operator("euclid", spec))
+    else:
+        _, dec = request.getfixturevalue(grid)
+    phi = subfrac.random_bump(dec.spec, rng)
+    sweep = [ExtensionParams(s=s, t_values=(0.2, 0.1, 0.05)) for s in s_values]
+    _, deltas, doublings = extension_solve_tau_grid(dec, sweep, phi)
+    assert doublings == 1
+    assert all(0.0 <= d <= subfrac.extension.QUAD_RTOL for d in deltas)
 
 
 @pytest.mark.parametrize("grid", ["heis9", "torus64"])

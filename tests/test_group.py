@@ -353,6 +353,49 @@ def test_convolution_matches_brute_force_heisenberg(rng):
     assert np.abs(got - want).max() <= 1e-12 * (np.abs(want).max() + 1.0)
 
 
+def _convolve_by_pairs(f3, g3, spec):
+    """The Heisenberg convolution as a Python loop over every (a1, a2): the reference."""
+    n, h, ax = spec.n_per_axis, spec.spacing, spec.axis_coordinates()
+    half, group = (n - 1) // 2, spec.group
+    out = np.zeros((n, n, n))
+    gpad = np.zeros((n, n, n + 2))
+    gpad[:, :, 1 : n + 1] = g3
+    b1g, b2g = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    b_inverse = group.inverse(np.stack([ax[b1g], ax[b2g], np.zeros((n, n))], axis=-1))
+    m = np.arange(2 * n - 1)
+    for a1 in range(n):
+        for a2 in range(n):
+            c1, c2 = a1 - b1g + half, a2 - b2g + half
+            valid = (c1 >= 0) & (c1 < n) & (c2 >= 0) & (c2 < n)
+            twist = group.mul(b_inverse, (ax[a1], ax[a2], 0.0))[..., 2]
+            ridx = m[None, :] - (n - 1) + half + twist[valid][:, None] / h
+            in_range = (ridx >= -1) & (ridx < n)
+            k = np.floor(np.where(in_range, ridx, 0.0)).astype(int)
+            w = ridx - k
+            rows = gpad[c1[valid], c2[valid], :]
+            samp = (1.0 - w) * np.take_along_axis(rows, k + 1, axis=1)
+            samp += w * np.take_along_axis(rows, k + 2, axis=1)
+            samp[~in_range] = 0.0
+            windows = np.lib.stride_tricks.sliding_window_view(samp, n, axis=1)
+            out[a1, a2, :] += np.einsum("qb,qab->a", f3[b1g[valid], b2g[valid], ::-1], windows)
+    return out * h ** 3
+
+
+@pytest.mark.parametrize("n, L", [(9, 2.0), (15, 4.0)])
+def test_convolution_matches_the_pair_loop(rng, n, L):
+    # the batched rows keep each (a, b) pair's arithmetic and are added per
+    # a2 in the loop's order: bitwise the loop wherever einsum sums a row as
+    # it does inside the loop's block, and within 1e-15 of it in any case.
+    # f is noise and g a bump, so f * g and g * f differ; both are checked
+    spec = GridSpec(n, L, dims=3, mode="heisenberg")
+    f = GridFunction(spec, rng.standard_normal(spec.n_nodes))
+    g = subfrac.random_bump(spec, rng)
+    for a, b in ((f, g), (g, f)):
+        got = group_convolve(a, b).shaped()
+        want = _convolve_by_pairs(a.shaped(), b.shaped(), spec)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
 def test_torus_box_indicator_gives_triangle():
     # brute-force double-sum oracle for the periodic 1-D convolution
     spec = GridSpec(16, 1.0, dims=1, mode="euclidean_torus")

@@ -214,6 +214,30 @@ def test_every_table_operator_commutes_with_its_involution(kind, spec):
     assert abs(A[perm][:, perm] - A).sum(axis=1).max() <= subfrac.spectral.SPLIT_TOL * abs(A).max()
 
 
+@pytest.mark.parametrize("spec", [GridSpec(9, 2.0, 3, "heisenberg"),
+                                  GridSpec(7, 1.5, 2, "euclidean_box")],
+                         ids=["heis9", "box2d"])
+def test_fold_maps_are_the_sparse_products(spec, rng):
+    # U^T f and (U c^T)^T by index arithmetic sum each output's two terms
+    # in U's stored order, so they are bitwise the sparse products, signed
+    # zeros included
+    from subfrac.spectral import _fold_basis, _grid_involution, _two_entry_product
+
+    U, sizes = _fold_basis(_grid_involution(spec))
+    assert len(sizes) == 2
+    f = rng.standard_normal(spec.n_nodes)
+    f[::7] = -0.0
+    c = rng.standard_normal((3, spec.n_nodes))
+    c[:, ::5] = -0.0
+    UT = U.T.tocsr()
+    assert _two_entry_product(UT)(f).tobytes() == (UT @ f).tobytes()
+    assert _two_entry_product(U)(c).tobytes() == np.ascontiguousarray((U @ c.T).T).tobytes()
+    # the identity permutation folds nothing
+    I, sizes = _fold_basis(np.arange(spec.n_nodes))
+    assert sizes == [spec.n_nodes]
+    assert _two_entry_product(I)(f).tobytes() == (f + 0.0).tobytes()
+
+
 def _perturbed(op, node, size):
     """op with size * max|A| added to its diagonal entry at node: still symmetric and PSD."""
     bump = sp.csr_matrix(([size * abs(op.matrix).max()], ([node], [node])), shape=op.matrix.shape)
